@@ -44,6 +44,11 @@ def compress_sequence(
 ) -> bytes:
     """Encode a sequence into a container, optionally shaping it first."""
     if shaped:
+        if extra_length > 255:
+            raise BadLengthError(
+                f"extra length {extra_length} does not fit the container's "
+                "one-byte K field (at most 255)"
+            )
         params = ShapingParams(seq.length, seq.alphabet, extra_length)
         encoded_seq = transform(seq, params)
     else:
@@ -371,7 +376,11 @@ def _add_experiment_flags(parser):
     parser.add_argument("--base", type=float, help="entropy base (default 2)")
     parser.add_argument("--scheme", choices=["lengths", "counts", "both"])
     parser.add_argument("--format", choices=["json", "csv"])
-    parser.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        help="worker processes for sample (default 1); exhaustive runs in one pass",
+    )
     parser.add_argument(
         "--charge-framing",
         action="store_true",

@@ -103,6 +103,10 @@ class ClassOrdering:
     def class_index(self, comp: Composition) -> int:
         return self._index[comp.counts]
 
+    def class_of_rank(self, r: RankIndex) -> int:
+        """Index of the class holding global rank r."""
+        return bisect_right(self.cumulative, r)
+
     def class_start(self, i: int) -> int:
         """Global rank of the first sequence in class i."""
         return self.cumulative[i - 1] if i else 0
@@ -222,5 +226,5 @@ def unrank_sequence(
         raise RankOutOfRangeError(
             f"rank {r} outside 0..{ordering.sequence_count - 1}"
         )
-    i = bisect_right(ordering.cumulative, r)
+    i = ordering.class_of_rank(r)
     return unrank_in_class(ordering.compositions[i], r - ordering.class_start(i))

@@ -1,11 +1,14 @@
 """Exhaustive and sampled measurement of plain vs shaped compression cost.
 
-Every quantity that can be accumulated exactly is: bit counts and
-distinct-symbol counts are integer sums, and weighted-entropy sums are
-kept as integer coefficients of ln(v) terms (N*H0 = N*ln N - sum n*ln n,
-all integer-weighted), evaluated to float once at the end in a fixed
-order.  Merging partial tallies is therefore commutative and exact, so
-results are bit-identical regardless of worker count or chunking.
+Every reported quantity of a message depends only on its composition (its
+type class), so a population is tallied as a map from counts vector to
+message count, and each class is measured once.  Totals are exact: bit
+counts and distinct-symbol counts are integer sums, and weighted-entropy
+sums are kept as integer coefficients of ln(v) terms (N*H0 = N*ln N -
+sum n*ln n, all integer-weighted), evaluated to float once at the end in a
+fixed order.  Sampled runs split the samples into chunks (optionally over
+``jobs`` processes) whose class counts add up exactly, so results are
+bit-identical regardless of worker count or chunking.
 """
 from __future__ import annotations
 
@@ -32,7 +35,14 @@ from .combinatorics import (
     rank_sequence,
     unrank_sequence,
 )
-from .core import Alphabet, Composition, Sequence, format_sequence, weighted_entropy
+from .core import (
+    Alphabet,
+    Composition,
+    Sequence,
+    composition_of,
+    format_sequence,
+    weighted_entropy,
+)
 from .errors import BadDistributionError, TooLargeError
 from .shaping import (
     ShapingParams,
@@ -139,8 +149,8 @@ class _LogSum:
     """Exact sum of integer-weighted ln(v) terms.
 
     add_weighted_entropy accumulates N*ln N - sum n_i*ln n_i for one
-    composition; value() converts to float (in the requested log base)
-    only once, iterating terms in sorted order.
+    composition, times a message count; value() converts to float (in the
+    requested log base) only once, iterating terms in sorted order.
     """
 
     __slots__ = ("coef",)
@@ -148,16 +158,12 @@ class _LogSum:
     def __init__(self):
         self.coef: Counter[int] = Counter()
 
-    def add_weighted_entropy(self, counts, total: int) -> None:
+    def add_weighted_entropy(self, counts, total: int, weight: int) -> None:
         if total > 1:
-            self.coef[total] += total
+            self.coef[total] += weight * total
         for c in counts:
             if c > 1:
-                self.coef[c] -= c
-
-    def merge(self, other: "_LogSum") -> None:
-        for v, a in other.coef.items():
-            self.coef[v] += a
+                self.coef[c] -= weight * c
 
     def value(self, base: float) -> float:
         terms = [a * math.log(v) for v, a in sorted(self.coef.items()) if a]
@@ -166,85 +172,39 @@ class _LogSum:
 
 @dataclass
 class _SideTally:
-    """Exact per-population-side (plain or shaped) accumulator."""
+    """Exact totals over one side (plain or shaped) of a message population."""
 
-    formats: tuple[SchemeFormat, ...]
     entropy: _LogSum = field(default_factory=_LogSum)
     distinct: int = 0
     payload_bits: int = 0
-    scheme_bits: dict[SchemeFormat, int] = field(default_factory=dict)
-    framing_bits: dict[SchemeFormat, int] = field(default_factory=dict)
+    scheme_bits: Counter[SchemeFormat] = field(default_factory=Counter)
+    framing_bits: Counter[SchemeFormat] = field(default_factory=Counter)
 
-    def __post_init__(self):
-        for fmt in self.formats:
-            self.scheme_bits.setdefault(fmt, 0)
-            self.framing_bits.setdefault(fmt, 0)
 
-    def add(self, seq: Sequence) -> None:
-        counts = [0] * seq.alphabet.size
-        for s in seq.symbols:
-            counts[s] += 1
-        comp = Composition(tuple(counts))
-        self.entropy.add_weighted_entropy(counts, seq.length)
-        self.distinct += sum(1 for c in counts if c)
+def _tally_classes(
+    classes: Counter[tuple[int, ...]], formats: tuple[SchemeFormat, ...]
+) -> _SideTally:
+    """Totals over a population given as {counts vector: message count}:
+    each class is measured once and its figures multiplied by its count."""
+    tally = _SideTally()
+    for counts, weight in classes.items():
+        comp = Composition(counts)
+        tally.entropy.add_weighted_entropy(counts, comp.total, weight)
+        tally.distinct += weight * sum(1 for c in counts if c)
         table = build_code(comp)
         payload = payload_bit_count(comp, table)
-        self.payload_bits += payload
-        for fmt in self.formats:
+        tally.payload_bits += weight * payload
+        for fmt in formats:
             scheme = scheme_bit_count(comp, fmt, table)
-            self.scheme_bits[fmt] += scheme
-            self.framing_bits[fmt] += (
+            tally.scheme_bits[fmt] += weight * scheme
+            tally.framing_bits[fmt] += weight * (
                 8 * CONTAINER_HEADER_BYTES + (-scheme) % 8 + (-payload) % 8
             )
-
-    def merge(self, other: "_SideTally") -> None:
-        self.entropy.merge(other.entropy)
-        self.distinct += other.distinct
-        self.payload_bits += other.payload_bits
-        for fmt in self.formats:
-            self.scheme_bits[fmt] += other.scheme_bits[fmt]
-            self.framing_bits[fmt] += other.framing_bits[fmt]
-
-
-@dataclass
-class _Tally:
-    formats: tuple[SchemeFormat, ...]
-    population: int = 0
-    plain: _SideTally = None  # type: ignore[assignment]
-    shaped: _SideTally = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.plain is None:
-            self.plain = _SideTally(self.formats)
-        if self.shaped is None:
-            self.shaped = _SideTally(self.formats)
-
-    def add_pair(self, plain_seq: Sequence, shaped_seq: Sequence) -> None:
-        self.population += 1
-        self.plain.add(plain_seq)
-        self.shaped.add(shaped_seq)
-
-    def merge(self, other: "_Tally") -> None:
-        self.population += other.population
-        self.plain.merge(other.plain)
-        self.shaped.merge(other.shaped)
-
-
-def _exhaustive_chunk(args) -> _Tally:
-    config, lo, hi = args
-    alphabet = config.alphabet
-    plain_ordering = shared_ordering(config.length, alphabet, config.max_classes)
-    target_len = config.length + config.extra_length
-    shaped_ordering = shared_ordering(target_len, alphabet, config.max_classes)
-    tally = _Tally(config.scheme_formats)
-    for r in range(lo, hi):
-        plain_seq = unrank_sequence(config.length, alphabet, r, plain_ordering)
-        shaped_seq = unrank_sequence(target_len, alphabet, r, shaped_ordering)
-        tally.add_pair(plain_seq, shaped_seq)
     return tally
 
 
-def _sampled_chunk(args) -> _Tally:
+def _sampled_chunk(args) -> tuple[Counter, Counter]:
+    """Plain and shaped type-class counts of samples lo..hi-1."""
     config, pmf, seed, lo, hi = args
     alphabet = config.alphabet
     plain_ordering = shared_ordering(config.length, alphabet, config.max_classes)
@@ -252,7 +212,7 @@ def _sampled_chunk(args) -> _Tally:
     shaped_ordering = shared_ordering(target_len, alphabet, config.max_classes)
     p = np.asarray(pmf, dtype=np.float64)
     p = p / p.sum()
-    tally = _Tally(config.scheme_formats)
+    plain, shaped = Counter(), Counter()
     for i in range(lo, hi):
         # one generator per sample keyed by (seed, index): chunking cannot
         # change the stream any sample sees
@@ -260,46 +220,39 @@ def _sampled_chunk(args) -> _Tally:
         symbols = tuple(int(s) for s in rng.choice(alphabet.size, size=config.length, p=p))
         plain_seq = Sequence(alphabet, symbols)
         r = rank_sequence(plain_seq, plain_ordering)
-        shaped_seq = unrank_sequence(target_len, alphabet, r, shaped_ordering)
-        tally.add_pair(plain_seq, shaped_seq)
-    return tally
-
-
-def _run_chunks(worker, tasks, jobs: int) -> _Tally:
-    if jobs <= 1 or len(tasks) <= 1:
-        results = [worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks))
-    merged = results[0]
-    for t in results[1:]:
-        merged.merge(t)
-    return merged
+        plain[composition_of(plain_seq).counts] += 1
+        # the image has rank r too, so its class is the one holding rank r
+        i = shaped_ordering.class_of_rank(r)
+        shaped[shaped_ordering.compositions[i].counts] += 1
+    return plain, shaped
 
 
 def _split_ranges(total: int, chunks: int):
-    if total <= 0:
-        return [(0, 0)]
     chunks = max(1, min(chunks, total))
     step = (total + chunks - 1) // chunks
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
-    """Measure every length-N message (by rank, via unrank) and its image."""
-    config.shaping  # validate alphabet/length/extra_length up front
+    """Measure every length-N message and its image, one type class at a time.
+
+    The plain side holds every class in full (multinomial(c) messages); the
+    shaped side holds the classes of the |A|**N lowest-ranked length-(N+K)
+    sequences, the last of them possibly in part.  Cost grows with the
+    number of classes, not messages; ``jobs`` does not apply.
+    """
+    params = config.shaping  # validate alphabet/length/extra_length up front
     population = config.alphabet_size**config.length
     if population > config.exhaustive_cap:
         raise TooLargeError(
             f"{population} messages exceed the exhaustive cap of "
             f"{config.exhaustive_cap}; use sampled mode"
         )
-    tasks = [
-        (config, lo, hi)
-        for lo, hi in _split_ranges(population, config.jobs * 4)
-    ]
-    tally = _run_chunks(_exhaustive_chunk, tasks, config.jobs)
-    return _build_report(replace(config, mode="exhaustive"), tally, source=None)
+    census = shaped_subset_stats(params).class_census
+    shaped = Counter({comp.counts: included for comp, included in census})
+    comps = enumerate_compositions(params.length, params.alphabet)
+    plain = Counter({c.counts: multinomial(c) for c in comps})
+    return _build_report(replace(config, mode="exhaustive"), plain, shaped, source=None)
 
 
 def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport":
@@ -317,8 +270,18 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
         (config, pmf, spec.seed, lo, hi)
         for lo, hi in _split_ranges(config.sample_count, config.jobs * 4)
     ]
-    tally = _run_chunks(_sampled_chunk, tasks, config.jobs)
-    return _build_report(replace(config, mode="sampled", seed=spec.seed), tally, source=spec)
+    if config.jobs <= 1 or len(tasks) <= 1:
+        results = [_sampled_chunk(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            results = list(pool.map(_sampled_chunk, tasks))
+    plain, shaped = Counter(), Counter()
+    for chunk_plain, chunk_shaped in results:
+        plain.update(chunk_plain)
+        shaped.update(chunk_shaped)
+    return _build_report(
+        replace(config, mode="sampled", seed=spec.seed), plain, shaped, source=spec
+    )
 
 
 def run(config: ExperimentConfig, source: SourceSpec | None = None) -> "ExperimentReport":
@@ -549,18 +512,23 @@ class ExperimentReport:
 
 
 def _build_report(
-    config: ExperimentConfig, tally: _Tally, source: SourceSpec | None
+    config: ExperimentConfig,
+    plain_classes: Counter,
+    shaped_classes: Counter,
+    source: SourceSpec | None,
 ) -> ExperimentReport:
-    pop = tally.population
+    pop = sum(plain_classes.values())
+    plain = _tally_classes(plain_classes, config.scheme_formats)
+    shaped = _tally_classes(shaped_classes, config.scheme_formats)
     fmt_names = tuple(f.value for f in config.scheme_formats)
 
     def per_fmt(d: dict[SchemeFormat, int]) -> dict[str, int]:
         return {f.value: d[f] for f in config.scheme_formats}
 
-    scheme_plain = per_fmt(tally.plain.scheme_bits)
-    scheme_shaped = per_fmt(tally.shaped.scheme_bits)
-    framing_plain = per_fmt(tally.plain.framing_bits)
-    framing_shaped = per_fmt(tally.shaped.framing_bits)
+    scheme_plain = per_fmt(plain.scheme_bits)
+    scheme_shaped = per_fmt(shaped.scheme_bits)
+    framing_plain = per_fmt(plain.framing_bits)
+    framing_shaped = per_fmt(shaped.framing_bits)
 
     def averages(scheme: dict[str, int], payload: int, framing: dict[str, int]):
         avg_scheme = {name: scheme[name] / pop for name in fmt_names}
@@ -580,13 +548,13 @@ def _build_report(
         avg_payload_plain,
         avg_framing_plain,
         avg_total_plain,
-    ) = averages(scheme_plain, tally.plain.payload_bits, framing_plain)
+    ) = averages(scheme_plain, plain.payload_bits, framing_plain)
     (
         avg_scheme_shaped,
         avg_payload_shaped,
         avg_framing_shaped,
         avg_total_shaped,
-    ) = averages(scheme_shaped, tally.shaped.payload_bits, framing_shaped)
+    ) = averages(scheme_shaped, shaped.payload_bits, framing_shaped)
 
     random_limit_bits = config.length * math.log2(config.alphabet_size)
     census = type_class_census(
@@ -608,18 +576,18 @@ def _build_report(
         sample_count=config.sample_count if config.mode == "sampled" else None,
         charge_framing=config.charge_framing,
         scheme_formats=fmt_names,
-        distinct_total_plain=tally.plain.distinct,
-        distinct_total_shaped=tally.shaped.distinct,
-        payload_bits_total_plain=tally.plain.payload_bits,
-        payload_bits_total_shaped=tally.shaped.payload_bits,
+        distinct_total_plain=plain.distinct,
+        distinct_total_shaped=shaped.distinct,
+        payload_bits_total_plain=plain.payload_bits,
+        payload_bits_total_shaped=shaped.payload_bits,
         scheme_bits_total_plain=scheme_plain,
         scheme_bits_total_shaped=scheme_shaped,
         framing_bits_total_plain=framing_plain,
         framing_bits_total_shaped=framing_shaped,
-        avg_weighted_entropy_plain=tally.plain.entropy.value(config.base) / pop,
-        avg_weighted_entropy_shaped=tally.shaped.entropy.value(config.base) / pop,
-        avg_distinct_symbols_plain=tally.plain.distinct / pop,
-        avg_distinct_symbols_shaped=tally.shaped.distinct / pop,
+        avg_weighted_entropy_plain=plain.entropy.value(config.base) / pop,
+        avg_weighted_entropy_shaped=shaped.entropy.value(config.base) / pop,
+        avg_distinct_symbols_plain=plain.distinct / pop,
+        avg_distinct_symbols_shaped=shaped.distinct / pop,
         avg_payload_bits_plain=avg_payload_plain,
         avg_payload_bits_shaped=avg_payload_shaped,
         avg_scheme_bits_plain=avg_scheme_plain,

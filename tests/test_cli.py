@@ -133,6 +133,17 @@ class TestEncodeDecode:
         assert code == 3
         assert stderr_json(err)["error"] == "MalformedPayload"
 
+    def test_shaped_k_beyond_container_byte(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
+        code, out, err = run_cli(["encode", "-a", "3", "--shape", "-k", "256"], capsys)
+        assert (code, out) == (3, "")
+        assert stderr_json(err)["error"] == "BadLength"
+        # transform writes no container, so the same K still works there
+        monkeypatch.setattr("sys.stdin", io.StringIO("1"))
+        code, out, err = run_cli(["transform", "-a", "3", "-k", "256"], capsys)
+        assert (code, err) == (0, "")
+        assert out.split() == ["1"] * 257
+
     def test_decode_missing_file(self, tmp_path, capsys):
         code, out, err = run_cli(["decode", str(tmp_path / "nope.sstc")], capsys)
         assert code == 4

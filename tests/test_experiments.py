@@ -2,14 +2,19 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from setshaping import (
     Alphabet,
+    Container,
     ExperimentConfig,
     SchemeFormat,
     Sequence,
+    ShapingParams,
     SourceSpec,
+    encode_message,
+    pack_container,
     reproduce_table,
     run,
     run_exhaustive,
@@ -17,14 +22,48 @@ from setshaping import (
     source_entropy,
     table_to_csv,
     total_compressed_length,
+    transform,
     type_class_census,
 )
 from setshaping.experiments import ExperimentReport
 from setshaping.errors import BadDistributionError, TooLargeError
 
-from oracles import all_tuples, brute_entropy
+from oracles import all_tuples, brute_entropy, entropy_sorted_tuples
 
 A3 = Alphabet(3)
+FORMATS = (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE)
+
+
+def per_message_totals(sequences, fmt):
+    """Scheme, payload, framing and distinct-symbol totals, summed one
+    message at a time; framing is read off the packed container's size."""
+    scheme = payload = framing = distinct = 0
+    for seq in sequences:
+        r = total_compressed_length(seq, fmt)
+        message = encode_message(seq, fmt)
+        box = pack_container(
+            Container(fmt, seq.alphabet.size, seq.length, message.scheme, message.payload)
+        )
+        scheme += r.scheme_bits
+        payload += r.payload_bits
+        framing += 8 * len(box) - r.scheme_bits - r.payload_bits
+        distinct += len(set(seq.symbols))
+    return scheme, payload, framing, distinct
+
+
+def assert_side_totals(report, side, sequences):
+    for fmt in FORMATS:
+        scheme, payload, framing, distinct = per_message_totals(sequences, fmt)
+        assert getattr(report, f"scheme_bits_total_{side}")[fmt.value] == scheme
+        assert getattr(report, f"payload_bits_total_{side}") == payload
+        assert getattr(report, f"framing_bits_total_{side}")[fmt.value] == framing
+        assert getattr(report, f"distinct_total_{side}") == distinct
+    expected = math.fsum(
+        brute_entropy(s.symbols) * s.length for s in sequences
+    ) / len(sequences)
+    assert getattr(report, f"avg_weighted_entropy_{side}") == pytest.approx(
+        expected, abs=1e-9
+    )
 
 
 @pytest.fixture(scope="module")
@@ -90,16 +129,28 @@ class TestExhaustive:
                 == report.avg_scheme_bits_shaped[name] + report.avg_payload_bits_shaped
             )
 
-    def test_totals_match_per_sequence_sums(self, report):
-        # independent accumulation straight from total_compressed_length
-        for fmt in (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE):
+    @pytest.mark.parametrize(
+        "n,size,k", [(3, 3, 1), (4, 3, 2), (6, 3, 1), (4, 4, 1), (3, 5, 1)]
+    )
+    def test_totals_match_per_sequence_sums(self, n, size, k):
+        # independent accumulation straight from total_compressed_length,
+        # one message at a time, on both sides of the transform
+        report = run_exhaustive(
+            ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
+        )
+        alphabet = Alphabet(size)
+        for fmt in FORMATS:
             scheme = payload = 0
-            for t in all_tuples(3, 3):
-                r = total_compressed_length(Sequence(A3, t), fmt)
+            for t in all_tuples(n, size):
+                r = total_compressed_length(Sequence(alphabet, t), fmt)
                 scheme += r.scheme_bits
                 payload += r.payload_bits
             assert report.scheme_bits_total_plain[fmt.value] == scheme
             assert report.payload_bits_total_plain == payload
+        plain = [Sequence(alphabet, t) for t in all_tuples(n, size)]
+        assert_side_totals(report, "plain", plain)
+        shaped = entropy_sorted_tuples(n + k, size)[: size**n]
+        assert_side_totals(report, "shaped", [Sequence(alphabet, t) for t in shaped])
 
     def test_delta_signs_recorded(self, report):
         for name in report.scheme_formats:
@@ -167,6 +218,28 @@ class TestSampled:
             spec,
         )
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_totals_match_per_sample_sums(self, jobs):
+        pmf = (0.55, 0.25, 0.15, 0.05)
+        alphabet = Alphabet(4)
+        config = ExperimentConfig(
+            length=6, alphabet_size=4, mode="sampled", sample_count=500, jobs=jobs
+        )
+        report = run_sampled(config, SourceSpec(alphabet, pmf, seed=3))
+        # redraw the same per-sample streams and measure each sample alone
+        p = np.asarray(pmf, dtype=np.float64)
+        p = p / p.sum()
+        params = ShapingParams(6, alphabet)
+        plain = []
+        for i in range(config.sample_count):
+            rng = np.random.default_rng([3, i])
+            symbols = rng.choice(4, size=6, p=p)
+            plain.append(Sequence(alphabet, tuple(int(s) for s in symbols)))
+        shaped = [transform(seq, params) for seq in plain]
+        assert report.population == config.sample_count
+        assert_side_totals(report, "plain", plain)
+        assert_side_totals(report, "shaped", shaped)
 
     def test_uniform_converges_to_exhaustive(self):
         exhaustive = run_exhaustive(ExperimentConfig(length=3, alphabet_size=3))
