@@ -23,6 +23,7 @@ from .coding import (
 from .core import Alphabet, Sequence, format_sequence, parse_sequence
 from .errors import BadLengthError, MalformedPayloadError, SetShapingError
 from .experiments import (
+    DEFAULT_EXHAUSTIVE_CAP,
     ExperimentConfig,
     SourceSpec,
     reproduce_table,
@@ -100,22 +101,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _parse_config_value(raw: str):
-    raw = raw.strip()
-    low = raw.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw
-
-
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     values = {}
@@ -129,7 +115,7 @@ def _load_config(path: str | None) -> dict:
                     _usage_error(f"{path}:{lineno}: expected key = value")
                 )
             key, _, raw = line.partition("=")
-            values[key.strip().replace("-", "_")] = _parse_config_value(raw)
+            values[key.strip().replace("-", "_")] = raw.strip()
     return values
 
 
@@ -138,12 +124,35 @@ def _usage_error(detail: str) -> int:
     return 2
 
 
+_SWITCH_WORDS = {
+    "true": True, "yes": True, "on": True,
+    "false": False, "no": False, "off": False,
+}
+
+
+def _config_value(action: argparse.Action, key: str, raw: str):
+    """Convert a config value as its own flag's value would be: the flag's
+    type and choices, or only true/false words for an on/off switch."""
+    try:
+        if action.nargs == 0:
+            return _SWITCH_WORDS[raw.lower()]
+        value = action.type(raw) if action.type else raw
+        if action.choices is None or value in action.choices:
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise SystemExit(_usage_error(f"config {key}: invalid value {raw!r}"))
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     """Fill unset options from --config values, then from defaults."""
     config = _load_config(getattr(args, "config", None))
+    actions = {action.dest: action for action in args.parser._actions}
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
-            setattr(args, key, config.get(key, fallback))
+            raw = config.get(key)
+            value = fallback if raw is None else _config_value(actions[key], key, raw)
+            setattr(args, key, value)
     return args
 
 
@@ -271,7 +280,7 @@ _EXPERIMENT_DEFAULTS = {
     "format": "json",
     "jobs": 1,
     "charge_framing": False,
-    "cap": 10_000_000,
+    "cap": DEFAULT_EXHAUSTIVE_CAP,
     "output": "-",
 }
 
@@ -333,7 +342,6 @@ def _cmd_census(args) -> int:
         "n": None,
         "alphabet": None,
         "k": 1,
-        "base": 2.0,
         "format": "json",
         "output": "-",
     }
@@ -341,7 +349,7 @@ def _cmd_census(args) -> int:
     _check_positive("-n", args.n)
     _check_positive("--alphabet", args.alphabet)
     _check_positive("--k", args.k)
-    census = type_class_census(args.n, Alphabet(args.alphabet), args.k, args.base)
+    census = type_class_census(args.n, Alphabet(args.alphabet), args.k)
     if args.format == "json":
         text = json.dumps(census.to_dict(), sort_keys=True, indent=2) + "\n"
     else:
@@ -441,11 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int)
     p.add_argument("-a", "--alphabet", type=int)
     p.add_argument("-k", "--k", type=int)
-    p.add_argument("--base", type=float)
     p.add_argument("--format", choices=["json", "csv"])
     _add_common(p)
     p.set_defaults(func=_cmd_census)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # _resolve converts config values by its flags
     return parser
 
 

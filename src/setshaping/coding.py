@@ -27,6 +27,7 @@ from .errors import (
     EmptyCompositionError,
     EmptySequenceError,
     MalformedPayloadError,
+    TooLargeError,
     UncodableSymbolError,
 )
 
@@ -159,40 +160,28 @@ def encode(seq: Sequence, table: CodeTable) -> Bits:
 
 def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     """Read exactly n codewords; anything else is a malformed payload."""
-    used = sorted((l, s) for s, l in enumerate(table.lengths) if l)
-    max_len = used[-1][0] if used else 0
-    first_code = {}
-    count_at = {}
-    offset_at = {}
-    symbols_in_order = [s for _, s in used]
-    code = 0
-    prev_len = used[0][0] if used else 0
-    for i, (l, _) in enumerate(used):
-        code <<= l - prev_len
-        if l not in first_code:
-            first_code[l] = code
-            offset_at[l] = i
-            count_at[l] = 0
-        count_at[l] += 1
-        code += 1
-        prev_len = l
-
+    # key = a leading 1 bit, then the bits read so far: unique per codeword
+    symbol_of = {
+        (1 << l) | code: s
+        for s, (l, code) in enumerate(zip(table.lengths, table.codewords))
+        if l
+    }
+    limit = 1 << table.max_length
     reader = BitReader(payload)
+    read_bit = reader.read_bit
+    lookup = symbol_of.get
     out = []
     for _ in range(n):
-        value = 0
-        length = 0
+        key = 1
         while True:
-            value = (value << 1) | reader.read_bit()
-            length += 1
-            if length in first_code:
-                d = value - first_code[length]
-                if 0 <= d < count_at[length]:
-                    out.append(symbols_in_order[offset_at[length] + d])
-                    break
-            if length >= max_len:
+            key = (key << 1) | read_bit()
+            s = lookup(key)
+            if s is not None:
+                out.append(s)
+                break
+            if key >= limit:
                 raise MalformedPayloadError(
-                    f"bit pattern {value:0{length}b} matches no codeword"
+                    f"bit pattern {format(key, 'b')[1:]} matches no codeword"
                 )
     if reader.remaining:
         raise MalformedPayloadError(
@@ -207,7 +196,7 @@ def serialize_scheme(source: CodeTable | Composition, fmt: SchemeFormat) -> Bits
         table = source if isinstance(source, CodeTable) else build_code(source)
         lmax = table.max_length
         if lmax > MAX_CODE_LENGTH:
-            raise ValueError(
+            raise TooLargeError(
                 f"codeword length {lmax} exceeds the {MAX_CODE_LENGTH}-bit format limit"
             )
         writer = BitWriter()

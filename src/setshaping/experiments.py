@@ -9,6 +9,10 @@ sum n*ln n, all integer-weighted), evaluated to float once at the end in a
 fixed order.  Sampled runs split the samples into chunks (optionally over
 ``jobs`` processes) whose class counts add up exactly, so results are
 bit-identical regardless of worker count or chunking.
+
+Every report's sub-alphabet census is read off the exhaustive class-weight
+maps: the ones an exhaustive run tallies, or for a sampled run (whose maps
+hold only the sampled classes) the ones ``type_class_census`` builds.
 """
 from __future__ import annotations
 
@@ -122,7 +126,6 @@ class ExperimentConfig:
     seed: int = 0
     charge_framing: bool = False
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
-    max_classes: int = DEFAULT_CLASS_CAP
     jobs: int = 1
 
     def __post_init__(self):
@@ -207,9 +210,8 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
     """Plain and shaped type-class counts of samples lo..hi-1."""
     config, pmf, seed, lo, hi = args
     alphabet = config.alphabet
-    plain_ordering = shared_ordering(config.length, alphabet, config.max_classes)
-    target_len = config.length + config.extra_length
-    shaped_ordering = shared_ordering(target_len, alphabet, config.max_classes)
+    plain_ordering = shared_ordering(config.length, alphabet)
+    shaped_ordering = shared_ordering(config.length + config.extra_length, alphabet)
     p = np.asarray(pmf, dtype=np.float64)
     p = p / p.sum()
     plain, shaped = Counter(), Counter()
@@ -222,8 +224,8 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
         r = rank_sequence(plain_seq, plain_ordering)
         plain[composition_of(plain_seq).counts] += 1
         # the image has rank r too, so its class is the one holding rank r
-        i = shaped_ordering.class_of_rank(r)
-        shaped[shaped_ordering.compositions[i].counts] += 1
+        j = shaped_ordering.class_of_rank(r)
+        shaped[shaped_ordering.compositions[j].counts] += 1
     return plain, shaped
 
 
@@ -248,11 +250,9 @@ def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
             f"{population} messages exceed the exhaustive cap of "
             f"{config.exhaustive_cap}; use sampled mode"
         )
-    census = shaped_subset_stats(params).class_census
-    shaped = Counter({comp.counts: included for comp, included in census})
-    comps = enumerate_compositions(params.length, params.alphabet)
-    plain = Counter({c.counts: multinomial(c) for c in comps})
-    return _build_report(replace(config, mode="exhaustive"), plain, shaped, source=None)
+    plain, shaped = _population(params)
+    census = _census(params, plain, shaped)
+    return _build_report(replace(config, mode="exhaustive"), plain, shaped, None, census)
 
 
 def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport":
@@ -279,9 +279,9 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
     for chunk_plain, chunk_shaped in results:
         plain.update(chunk_plain)
         shaped.update(chunk_shaped)
-    return _build_report(
-        replace(config, mode="sampled", seed=spec.seed), plain, shaped, source=spec
-    )
+    census = type_class_census(config.length, config.alphabet, config.extra_length)
+    config = replace(config, mode="sampled", seed=spec.seed)
+    return _build_report(config, plain, shaped, spec, census)
 
 
 def run(config: ExperimentConfig, source: SourceSpec | None = None) -> "ExperimentReport":
@@ -326,51 +326,44 @@ class CensusReport:
         return cls(**d)
 
 
-def type_class_census(
-    n: int,
-    alphabet: Alphabet,
-    extra_length: int = 1,
-    base: float = 2.0,
-    max_classes: int = DEFAULT_CLASS_CAP,
-) -> CensusReport:
-    """Census of sub-alphabet type classes, plain set vs shaped subset."""
-    params = ShapingParams(n, alphabet, extra_length, base)
-    size = alphabet.size
+def _population(params: ShapingParams) -> tuple[Counter, Counter]:
+    """Every length-N message and its image as {counts vector: message count}:
+    each plain class in full, and the shaped subset's classes with the
+    included part of the boundary class."""
+    census = shaped_subset_stats(params).class_census
+    shaped = Counter({comp.counts: included for comp, included in census})
+    comps = enumerate_compositions(params.length, params.alphabet)
+    plain = Counter({c.counts: multinomial(c) for c in comps})
+    return plain, shaped
 
-    plain_classes = plain_classes_below = 0
-    plain_seqs_below = 0
-    if composition_count(n, alphabet) > max_classes:
-        raise TooLargeError(
-            f"composition census for length {n} exceeds cap {max_classes}"
-        )
-    for comp in enumerate_compositions(n, alphabet):
-        plain_classes += 1
-        if sum(1 for c in comp.counts if c) < size:
-            plain_classes_below += 1
-            plain_seqs_below += multinomial(comp)
 
-    stats = shaped_subset_stats(params)
-    shaped_classes = len(stats.class_census)
-    shaped_classes_below = 0
-    shaped_seqs_below = 0
-    for comp, included in stats.class_census:
-        if sum(1 for c in comp.counts if c) < size:
-            shaped_classes_below += 1
-            shaped_seqs_below += included
-
+def _census(params: ShapingParams, plain: Counter, shaped: Counter) -> CensusReport:
+    """Census read off the two class-weight maps of a whole population."""
+    plain_below = [count for counts, count in plain.items() if 0 in counts]
+    shaped_below = [count for counts, count in shaped.items() if 0 in counts]
     return CensusReport(
-        length=n,
-        alphabet_size=size,
-        extra_length=extra_length,
-        plain_classes_total=plain_classes,
-        plain_classes_below_full=plain_classes_below,
-        plain_sequences_total=size**n,
-        plain_sequences_below_full=plain_seqs_below,
-        shaped_classes_total=shaped_classes,
-        shaped_classes_below_full=shaped_classes_below,
-        shaped_sequences_total=size**n,
-        shaped_sequences_below_full=shaped_seqs_below,
+        length=params.length,
+        alphabet_size=params.alphabet.size,
+        extra_length=params.extra_length,
+        plain_classes_total=len(plain),
+        plain_classes_below_full=len(plain_below),
+        plain_sequences_total=params.subset_size,
+        plain_sequences_below_full=sum(plain_below),
+        shaped_classes_total=len(shaped),
+        shaped_classes_below_full=len(shaped_below),
+        shaped_sequences_total=params.subset_size,
+        shaped_sequences_below_full=sum(shaped_below),
     )
+
+
+def type_class_census(n: int, alphabet: Alphabet, extra_length: int = 1) -> CensusReport:
+    """Census of sub-alphabet type classes, plain set vs shaped subset."""
+    params = ShapingParams(n, alphabet, extra_length)
+    if composition_count(n, alphabet) > DEFAULT_CLASS_CAP:
+        raise TooLargeError(
+            f"composition census for length {n} exceeds cap {DEFAULT_CLASS_CAP}"
+        )
+    return _census(params, *_population(params))
 
 
 @dataclass(frozen=True)
@@ -516,6 +509,7 @@ def _build_report(
     plain_classes: Counter,
     shaped_classes: Counter,
     source: SourceSpec | None,
+    census: CensusReport,
 ) -> ExperimentReport:
     pop = sum(plain_classes.values())
     plain = _tally_classes(plain_classes, config.scheme_formats)
@@ -557,13 +551,6 @@ def _build_report(
     ) = averages(scheme_shaped, shaped.payload_bits, framing_shaped)
 
     random_limit_bits = config.length * math.log2(config.alphabet_size)
-    census = type_class_census(
-        config.length,
-        config.alphabet,
-        config.extra_length,
-        config.base,
-        config.max_classes,
-    )
 
     return ExperimentReport(
         mode=config.mode,

@@ -267,6 +267,29 @@ class TestConfigFile:
         ) == 0
         assert json.loads(out.read_text())["charge_framing"] is True
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("exhaustive", "scheme = foo"),
+            ("encode", "scheme = foo"),
+            ("exhaustive", "jobs = two"),
+            ("exhaustive", "format = xml"),
+            ("exhaustive", "charge-framing = maybe"),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, line
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 3\nalphabet = 3\n{line}\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert stderr_json(captured.err)["error"] == "Usage"
+
     def test_exhaustive_fully_from_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 3\nalphabet = 3\nk = 1\nformat = json\n")

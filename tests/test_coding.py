@@ -32,6 +32,7 @@ from setshaping.errors import (
     EmptyCompositionError,
     EmptySequenceError,
     MalformedPayloadError,
+    SetShapingError,
     UncodableSymbolError,
 )
 
@@ -258,6 +259,17 @@ class TestScheme:
         bits = serialize_scheme(Composition((3, 1, 0)), SchemeFormat.COUNT_TABLE)
         with pytest.raises(MalformedPayloadError):
             deserialize_scheme(bits, SchemeFormat.COUNT_TABLE, A3, 5)
+
+    def test_overlong_code_is_domain_error(self):
+        # Fibonacci counts over 33 symbols (N = 9,227,464) give Lmax = 32,
+        # one more than the 5-bit header can hold
+        fib = [1, 1]
+        while len(fib) < 33:
+            fib.append(fib[-1] + fib[-2])
+        table = build_code(Composition(tuple(fib)))
+        assert table.max_length == 32
+        with pytest.raises(SetShapingError):
+            serialize_scheme(table, SchemeFormat.LENGTH_LIST)
 
     def test_kraft_violating_lengths_rejected(self):
         with pytest.raises(ValueError):

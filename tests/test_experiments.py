@@ -28,7 +28,7 @@ from setshaping import (
 from setshaping.experiments import ExperimentReport
 from setshaping.errors import BadDistributionError, TooLargeError
 
-from oracles import all_tuples, brute_entropy, entropy_sorted_tuples
+from oracles import all_tuples, brute_entropy, counts_of, entropy_sorted_tuples
 
 A3 = Alphabet(3)
 FORMATS = (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE)
@@ -326,6 +326,37 @@ class TestCensus:
         assert census.plain_classes_total == 3
         assert census.plain_classes_below_full == 3
         assert census.plain_sequences_below_full == 3
+
+    @pytest.mark.parametrize(
+        "n, size, k", [(1, 3, 1), (3, 3, 1), (4, 3, 2), (5, 3, 1), (3, 4, 1), (3, 5, 1)]
+    )
+    def test_matches_brute_force_census(self, n, size, k):
+        plain = list(all_tuples(n, size))
+        shaped = entropy_sorted_tuples(n + k, size)[: size**n]
+        expected = {}
+        for side, tuples in (("plain", plain), ("shaped", shaped)):
+            below = [t for t in tuples if len(set(t)) < size]
+            expected[f"{side}_classes_total"] = len({counts_of(t, size) for t in tuples})
+            expected[f"{side}_classes_below_full"] = len(
+                {counts_of(t, size) for t in below}
+            )
+            expected[f"{side}_sequences_total"] = len(tuples)
+            expected[f"{side}_sequences_below_full"] = len(below)
+        alphabet = Alphabet(size)
+        config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
+        sampled = run_sampled(
+            ExperimentConfig(
+                length=n, alphabet_size=size, extra_length=k, mode="sampled", sample_count=50
+            ),
+            SourceSpec(alphabet),
+        )
+        for census in (
+            type_class_census(n, alphabet, k),
+            run_exhaustive(config).census,
+            sampled.census,
+        ):
+            assert (census.length, census.alphabet_size, census.extra_length) == (n, size, k)
+            assert {key: getattr(census, key) for key in expected} == expected
 
     def test_round_trip(self):
         census = type_class_census(4, A3, 1)
