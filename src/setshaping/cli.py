@@ -12,6 +12,7 @@ import json
 import sys
 
 from .coding import (
+    _MAX_EXTRA_LENGTH,
     Container,
     SchemeFormat,
     decode,
@@ -45,10 +46,10 @@ def compress_sequence(
 ) -> bytes:
     """Encode a sequence into a container, optionally shaping it first."""
     if shaped:
-        if extra_length > 255:
+        if extra_length > _MAX_EXTRA_LENGTH:
             raise BadLengthError(
                 f"extra length {extra_length} does not fit the container's "
-                "one-byte K field (at most 255)"
+                f"one-byte K field (at most {_MAX_EXTRA_LENGTH})"
             )
         params = ShapingParams(seq.length, seq.alphabet, extra_length)
         encoded_seq = transform(seq, params)
@@ -145,8 +146,13 @@ def _config_value(action: argparse.Action, key: str, raw: str):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset options from --config values, then from defaults."""
+    """Fill unset options from --config values, then from defaults.  A key
+    that no subcommand has as an option is a typo; one that another
+    subcommand owns is ignored, so a file can serve several commands."""
     config = _load_config(getattr(args, "config", None))
+    unknown = sorted(set(config) - args.config_keys)
+    if unknown:
+        raise SystemExit(_usage_error(f"config: unknown key {unknown[0]!r}"))
     actions = {action.dest: action for action in args.parser._actions}
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
@@ -209,7 +215,6 @@ def _scheme_formats(name: str) -> tuple[SchemeFormat, ...]:
 _TRANSFORM_DEFAULTS = {
     "alphabet": None,
     "k": 1,
-    "base": 2.0,
     "output": "-",
     "input": "-",
 }
@@ -229,7 +234,6 @@ def _cmd_transform(args, invert: bool) -> int:
         length=seq.length - args.k if invert else seq.length,
         alphabet=alphabet,
         extra_length=args.k,
-        base=args.base,
     )
     result = inverse_transform(seq, params) if invert else transform(seq, params)
     _write_text(args.output, format_sequence(result) + "\n")
@@ -280,12 +284,11 @@ _EXPERIMENT_DEFAULTS = {
     "format": "json",
     "jobs": 1,
     "charge_framing": False,
-    "cap": DEFAULT_EXHAUSTIVE_CAP,
     "output": "-",
 }
 
 
-def _experiment_config(args, mode: str) -> ExperimentConfig:
+def _experiment_config(args, **settings) -> ExperimentConfig:
     _check_positive("-n", args.n)
     _check_positive("--alphabet", args.alphabet)
     _check_positive("--k", args.k)
@@ -297,13 +300,10 @@ def _experiment_config(args, mode: str) -> ExperimentConfig:
         alphabet_size=args.alphabet,
         extra_length=args.k,
         base=args.base,
-        mode=mode,
         scheme_formats=_scheme_formats(args.scheme),
-        sample_count=getattr(args, "samples", 1) or 1,
-        seed=getattr(args, "seed", 0) or 0,
         charge_framing=args.charge_framing,
-        exhaustive_cap=args.cap,
         jobs=args.jobs,
+        **settings,
     )
 
 
@@ -314,8 +314,8 @@ def _emit_report(report, args) -> int:
 
 
 def _cmd_exhaustive(args) -> int:
-    args = _resolve(args, _EXPERIMENT_DEFAULTS)
-    report = run_exhaustive(_experiment_config(args, "exhaustive"))
+    args = _resolve(args, dict(_EXPERIMENT_DEFAULTS, cap=DEFAULT_EXHAUSTIVE_CAP))
+    report = run_exhaustive(_experiment_config(args, exhaustive_cap=args.cap))
     return _emit_report(report, args)
 
 
@@ -325,7 +325,7 @@ def _cmd_sample(args) -> int:
     _check_positive("--samples", args.samples)
     if args.seed < 0:
         raise SystemExit(_usage_error(f"--seed must be >= 0, got {args.seed}"))
-    config = _experiment_config(args, "sampled")
+    config = _experiment_config(args, sample_count=args.samples)
     pmf = None
     if args.pmf:
         try:
@@ -374,7 +374,6 @@ def _add_sequence_io(parser):
     )
     parser.add_argument("-a", "--alphabet", type=int, help="alphabet size")
     parser.add_argument("-k", "--k", type=int, help="length increase K (default 1)")
-    parser.add_argument("--base", type=float, help="entropy base (default 2)")
 
 
 def _add_experiment_flags(parser):
@@ -396,7 +395,6 @@ def _add_experiment_flags(parser):
         dest="charge_framing",
         help="charge container framing bytes to the totals",
     )
-    parser.add_argument("--cap", type=int, help="exhaustive population cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exhaustive", help="measure every length-N message")
     _add_experiment_flags(p)
+    p.add_argument("--cap", type=int, help="exhaustive population cap")
     _add_common(p)
     p.set_defaults(func=_cmd_exhaustive)
 
@@ -453,8 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_census)
 
+    keys = {a.dest for p in sub.choices.values() for a in p._actions} - {"help", "config"}
     for p in sub.choices.values():
-        p.set_defaults(parser=p)  # _resolve converts config values by its flags
+        # _resolve converts config values by p's flags and checks keys against all
+        p.set_defaults(parser=p, config_keys=keys)
     return parser
 
 

@@ -323,6 +323,8 @@ MAGIC = b"SSTC"
 CONTAINER_VERSION = 1
 CONTAINER_HEADER_BYTES = 4 + 1 + 1 + 1 + 1 + 2 + 8 + 4 + 8
 _FLAG_SHAPED = 0x01
+_MAX_ALPHABET_SIZE = 0xFFFF  # 2-byte field
+_MAX_EXTRA_LENGTH = 0xFF  # 1-byte field
 
 
 @dataclass(frozen=True)
@@ -334,6 +336,18 @@ class Container:
     payload: Bits
     shaped: bool = False
     extra_length: int = 0
+
+    def __post_init__(self):
+        if not 1 <= self.alphabet_size <= _MAX_ALPHABET_SIZE:
+            raise TooLargeError(
+                f"alphabet size {self.alphabet_size} does not fit the container's "
+                f"2-byte field (1..{_MAX_ALPHABET_SIZE})"
+            )
+        if not 0 <= self.extra_length <= _MAX_EXTRA_LENGTH:
+            raise TooLargeError(
+                f"extra length {self.extra_length} does not fit the container's "
+                f"1-byte K field (0..{_MAX_EXTRA_LENGTH})"
+            )
 
     @property
     def framing_bits(self) -> int:

@@ -91,7 +91,6 @@ class ClassOrdering:
 
     length: int
     alphabet: Alphabet
-    base: float
     compositions: tuple[Composition, ...]
     cumulative: tuple[int, ...] = field(repr=False)
     _index: dict[tuple[int, ...], int] = field(repr=False)
@@ -112,16 +111,15 @@ class ClassOrdering:
         return self.cumulative[i - 1] if i else 0
 
     def class_entropy(self, i: int) -> float:
-        return entropy_of_composition(self.compositions[i], self.base).bits_per_symbol
+        """Empirical entropy of class i, in bits per symbol."""
+        return entropy_of_composition(self.compositions[i]).bits_per_symbol
 
 
 def class_ordering(
-    n: int,
-    alphabet: Alphabet,
-    base: float = 2.0,
-    max_classes: int = DEFAULT_CLASS_CAP,
+    n: int, alphabet: Alphabet, max_classes: int = DEFAULT_CLASS_CAP
 ) -> ClassOrdering:
-    """Materialize the entropy-ordered class list for length-n sequences."""
+    """Materialize the entropy-ordered class list for length-n sequences
+    (the order compares exact integers, so it has no log base)."""
     if n < 1:
         raise ValueError(f"ordering requires length >= 1, got {n}")
     total_classes = composition_count(n, alphabet)
@@ -131,20 +129,19 @@ def class_ordering(
             f"{alphabet.size} exceeds the cap of {max_classes}"
         )
     comps = sorted(
-        (c.counts for c in enumerate_compositions(n, alphabet)), key=_order_key
+        enumerate_compositions(n, alphabet), key=lambda c: _order_key(c.counts)
     )
     cumulative = []
     running = 0
     index = {}
-    for i, counts in enumerate(comps):
-        running += multinomial(Composition(counts))
+    for i, comp in enumerate(comps):
+        running += multinomial(comp)
         cumulative.append(running)
-        index[counts] = i
+        index[comp.counts] = i
     return ClassOrdering(
         length=n,
         alphabet=alphabet,
-        base=base,
-        compositions=tuple(Composition(c) for c in comps),
+        compositions=tuple(comps),
         cumulative=tuple(cumulative),
         _index=index,
     )
@@ -209,7 +206,7 @@ def rank_sequence(seq: Sequence, ordering: ClassOrdering) -> RankIndex:
     counts = [0] * seq.alphabet.size
     for s in seq.symbols:
         counts[s] += 1
-    i = ordering.class_index(Composition(tuple(counts)))
+    i = ordering._index[tuple(counts)]
     return ordering.class_start(i) + rank_in_class(seq)
 
 

@@ -20,7 +20,7 @@ import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,6 @@ __all__ = [
     "CensusReport",
     "TableRow",
     "source_entropy",
-    "run",
     "run_exhaustive",
     "run_sampled",
     "reproduce_table",
@@ -113,24 +112,23 @@ def source_entropy(spec: SourceSpec, base: float = 2.0) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Settings shared by ``run_exhaustive`` and ``run_sampled`` (the seed
+    is the ``SourceSpec``'s); ``base`` is the unit of reported entropies."""
+
     length: int
     alphabet_size: int
     extra_length: int = 1
     base: float = 2.0
-    mode: str = "exhaustive"  # "exhaustive" | "sampled"
     scheme_formats: tuple[SchemeFormat, ...] = (
         SchemeFormat.LENGTH_LIST,
         SchemeFormat.COUNT_TABLE,
     )
     sample_count: int = 100_000
-    seed: int = 0
     charge_framing: bool = False
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
     jobs: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "sampled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -144,7 +142,6 @@ class ExperimentConfig:
             length=self.length,
             alphabet=self.alphabet,
             extra_length=self.extra_length,
-            base=self.base,
         )
 
 
@@ -252,7 +249,7 @@ def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
         )
     plain, shaped = _population(params)
     census = _census(params, plain, shaped)
-    return _build_report(replace(config, mode="exhaustive"), plain, shaped, None, census)
+    return _build_report(config, plain, shaped, None, census)
 
 
 def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport":
@@ -280,17 +277,7 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
         plain.update(chunk_plain)
         shaped.update(chunk_shaped)
     census = type_class_census(config.length, config.alphabet, config.extra_length)
-    config = replace(config, mode="sampled", seed=spec.seed)
     return _build_report(config, plain, shaped, spec, census)
-
-
-def run(config: ExperimentConfig, source: SourceSpec | None = None) -> "ExperimentReport":
-    """Dispatch on config.mode."""
-    if config.mode == "sampled":
-        if source is None:
-            source = SourceSpec(config.alphabet, None, config.seed)
-        return run_sampled(config, source)
-    return run_exhaustive(config)
 
 
 @dataclass(frozen=True)
@@ -378,7 +365,7 @@ def reproduce_table(base: float = 2.0) -> list[TableRow]:
     """The canonical worked example: all 27 ternary length-3 messages and
     their length-4 images, with weighted entropies, in entropy-rank order."""
     alphabet = Alphabet(3)
-    params = ShapingParams(length=3, alphabet=alphabet, extra_length=1, base=base)
+    params = ShapingParams(length=3, alphabet=alphabet, extra_length=1)
     ordering = shared_ordering(3, alphabet)
     rows = []
     for r in range(27):
@@ -511,6 +498,7 @@ def _build_report(
     source: SourceSpec | None,
     census: CensusReport,
 ) -> ExperimentReport:
+    sampled = source is not None
     pop = sum(plain_classes.values())
     plain = _tally_classes(plain_classes, config.scheme_formats)
     shaped = _tally_classes(shaped_classes, config.scheme_formats)
@@ -553,14 +541,14 @@ def _build_report(
     random_limit_bits = config.length * math.log2(config.alphabet_size)
 
     return ExperimentReport(
-        mode=config.mode,
+        mode="sampled" if sampled else "exhaustive",
         length=config.length,
         extra_length=config.extra_length,
         alphabet_size=config.alphabet_size,
         base=config.base,
         population=pop,
-        seed=config.seed if config.mode == "sampled" else None,
-        sample_count=config.sample_count if config.mode == "sampled" else None,
+        seed=source.seed if sampled else None,
+        sample_count=config.sample_count if sampled else None,
         charge_framing=config.charge_framing,
         scheme_formats=fmt_names,
         distinct_total_plain=plain.distinct,
@@ -587,9 +575,7 @@ def _build_report(
             name: avg_total_shaped[name] - avg_total_plain[name] for name in fmt_names
         },
         source_entropy_reference=(
-            config.length * source_entropy(source, config.base)
-            if source is not None
-            else None
+            config.length * source_entropy(source, config.base) if sampled else None
         ),
         random_limit_symbols=float(config.length),
         random_limit_bits=random_limit_bits,

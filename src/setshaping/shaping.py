@@ -4,7 +4,7 @@ the |A|**N lowest-entropy sequences of length N+K.
 The bijection is rank-preserving between the two entropy orderings: the
 r-th length-N sequence maps to the r-th length-(N+K) sequence.  Orderings
 do not depend on the entropy base (log bases rescale monotonically), so
-they are cached per (length, alphabet size).
+no parameter here takes one; they are cached per (length, alphabet size).
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .combinatorics import (
-    DEFAULT_CLASS_CAP,
     ClassOrdering,
     class_ordering,
     rank_sequence,
@@ -45,12 +44,12 @@ class ShapingParams:
     matches the canonical worked example.  Alphabets smaller than 3 are
     rejected outright: the subset-selection argument does not apply to
     them, and we deliberately leave binary alphabets untested territory.
+    There is no entropy base: the map only compares entropies.
     """
 
     length: int
     alphabet: Alphabet
     extra_length: int = 1
-    base: float = 2.0
 
     def __post_init__(self):
         if self.alphabet.size < MIN_ALPHABET:
@@ -74,15 +73,9 @@ class ShapingParams:
 
 
 @lru_cache(maxsize=64)
-def _cached_ordering(n: int, size: int, max_classes: int) -> ClassOrdering:
-    return class_ordering(n, Alphabet(size), max_classes=max_classes)
-
-
-def shared_ordering(
-    n: int, alphabet: Alphabet, max_classes: int = DEFAULT_CLASS_CAP
-) -> ClassOrdering:
+def shared_ordering(n: int, alphabet: Alphabet) -> ClassOrdering:
     """Entropy ordering for (n, alphabet), built once and shared."""
-    return _cached_ordering(n, alphabet.size, max_classes)
+    return class_ordering(n, alphabet)
 
 
 def transform(seq: Sequence, params: ShapingParams) -> Sequence:
@@ -137,6 +130,7 @@ class ShapedSubsetStats:
     class_census pairs each composition with how many of its sequences are
     included; the final class may be partially included when |A|**N falls
     mid-class, in which case the cut follows in-class lexicographic order.
+    max_entropy_in_subset is that class's entropy, in bits per symbol.
     """
 
     params: ShapingParams
@@ -160,7 +154,7 @@ def shaped_subset_stats(params: ShapingParams) -> ShapedSubsetStats:
         size = ordering.cumulative[i] - ordering.class_start(i)
         included = min(size, remaining)
         census.append((comp, included))
-        max_entropy = entropy_of_composition(comp, params.base).bits_per_symbol
+        max_entropy = entropy_of_composition(comp).bits_per_symbol
         remaining -= included
     return ShapedSubsetStats(
         params=params,

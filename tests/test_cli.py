@@ -91,6 +91,24 @@ class TestTransformCommands:
             main(["encode", "-a", "3", "--scheme", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "-a", "3", "--base", "2"],
+            ["encode", "-a", "3", "--base", "2"],
+            ["sample", "-n", "3", "-a", "3", "--cap", "5"],
+        ],
+        ids=["transform-base", "encode-base", "sample-cap"],
+    )
+    def test_removed_flag_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert stderr_json(captured.err)["error"] == "Usage"
+
 
 class TestEncodeDecode:
     @pytest.mark.parametrize("scheme", ["lengths", "counts"])
@@ -143,6 +161,12 @@ class TestEncodeDecode:
         code, out, err = run_cli(["transform", "-a", "3", "-k", "256"], capsys)
         assert (code, err) == (0, "")
         assert out.split() == ["1"] * 257
+
+    def test_alphabet_beyond_container_field(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 70000"))
+        code, out, err = run_cli(["encode", "-a", "70000"], capsys)
+        assert (code, out) == (3, "")
+        assert stderr_json(err)["error"] == "TooLarge"
 
     def test_decode_missing_file(self, tmp_path, capsys):
         code, out, err = run_cli(["decode", str(tmp_path / "nope.sstc")], capsys)
@@ -289,6 +313,30 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert stderr_json(captured.err)["error"] == "Usage"
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\nalphabet = 3\nchrage-framing = true\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["exhaustive", "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chrage" in stderr_json(captured.err)["detail"]
+
+    @pytest.mark.parametrize("command", ["exhaustive", "sample"])
+    def test_config_shared_across_commands(self, tmp_path, command):
+        # keys another subcommand owns are accepted and ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "n = 3\nalphabet = 3\nbase = 2\nsamples = 40\nseed = 4\n"
+            "pmf = 0.5,0.25,0.25\ncap = 1000\n"
+        )
+        out = tmp_path / "r.json"
+        assert main([command, "--config", str(cfg), "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["mode"] == ("exhaustive" if command == "exhaustive" else "sampled")
+        assert data["population"] == (27 if command == "exhaustive" else 40)
 
     def test_exhaustive_fully_from_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -33,6 +33,7 @@ from setshaping.errors import (
     EmptySequenceError,
     MalformedPayloadError,
     SetShapingError,
+    TooLargeError,
     UncodableSymbolError,
 )
 
@@ -381,3 +382,20 @@ class TestContainer:
         first, _ = self._round_trip(seq, SchemeFormat.COUNT_TABLE)
         second, _ = self._round_trip(seq, SchemeFormat.COUNT_TABLE)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "alphabet_size, extra_length",
+        [(0, 0), (65536, 0), (70000, 0), (3, -1), (3, 256), (3, 300)],
+    )
+    def test_fields_beyond_their_byte_widths(self, alphabet_size, extra_length):
+        message = encode_message(parse_sequence("1 2 3", A3), SchemeFormat.LENGTH_LIST)
+        with pytest.raises(TooLargeError):
+            Container(
+                scheme_format=SchemeFormat.LENGTH_LIST,
+                alphabet_size=alphabet_size,
+                sequence_length=3,
+                scheme=message.scheme,
+                payload=message.payload,
+                shaped=extra_length > 0,
+                extra_length=extra_length,
+            )

@@ -101,23 +101,35 @@ class TestClassOrdering:
         assert len(ordering.compositions) == 5
         assert all(ordering.class_entropy(i) == 0.0 for i in range(5))
 
-    def test_matches_brute_sort(self):
+    @pytest.mark.parametrize("n, size", [(5, 3), (9, 3), (6, 4), (7, 5), (6, 6)])
+    def test_matches_brute_sort(self, n, size):
         # independent float-keyed sort of the compositions
         from oracles import brute_entropy_of_counts
 
-        ordering = class_ordering(5, A3)
+        alphabet = Alphabet(size)
+        ordering = class_ordering(n, alphabet)
         expected = sorted(
-            (c.counts for c in enumerate_compositions(5, A3)),
+            (c.counts for c in enumerate_compositions(n, alphabet)),
             key=lambda c: (brute_entropy_of_counts(c), c),
         )
         assert [c.counts for c in ordering.compositions] == expected
 
-    def test_exact_tie_across_count_multisets(self):
-        # (2,2,2,2,0) and (4,1,1,1,1) have exactly equal entropy at N=8;
-        # the order between them must be purely lexicographic
-        ordering = class_ordering(8, Alphabet(5))
-        i = ordering.class_index(Composition((2, 2, 2, 2, 0)))
-        j = ordering.class_index(Composition((4, 1, 1, 1, 1)))
+    @pytest.mark.parametrize(
+        "size, first, second",
+        [
+            (5, (2, 2, 2, 2, 0), (4, 1, 1, 1, 1)),
+            # prod n^n = 186,624 for both; float entropies put them the
+            # other way round
+            (4, (1, 1, 2, 6), (3, 0, 3, 4)),
+        ],
+        ids=["N8-A5", "N10-A4"],
+    )
+    def test_exact_tie_across_count_multisets(self, size, first, second):
+        # distinct count multisets with exactly equal entropy: the order
+        # between them must be purely lexicographic
+        ordering = class_ordering(sum(first), Alphabet(size))
+        i = ordering.class_index(Composition(first))
+        j = ordering.class_index(Composition(second))
         assert abs(ordering.class_entropy(i) - ordering.class_entropy(j)) < 1e-15
         assert i < j
 

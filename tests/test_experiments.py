@@ -16,7 +16,6 @@ from setshaping import (
     encode_message,
     pack_container,
     reproduce_table,
-    run,
     run_exhaustive,
     run_sampled,
     source_entropy,
@@ -200,20 +199,20 @@ class TestExhaustive:
 class TestSampled:
     def test_deterministic(self):
         config = ExperimentConfig(
-            length=4, alphabet_size=3, mode="sampled", sample_count=500
+            length=4, alphabet_size=3, sample_count=500
         )
         spec = SourceSpec(A3, seed=11)
         assert run_sampled(config, spec) == run_sampled(config, spec)
 
     def test_jobs_do_not_change_results(self):
         config = ExperimentConfig(
-            length=4, alphabet_size=3, mode="sampled", sample_count=500
+            length=4, alphabet_size=3, sample_count=500
         )
         spec = SourceSpec(A3, seed=11)
         serial = run_sampled(config, spec)
         parallel = run_sampled(
             ExperimentConfig(
-                length=4, alphabet_size=3, mode="sampled", sample_count=500, jobs=3
+                length=4, alphabet_size=3, sample_count=500, jobs=3
             ),
             spec,
         )
@@ -224,7 +223,7 @@ class TestSampled:
         pmf = (0.55, 0.25, 0.15, 0.05)
         alphabet = Alphabet(4)
         config = ExperimentConfig(
-            length=6, alphabet_size=4, mode="sampled", sample_count=500, jobs=jobs
+            length=6, alphabet_size=4, sample_count=500, jobs=jobs
         )
         report = run_sampled(config, SourceSpec(alphabet, pmf, seed=3))
         # redraw the same per-sample streams and measure each sample alone
@@ -244,7 +243,7 @@ class TestSampled:
     def test_uniform_converges_to_exhaustive(self):
         exhaustive = run_exhaustive(ExperimentConfig(length=3, alphabet_size=3))
         config = ExperimentConfig(
-            length=3, alphabet_size=3, mode="sampled", sample_count=10_000
+            length=3, alphabet_size=3, sample_count=10_000
         )
         sampled = run_sampled(config, SourceSpec(A3, seed=5))
         # sigma of N*H0 under the uniform source is about 1.31 -> 3 sigma
@@ -255,36 +254,26 @@ class TestSampled:
 
     def test_source_reference(self):
         config = ExperimentConfig(
-            length=3, alphabet_size=3, mode="sampled", sample_count=10
+            length=3, alphabet_size=3, sample_count=10
         )
         report = run_sampled(config, SourceSpec(A3, seed=0))
+        assert report.mode == "sampled"
         assert report.source_entropy_reference == pytest.approx(3 * math.log2(3))
         assert report.seed == 0
         assert report.sample_count == 10
 
     def test_degenerate_source(self):
         config = ExperimentConfig(
-            length=5, alphabet_size=3, mode="sampled", sample_count=200
+            length=5, alphabet_size=3, sample_count=200
         )
         report = run_sampled(config, SourceSpec(A3, (0.0, 1.0, 0.0), seed=1))
         assert report.avg_weighted_entropy_plain == 0.0
         assert report.distinct_total_plain == report.population
 
     def test_alphabet_mismatch(self):
-        config = ExperimentConfig(length=3, alphabet_size=3, mode="sampled")
+        config = ExperimentConfig(length=3, alphabet_size=3)
         with pytest.raises(BadDistributionError):
             run_sampled(config, SourceSpec(Alphabet(4), seed=0))
-
-    def test_run_dispatch(self):
-        exhaustive = run(ExperimentConfig(length=3, alphabet_size=3))
-        assert exhaustive.mode == "exhaustive"
-        sampled = run(
-            ExperimentConfig(
-                length=3, alphabet_size=3, mode="sampled", sample_count=50, seed=9
-            )
-        )
-        assert sampled.mode == "sampled"
-        assert sampled.population == 50
 
 
 class TestReportSerialization:
@@ -346,7 +335,7 @@ class TestCensus:
         config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
         sampled = run_sampled(
             ExperimentConfig(
-                length=n, alphabet_size=size, extra_length=k, mode="sampled", sample_count=50
+                length=n, alphabet_size=size, extra_length=k, sample_count=50
             ),
             SourceSpec(alphabet),
         )
