@@ -8,6 +8,12 @@ so equal-entropy classes (including distinct count multisets such as
 (2,2,2,2) vs (4,1,1,1,1) at N=8) tie exactly and fall through to the
 lexicographic rule.
 
+Classes whose counts are permutations of one multiset share that product
+and their size, so an ordering is built per count multiset: the exact
+product and multinomial are computed once per partition of N, the
+partitions are sorted, and each expands into its distinct permutations in
+lexicographic order.  The ordering stores plain counts tuples.
+
 Ranks are plain Python ints and therefore arbitrary precision; |A|**N
 overflows machine words almost immediately (3**41 > 2**64).
 """
@@ -16,6 +22,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, combinations, groupby, repeat
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .core import Alphabet, Composition, Sequence, entropy_of_composition
@@ -58,40 +66,68 @@ def composition_count(n: int, alphabet: Alphabet) -> int:
 def enumerate_compositions(n: int, alphabet: Alphabet) -> Iterator[Composition]:
     """Yield every composition of n into |A| parts, in lexicographic order
     of the counts vector."""
+    # stars and bars: bar positions ascending lexicographically give counts
+    # ascending lexicographically
+    end = (n + alphabet.size - 1,)
+    for bars in combinations(range(n + alphabet.size - 1), alphabet.size - 1):
+        yield Composition(
+            tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+        )
 
-    def gen(parts: int, total: int):
-        if parts == 1:
-            yield (total,)
+
+def _partitions(n: int, parts: int) -> Iterator[list[int]]:
+    """Yield every partition of n into at most `parts` parts, padded with
+    zeros to exactly `parts` counts, as a new non-decreasing list: the
+    lexicographically first counts vector of its multiset."""
+    p = [n] + [0] * (parts - 1)  # non-increasing; walked in reverse lex order
+    while True:
+        yield p[::-1]
+        # rightmost part that can shrink by one while the parts after it
+        # absorb the rest without exceeding it
+        rest = 1 + p[-1]
+        i = parts - 2
+        while i >= 0 and rest > (parts - 1 - i) * (p[i] - 1):
+            rest += p[i]
+            i -= 1
+        if i < 0:
             return
-        for first in range(total + 1):
-            for rest in gen(parts - 1, total - first):
-                yield (first,) + rest
+        p[i] -= 1
+        top = p[i]
+        for j in range(i + 1, parts):
+            p[j] = min(top, rest)
+            rest -= p[j]
 
-    for counts in gen(alphabet.size, n):
-        yield Composition(counts)
 
-
-def _order_key(counts: tuple[int, ...]):
-    # prod n^n descending == entropy ascending for fixed N (exact ints);
-    # ties break lexicographically on the counts vector.
-    prod = 1
-    for c in counts:
-        if c > 1:
-            prod *= c**c
-    return (-prod, counts)
+def _permutations(counts: list[int]) -> Iterator[tuple[int, ...]]:
+    """Distinct permutations of a non-decreasing list, lexicographically
+    ascending (next-permutation; mutates its argument)."""
+    last = len(counts) - 1
+    while True:
+        yield tuple(counts)
+        i = last - 1
+        while i >= 0 and counts[i] >= counts[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while counts[j] <= counts[i]:
+            j -= 1
+        counts[i], counts[j] = counts[j], counts[i]
+        counts[i + 1 :] = counts[: i : -1]
 
 
 @dataclass(frozen=True)
 class ClassOrdering:
     """All compositions of (length, alphabet) sorted by the entropy order,
-    with cumulative sequence counts for rank arithmetic.
+    as counts tuples, with cumulative sequence counts for rank arithmetic.
 
-    Immutable after construction; rank/unrank are pure given the ordering.
+    Built once per count multiset (see the module docstring); immutable
+    after construction; rank/unrank are pure given the ordering.
     """
 
     length: int
     alphabet: Alphabet
-    compositions: tuple[Composition, ...]
+    compositions: tuple[tuple[int, ...], ...]
     cumulative: tuple[int, ...] = field(repr=False)
     _index: dict[tuple[int, ...], int] = field(repr=False)
 
@@ -112,38 +148,60 @@ class ClassOrdering:
 
     def class_entropy(self, i: int) -> float:
         """Empirical entropy of class i, in bits per symbol."""
-        return entropy_of_composition(self.compositions[i]).bits_per_symbol
+        return entropy_of_composition(Composition(self.compositions[i])).bits_per_symbol
 
 
 def class_ordering(
     n: int, alphabet: Alphabet, max_classes: int = DEFAULT_CLASS_CAP
 ) -> ClassOrdering:
     """Materialize the entropy-ordered class list for length-n sequences
-    (the order compares exact integers, so it has no log base)."""
+    (the order compares exact integers, so it has no log base).
+
+    Raises TooManyClassesError, before allocating anything, when the
+    ordering has more than max_classes classes or more than 4 * max_classes
+    stored counts (classes times |A|).
+    """
     if n < 1:
         raise ValueError(f"ordering requires length >= 1, got {n}")
+    size = alphabet.size
     total_classes = composition_count(n, alphabet)
-    if total_classes > max_classes:
+    if total_classes > max_classes or total_classes * size > 4 * max_classes:
         raise TooManyClassesError(
-            f"{total_classes} compositions for length {n}, alphabet "
-            f"{alphabet.size} exceeds the cap of {max_classes}"
+            f"{total_classes} compositions of {size} counts for length {n} "
+            f"exceed the cap of {max_classes} classes or "
+            f"{4 * max_classes} counts"
         )
-    comps = sorted(
-        enumerate_compositions(n, alphabet), key=lambda c: _order_key(c.counts)
-    )
-    cumulative = []
-    running = 0
-    index = {}
-    for i, comp in enumerate(comps):
-        running += multinomial(comp)
-        cumulative.append(running)
-        index[comp.counts] = i
+    factorial = list(accumulate(range(1, n + 1), mul, initial=1))
+    self_power = [c**c for c in range(n + 1)]
+    keyed = []
+    for counts in _partitions(n, size):
+        prod = 1
+        denominator = 1
+        for c in counts:
+            prod *= self_power[c]
+            denominator *= factorial[c]
+        keyed.append((prod, counts, factorial[n] // denominator))
+    # prod n^n descending == entropy ascending for fixed N (exact ints)
+    keyed.sort(key=itemgetter(0), reverse=True)
+    comps = []
+    sizes = []
+    for _, group in groupby(keyed, key=itemgetter(0)):
+        group = list(group)
+        start = len(comps)
+        for _, counts, class_size in group:
+            comps.extend(_permutations(counts))
+            sizes.extend(repeat(class_size, len(comps) - len(sizes)))
+        if len(group) > 1:
+            # distinct multisets with equal entropy: lexicographic on counts
+            tied = sorted(zip(comps[start:], sizes[start:]))
+            comps[start:] = [c for c, _ in tied]
+            sizes[start:] = [s for _, s in tied]
     return ClassOrdering(
         length=n,
         alphabet=alphabet,
         compositions=tuple(comps),
-        cumulative=tuple(cumulative),
-        _index=index,
+        cumulative=tuple(accumulate(sizes)),
+        _index=dict(zip(comps, range(len(comps)))),
     )
 
 
@@ -224,4 +282,6 @@ def unrank_sequence(
             f"rank {r} outside 0..{ordering.sequence_count - 1}"
         )
     i = ordering.class_of_rank(r)
-    return unrank_in_class(ordering.compositions[i], r - ordering.class_start(i))
+    return unrank_in_class(
+        Composition(ordering.compositions[i]), r - ordering.class_start(i)
+    )

@@ -222,7 +222,7 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
         plain[composition_of(plain_seq).counts] += 1
         # the image has rank r too, so its class is the one holding rank r
         j = shaped_ordering.class_of_rank(r)
-        shaped[shaped_ordering.compositions[j].counts] += 1
+        shaped[shaped_ordering.compositions[j]] += 1
     return plain, shaped
 
 
@@ -270,7 +270,7 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
     if config.jobs <= 1 or len(tasks) <= 1:
         results = [_sampled_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
             results = list(pool.map(_sampled_chunk, tasks))
     plain, shaped = Counter(), Counter()
     for chunk_plain, chunk_shaped in results:

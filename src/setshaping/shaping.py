@@ -17,7 +17,7 @@ from .combinatorics import (
     rank_sequence,
     unrank_sequence,
 )
-from .core import Alphabet, Composition, Sequence, entropy_of_composition
+from .core import Alphabet, Composition, Sequence
 from .errors import (
     AlphabetTooSmallError,
     BadLengthError,
@@ -145,19 +145,15 @@ class ShapedSubsetStats:
 def shaped_subset_stats(params: ShapingParams) -> ShapedSubsetStats:
     """List the classes (with per-class included counts) forming the subset."""
     ordering = shared_ordering(params.target_length, params.alphabet)
-    remaining = params.subset_size
-    census = []
-    max_entropy = 0.0
-    for i, comp in enumerate(ordering.compositions):
-        if remaining <= 0:
-            break
-        size = ordering.cumulative[i] - ordering.class_start(i)
-        included = min(size, remaining)
-        census.append((comp, included))
-        max_entropy = entropy_of_composition(comp).bits_per_symbol
-        remaining -= included
+    last = ordering.class_of_rank(params.subset_size - 1)
+    # classes before `last` are included in full, `last` up to rank |A|**N
+    ends = ordering.cumulative[:last] + (params.subset_size,)
+    census = tuple(
+        (Composition(counts), end - ordering.class_start(i))
+        for i, (counts, end) in enumerate(zip(ordering.compositions, ends))
+    )
     return ShapedSubsetStats(
         params=params,
-        max_entropy_in_subset=max_entropy,
-        class_census=tuple(census),
+        max_entropy_in_subset=ordering.class_entropy(last),
+        class_census=census,
     )

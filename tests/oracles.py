@@ -57,6 +57,29 @@ def entropy_sorted_tuples(n, size):
     return sorted(all_tuples(n, size), key=key)
 
 
+def compositions(n, size):
+    """Every counts vector of `size` parts summing to n, lexicographic."""
+    if size == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in compositions(n - first, size - 1):
+            yield (first,) + rest
+
+
+def reference_class_order(n, size):
+    """The class order sorted directly: every counts vector keyed by
+    (-prod c**c, counts), i.e. entropy ascending with exact ties broken
+    lexicographically, and the cumulative class sizes in that order."""
+    classes = sorted(
+        compositions(n, size), key=lambda c: (-math.prod(x**x for x in c), c)
+    )
+    sizes = (
+        math.factorial(n) // math.prod(math.factorial(x) for x in c) for c in classes
+    )
+    return classes, list(itertools.accumulate(sizes))
+
+
 def best_prefix_payload(counts):
     """Minimum sum(len * count) over all binary prefix codes for the used
     symbols, by exhaustive search over Kraft-feasible length vectors."""

@@ -73,6 +73,16 @@ class TestTransformCommands:
         assert code == 3
         assert stderr_json(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "argv", [["transform", "-a", "1200"], ["exhaustive", "-n", "1", "-a", "1200"]]
+    )
+    def test_ordering_too_large(self, argv, capsys, monkeypatch):
+        # the length-2 ordering has 720,600 classes of 1,200 counts
+        monkeypatch.setattr("sys.stdin", io.StringIO("7"))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert stderr_json(err)["error"] == "TooManyClasses"
+
     def test_not_in_subset(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3 1"))
         code, out, err = run_cli(["untransform", "-a", "3"], capsys)

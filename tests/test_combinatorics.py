@@ -26,6 +26,7 @@ from oracles import (
     counts_of,
     entropy_sorted_tuples,
     multiset_permutations,
+    reference_class_order,
 )
 
 A3 = Alphabet(3)
@@ -77,6 +78,11 @@ class TestEnumerateCompositions:
     def test_n0(self):
         assert [c.counts for c in enumerate_compositions(0, A3)] == [(0, 0, 0)]
 
+    def test_large_alphabet(self):
+        comps = [c.counts for c in enumerate_compositions(1, Alphabet(1200))]
+        assert len(comps) == 1200
+        assert comps == sorted(comps)
+
     def test_lexicographic_and_complete(self):
         comps = [c.counts for c in enumerate_compositions(3, A3)]
         assert comps == sorted(comps)
@@ -87,14 +93,14 @@ class TestEnumerateCompositions:
 class TestClassOrdering:
     def test_zero_entropy_classes_first(self):
         ordering = class_ordering(3, A3)
-        first = [c.counts for c in ordering.compositions[:3]]
+        first = list(ordering.compositions[:3])
         assert first == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
 
     def test_cumulative_27_at_n4(self):
         ordering = class_ordering(4, A3)
         assert ordering.cumulative[8] == 27
         for c in ordering.compositions[3:9]:
-            assert sorted(c.counts) == [0, 1, 3]
+            assert sorted(c) == [0, 1, 3]
 
     def test_length1(self):
         ordering = class_ordering(1, Alphabet(5))
@@ -112,7 +118,7 @@ class TestClassOrdering:
             (c.counts for c in enumerate_compositions(n, alphabet)),
             key=lambda c: (brute_entropy_of_counts(c), c),
         )
-        assert [c.counts for c in ordering.compositions] == expected
+        assert list(ordering.compositions) == expected
 
     @pytest.mark.parametrize(
         "size, first, second",
@@ -133,6 +139,19 @@ class TestClassOrdering:
         assert abs(ordering.class_entropy(i) - ordering.class_entropy(j)) < 1e-15
         assert i < j
 
+    @pytest.mark.parametrize(
+        "n, size",
+        [(8, 5), (10, 4), (12, 6), (20, 4), (40, 3), (2, 7), (3, 9), (1, 12)],
+    )
+    def test_matches_reference_order(self, n, size):
+        ordering = class_ordering(n, Alphabet(size))
+        classes, cumulative = reference_class_order(n, size)
+        assert list(ordering.compositions) == classes
+        assert list(ordering.cumulative) == cumulative
+        assert [ordering.class_index(Composition(c)) for c in classes] == list(
+            range(len(classes))
+        )
+
     def test_cumulative_strictly_increasing(self):
         ordering = class_ordering(6, A3)
         assert all(
@@ -143,6 +162,12 @@ class TestClassOrdering:
     def test_class_cap(self):
         with pytest.raises(TooManyClassesError):
             class_ordering(100, Alphabet(4), max_classes=1000)
+
+    def test_large_alphabet(self):
+        assert len(class_ordering(1, Alphabet(1200)).compositions) == 1200
+        # 720,600 classes of 1,200 counts: refused before anything is built
+        with pytest.raises(TooManyClassesError):
+            class_ordering(2, Alphabet(1200))
 
 
 class TestRankInClass:

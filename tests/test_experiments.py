@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from setshaping import (
     transform,
     type_class_census,
 )
+from setshaping import experiments
 from setshaping.experiments import ExperimentReport
 from setshaping.errors import BadDistributionError, TooLargeError
 
@@ -217,6 +219,30 @@ class TestSampled:
             spec,
         )
         assert serial == parallel
+
+    def test_pool_capped_at_chunk_count(self, monkeypatch):
+        # an in-process stand-in records the pool size; nothing is forked
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        spec = SourceSpec(A3, seed=4)
+        config = ExperimentConfig(length=3, alphabet_size=3, sample_count=2)
+        report = run_sampled(replace(config, jobs=3), spec)
+        assert sizes == [2]
+        assert report == run_sampled(config, spec)
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_totals_match_per_sample_sums(self, jobs):

@@ -19,7 +19,7 @@ from setshaping.errors import (
     NotInShapedSubsetError,
 )
 
-from oracles import all_tuples
+from oracles import all_tuples, brute_entropy, entropy_sorted_tuples
 
 A3 = Alphabet(3)
 A4 = Alphabet(4)
@@ -156,6 +156,16 @@ class TestSubsetStats:
         stats = shaped_subset_stats(params)
         assert stats.sequence_count == 81
         assert [c for _, c in stats.class_census][-1] == 8
+
+    def test_max_entropy_is_boundary_class(self):
+        # the boundary class (0,3,5) is the first of its multiset, so the
+        # class before it has a lower entropy
+        params = ShapingParams(length=5, alphabet=A3, extra_length=3)
+        stats = shaped_subset_stats(params)
+        assert stats.class_census[-1][0].counts == (0, 3, 5)
+        subset = entropy_sorted_tuples(8, 3)[: 3**5]
+        expected = max(brute_entropy(t) for t in subset)
+        assert stats.max_entropy_in_subset == pytest.approx(expected, abs=1e-12)
 
     def test_length1(self):
         params = ShapingParams(length=1, alphabet=A3, extra_length=1)
