@@ -66,10 +66,6 @@ class BitReader:
         self._pos = 0
 
     @property
-    def position(self) -> int:
-        return self._pos
-
-    @property
     def remaining(self) -> int:
         return self._bit_length - self._pos
 

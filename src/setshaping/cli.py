@@ -1,6 +1,9 @@
 """Command-line interface: transform, untransform, encode, decode, table,
 exhaustive, sample, census.
 
+Each option's default is declared once, on its flag; a ``--config`` file
+replaces those defaults, so flags given on the command line still win.
+
 Failures print exactly one JSON line on stderr ({"error": code, "detail":
 ...}) so scripts can parse them.  Exit codes: 0 success, 2 usage error,
 3 domain error, 4 I/O error.
@@ -98,13 +101,10 @@ def restore_sequence(data: bytes) -> Sequence:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(json.dumps({"error": "Usage", "detail": message}), file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_usage_error(message))
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
+def _load_config(path: str) -> dict[str, str]:
     values = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -131,7 +131,7 @@ _SWITCH_WORDS = {
 }
 
 
-def _config_value(action: argparse.Action, key: str, raw: str):
+def _config_value(action: argparse.Action, raw: str):
     """Convert a config value as its own flag's value would be: the flag's
     type and choices, or only true/false words for an on/off switch."""
     try:
@@ -142,24 +142,23 @@ def _config_value(action: argparse.Action, key: str, raw: str):
             return value
     except (KeyError, ValueError):
         pass
-    raise SystemExit(_usage_error(f"config {key}: invalid value {raw!r}"))
+    raise SystemExit(_usage_error(f"config {action.dest}: invalid value {raw!r}"))
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset options from --config values, then from defaults.  A key
-    that no subcommand has as an option is a typo; one that another
-    subcommand owns is ignored, so a file can serve several commands."""
-    config = _load_config(getattr(args, "config", None))
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The --config file's values for the chosen subcommand, converted by
+    its flags.  A key that no subcommand has as an option is a typo; one
+    that another subcommand owns is ignored, so a file can serve several
+    commands."""
+    config = _load_config(args.config)
     unknown = sorted(set(config) - args.config_keys)
     if unknown:
         raise SystemExit(_usage_error(f"config: unknown key {unknown[0]!r}"))
-    actions = {action.dest: action for action in args.parser._actions}
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            raw = config.get(key)
-            value = fallback if raw is None else _config_value(actions[key], key, raw)
-            setattr(args, key, value)
-    return args
+    return {
+        action.dest: _config_value(action, config[action.dest])
+        for action in args.parser._actions
+        if action.dest in config
+    }
 
 
 def _read_text(path: str) -> str:
@@ -212,16 +211,7 @@ def _scheme_formats(name: str) -> tuple[SchemeFormat, ...]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-_TRANSFORM_DEFAULTS = {
-    "alphabet": None,
-    "k": 1,
-    "output": "-",
-    "input": "-",
-}
-
-
 def _cmd_transform(args, invert: bool) -> int:
-    args = _resolve(args, _TRANSFORM_DEFAULTS)
     _check_positive("--alphabet", args.alphabet)
     _check_positive("--k", args.k)
     alphabet = Alphabet(args.alphabet)
@@ -240,18 +230,7 @@ def _cmd_transform(args, invert: bool) -> int:
     return 0
 
 
-_ENCODE_DEFAULTS = {
-    "alphabet": None,
-    "k": 1,
-    "scheme": "lengths",
-    "shape": False,
-    "output": "-",
-    "input": "-",
-}
-
-
 def _cmd_encode(args) -> int:
-    args = _resolve(args, _ENCODE_DEFAULTS)
     _check_positive("--alphabet", args.alphabet)
     _check_positive("--k", args.k)
     seq = parse_sequence(_read_text(args.input), Alphabet(args.alphabet))
@@ -263,29 +242,14 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    args = _resolve(args, {"output": "-", "input": "-"})
     seq = restore_sequence(_read_bytes(args.input))
     _write_text(args.output, format_sequence(seq) + "\n")
     return 0
 
 
 def _cmd_table(args) -> int:
-    args = _resolve(args, {"base": 2.0, "output": "-"})
     _write_text(args.output, table_to_csv(reproduce_table(args.base)))
     return 0
-
-
-_EXPERIMENT_DEFAULTS = {
-    "n": None,
-    "alphabet": None,
-    "k": 1,
-    "base": 2.0,
-    "scheme": "both",
-    "format": "json",
-    "jobs": 1,
-    "charge_framing": False,
-    "output": "-",
-}
 
 
 def _experiment_config(args, **settings) -> ExperimentConfig:
@@ -293,8 +257,6 @@ def _experiment_config(args, **settings) -> ExperimentConfig:
     _check_positive("--alphabet", args.alphabet)
     _check_positive("--k", args.k)
     _check_positive("--jobs", args.jobs)
-    if args.base <= 1.0:
-        raise SystemExit(_usage_error(f"--base must be > 1, got {args.base}"))
     return ExperimentConfig(
         length=args.n,
         alphabet_size=args.alphabet,
@@ -314,14 +276,11 @@ def _emit_report(report, args) -> int:
 
 
 def _cmd_exhaustive(args) -> int:
-    args = _resolve(args, dict(_EXPERIMENT_DEFAULTS, cap=DEFAULT_EXHAUSTIVE_CAP))
     report = run_exhaustive(_experiment_config(args, exhaustive_cap=args.cap))
     return _emit_report(report, args)
 
 
 def _cmd_sample(args) -> int:
-    defaults = dict(_EXPERIMENT_DEFAULTS, samples=100_000, seed=0, pmf=None)
-    args = _resolve(args, defaults)
     _check_positive("--samples", args.samples)
     if args.seed < 0:
         raise SystemExit(_usage_error(f"--seed must be >= 0, got {args.seed}"))
@@ -338,14 +297,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    defaults = {
-        "n": None,
-        "alphabet": None,
-        "k": 1,
-        "format": "json",
-        "output": "-",
-    }
-    args = _resolve(args, defaults)
     _check_positive("-n", args.n)
     _check_positive("--alphabet", args.alphabet)
     _check_positive("--k", args.k)
@@ -365,34 +316,53 @@ def _cmd_census(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("-o", "--output", help="output path (default stdout)")
-
-
-def _add_sequence_io(parser):
     parser.add_argument(
-        "input", nargs="?", help="input path (default stdin)", default=None
+        "-o", "--output", default="-", help="output path (default stdout)"
     )
+
+
+def _add_input(parser):
+    parser.add_argument(
+        "input", nargs="?", default="-", help="input path (default stdin)"
+    )
+
+
+def _add_sizes(parser, message_length: bool):
+    if message_length:
+        parser.add_argument("-n", type=int, help="message length")
     parser.add_argument("-a", "--alphabet", type=int, help="alphabet size")
-    parser.add_argument("-k", "--k", type=int, help="length increase K (default 1)")
+    parser.add_argument(
+        "-k", "--k", type=int, default=1, help="length increase K (default %(default)s)"
+    )
+
+
+def _add_base(parser):
+    parser.add_argument(
+        "--base", type=float, default=2.0, help="entropy base (default %(default)s)"
+    )
+
+
+def _add_choice(parser, flag: str, choices: list[str], default: str):
+    parser.add_argument(
+        flag, choices=choices, default=default, help="(default %(default)s)"
+    )
 
 
 def _add_experiment_flags(parser):
-    parser.add_argument("-n", type=int, help="message length")
-    parser.add_argument("-a", "--alphabet", type=int, help="alphabet size")
-    parser.add_argument("-k", "--k", type=int, help="length increase K (default 1)")
-    parser.add_argument("--base", type=float, help="entropy base (default 2)")
-    parser.add_argument("--scheme", choices=["lengths", "counts", "both"])
-    parser.add_argument("--format", choices=["json", "csv"])
+    _add_sizes(parser, message_length=True)
+    _add_base(parser)
+    _add_choice(parser, "--scheme", ["lengths", "counts", "both"], "both")
+    _add_choice(parser, "--format", ["json", "csv"], "json")
     parser.add_argument(
         "--jobs",
         type=int,
-        help="worker processes for sample (default 1); exhaustive runs in one pass",
+        default=1,
+        help="worker processes for sample (default %(default)s); "
+        "exhaustive runs in one pass",
     )
     parser.add_argument(
         "--charge-framing",
         action="store_true",
-        default=None,
-        dest="charge_framing",
         help="charge container framing bytes to the totals",
     )
 
@@ -402,67 +372,80 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("transform", help="shape a sequence to length N+K")
-    _add_sequence_io(p)
+    _add_input(p)
+    _add_sizes(p, message_length=False)
     _add_common(p)
     p.set_defaults(func=lambda a: _cmd_transform(a, invert=False))
 
     p = sub.add_parser("untransform", help="invert the shaping transform")
-    _add_sequence_io(p)
+    _add_input(p)
+    _add_sizes(p, message_length=False)
     _add_common(p)
     p.set_defaults(func=lambda a: _cmd_transform(a, invert=True))
 
     p = sub.add_parser("encode", help="entropy-code a sequence into a container")
-    _add_sequence_io(p)
-    p.add_argument("--scheme", choices=["lengths", "counts"])
-    p.add_argument(
-        "--shape", action="store_true", default=None, help="apply the transform first"
-    )
+    _add_input(p)
+    _add_sizes(p, message_length=False)
+    _add_choice(p, "--scheme", ["lengths", "counts"], "lengths")
+    p.add_argument("--shape", action="store_true", help="apply the transform first")
     _add_common(p)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode a container back to text")
-    p.add_argument("input", nargs="?", default=None)
+    _add_input(p)
     _add_common(p)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("table", help="emit the canonical 27-row example table")
-    p.add_argument("--base", type=float)
+    _add_base(p)
     _add_common(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("exhaustive", help="measure every length-N message")
     _add_experiment_flags(p)
-    p.add_argument("--cap", type=int, help="exhaustive population cap")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_EXHAUSTIVE_CAP,
+        help="exhaustive population cap (default %(default)s)",
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_exhaustive)
 
     p = sub.add_parser("sample", help="measure sampled messages from a source")
     _add_experiment_flags(p)
-    p.add_argument("--samples", type=int, help="sample count (default 100000)")
-    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
+    p.add_argument(
+        "--samples", type=int, default=100_000, help="sample count (default %(default)s)"
+    )
+    p.add_argument(
+        "--seed", type=int, default=0, help="sampling seed (default %(default)s)"
+    )
     p.add_argument("--pmf", help="comma-separated probabilities (default uniform)")
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("census", help="sub-alphabet type-class census")
-    p.add_argument("-n", type=int)
-    p.add_argument("-a", "--alphabet", type=int)
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--format", choices=["json", "csv"])
+    _add_sizes(p, message_length=True)
+    _add_choice(p, "--format", ["json", "csv"], "json")
     _add_common(p)
     p.set_defaults(func=_cmd_census)
 
     keys = {a.dest for p in sub.choices.values() for a in p._actions} - {"help", "config"}
     for p in sub.choices.values():
-        # _resolve converts config values by p's flags and checks keys against all
+        # main converts a --config file by p's flags and checks it against all keys
         p.set_defaults(parser=p, config_keys=keys)
     return parser
 
 
 def main(argv=None) -> int:
+    # built per call: set_defaults below changes the subcommand's parser
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # the file's values become defaults, so explicit flags still win
+            args.parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit:
         raise

@@ -351,8 +351,13 @@ class Container:
 
     @property
     def framing_bits(self) -> int:
-        padding = (-self.scheme.bit_length) % 8 + (-self.payload.bit_length) % 8
-        return 8 * CONTAINER_HEADER_BYTES + padding
+        return _framing_bits(self.scheme.bit_length, self.payload.bit_length)
+
+
+def _framing_bits(scheme_bits: int, payload_bits: int) -> int:
+    """Container bits beyond scheme and payload: the header, plus the
+    padding that rounds each block up to whole bytes."""
+    return 8 * CONTAINER_HEADER_BYTES + (-scheme_bits) % 8 + (-payload_bits) % 8
 
 
 def pack_container(container: Container) -> bytes:

@@ -97,19 +97,26 @@ def composition_of(seq: Sequence) -> Composition:
     return Composition(tuple(counts))
 
 
+def _check_base(base: float) -> None:
+    """An entropy base must be a finite number above 1 (NaN is neither)."""
+    if not (math.isfinite(base) and base > 1.0):
+        raise ValueError(f"entropy base must be a finite number > 1, got {base}")
+
+
 def entropy_of_composition(comp: Composition, base: float = 2.0) -> EntropyValue:
     """Zero-order entropy of the count distribution: -sum (n_i/N) log (n_i/N).
 
     Zero counts contribute nothing.  Equals ``empirical_entropy`` of any
-    sequence with this composition (same arithmetic path).
+    sequence with this composition (same arithmetic path).  Terms are
+    summed in sorted count order, so every permutation of the counts gives
+    the same float.
     """
     n = comp.total
     if n == 0:
         raise EmptyCompositionError("entropy of an empty composition is undefined")
-    if base <= 1.0:
-        raise ValueError(f"entropy base must be > 1, got {base}")
+    _check_base(base)
     acc = 0.0
-    for c in comp.counts:
+    for c in sorted(comp.counts):
         if c:
             p = c / n
             acc -= p * math.log(p, base)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coding import (
-    CONTAINER_HEADER_BYTES,
+    _framing_bits,
     SchemeFormat,
     build_code,
     payload_bit_count,
@@ -40,6 +40,7 @@ from .combinatorics import (
     unrank_sequence,
 )
 from .core import (
+    _check_base,
     Alphabet,
     Composition,
     Sequence,
@@ -97,14 +98,14 @@ class SourceSpec:
         if any(p < 0 for p in self.pmf):
             raise BadDistributionError(f"negative probability in {self.pmf}")
         total = math.fsum(self.pmf)
-        if abs(total - 1.0) > 1e-12:
+        # a NaN probability makes the sum NaN, which only this form rejects
+        if not abs(total - 1.0) <= 1e-12:
             raise BadDistributionError(f"probabilities sum to {total!r}, not 1")
 
 
 def source_entropy(spec: SourceSpec, base: float = 2.0) -> float:
     """Entropy of the source distribution: -sum p log(p)."""
-    if base <= 1.0:
-        raise ValueError(f"entropy base must be > 1, got {base}")
+    _check_base(base)
     return -math.fsum(
         p * math.log(p, base) for p in spec.probabilities() if p > 0.0
     ) + 0.0
@@ -131,6 +132,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        _check_base(self.base)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -197,9 +199,7 @@ def _tally_classes(
         for fmt in formats:
             scheme = scheme_bit_count(comp, fmt, table)
             tally.scheme_bits[fmt] += weight * scheme
-            tally.framing_bits[fmt] += weight * (
-                8 * CONTAINER_HEADER_BYTES + (-scheme) % 8 + (-payload) % 8
-            )
+            tally.framing_bits[fmt] += weight * _framing_bits(scheme, payload)
     return tally
 
 

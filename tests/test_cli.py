@@ -282,6 +282,24 @@ class TestReports:
         assert code == 0
         assert "plain_classes_total,10" in out
 
+    @pytest.mark.parametrize("base", ["nan", "inf", "1"])
+    @pytest.mark.parametrize(
+        "command",
+        [["table"], ["exhaustive", "-n", "3", "-a", "3"]],
+        ids=["table", "exhaustive"],
+    )
+    def test_base_must_be_finite_above_one(self, capsys, command, base):
+        code, out, err = run_cli(command + ["--base", base], capsys)
+        assert (code, out) == (2, "")
+        assert stderr_json(err)["error"] == "Usage"
+
+    def test_sample_nan_pmf(self, capsys):
+        code, out, err = run_cli(
+            ["sample", "-n", "3", "-a", "3", "--pmf", "nan,0.5,0.5"], capsys
+        )
+        assert code == 3
+        assert stderr_json(err)["error"] == "BadDistribution"
+
 
 class TestConfigFile:
     def test_values_from_config(self, tmp_path, capsys, monkeypatch):
@@ -354,3 +372,97 @@ class TestConfigFile:
         out = tmp_path / "r.json"
         assert main(["exhaustive", "--config", str(cfg), "-o", str(out)]) == 0
         assert json.loads(out.read_text())["population"] == 27
+
+    def test_missing_config_file_is_io_error(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["exhaustive", "-n", "3", "-a", "3", "--config", str(tmp_path / "no.cfg")],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert stderr_json(err)["error"] == "IOError"
+
+    def test_undecodable_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"n = 3\n\xff\xfe alphabet = 3\n")
+        code, out, err = run_cli(["exhaustive", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert stderr_json(err)["error"] == "Usage"
+
+    def test_bad_config_value_rejected_even_when_flag_given(self, tmp_path, capsys):
+        # the whole file is checked, as README states, before flags apply
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\nalphabet = 3\njobs = two\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["exhaustive", "--config", str(cfg), "--jobs", "1"])
+        assert exc.value.code == 2
+        assert "jobs" in stderr_json(capsys.readouterr().err)["detail"]
+
+    # (command, input text or None, settings); every setting is given once as
+    # flags and once from a file: input, output and switches included
+    CONFIG_CASES = [
+        ("transform", "2 1 3", {"alphabet": "3", "k": "2"}),
+        ("untransform", "1 1 1 1 1", {"alphabet": "3", "k": "2"}),
+        ("encode", "2 1 3 3", {"alphabet": "3", "k": "2", "scheme": "counts", "shape": ""}),
+        ("decode", None, {}),
+        ("table", None, {"base": "3"}),
+        (
+            "exhaustive",
+            None,
+            {
+                "n": "4", "alphabet": "3", "k": "2", "base": "3", "scheme": "lengths",
+                "format": "csv", "jobs": "1", "cap": "1000", "charge-framing": "",
+            },
+        ),
+        (
+            "sample",
+            None,
+            {
+                "n": "4", "alphabet": "3", "k": "2", "base": "3", "scheme": "counts",
+                "format": "csv", "samples": "30", "seed": "5", "pmf": "0.5,0.3,0.2",
+                "charge-framing": "",
+            },
+        ),
+        ("census", None, {"n": "4", "alphabet": "3", "k": "2", "format": "csv"}),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, text, settings", CONFIG_CASES, ids=[c[0] for c in CONFIG_CASES]
+    )
+    def test_config_matches_flags(self, tmp_path, capsys, command, text, settings):
+        src = tmp_path / "in"
+        if command == "decode":
+            msg = tmp_path / "msg.txt"
+            msg.write_text("3 1 2 2 1\n")
+            assert main(["encode", str(msg), "-a", "3", "--shape", "-o", str(src)]) == 0
+        elif text is not None:
+            src.write_text(text + "\n")
+        takes_input = command in ("transform", "untransform", "encode", "decode")
+        flags = [str(src)] if takes_input else []
+        lines = [f"input = {src}"] if takes_input else []
+        for key, value in settings.items():
+            flags += ["-n" if key == "n" else f"--{key}"] + ([value] if value else [])
+            # a switch is on when its flag is given; in a file it takes a word
+            lines.append(f"{key} = {value or ('yes' if key == 'shape' else 'true')}")
+        by_flags, by_file = tmp_path / "flags.out", tmp_path / "file.out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines + [f"output = {by_file}"]) + "\n")
+        assert main([command, *flags, "-o", str(by_flags)]) == 0
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert by_file.read_bytes() == by_flags.read_bytes()
+
+    def test_config_does_not_carry_into_next_run(self, tmp_path, capsys):
+        argv = ["exhaustive", "-n", "3", "-a", "3"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 2\nbase = 3\nformat = csv\ncharge-framing = on\n")
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out != before
+        assert main(argv) == 0
+        after = capsys.readouterr().out
+        assert after == before
+        data = json.loads(after)
+        assert (data["base"], data["extra_length"], data["charge_framing"]) == (
+            2.0, 1, False
+        )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from setshaping import (
     distinct_symbol_count,
     empirical_entropy,
     entropy_of_composition,
+    enumerate_compositions,
     format_sequence,
     parse_sequence,
     weighted_entropy,
@@ -94,6 +96,23 @@ class TestEntropy:
         assert empirical_entropy(s, base=3.0).bits_per_symbol == pytest.approx(1.0)
         with pytest.raises(ValueError):
             empirical_entropy(s, base=1.0)
+
+    @pytest.mark.parametrize("base", [math.nan, math.inf, 1.0, 0.5])
+    def test_base_must_be_finite_above_one(self, base):
+        with pytest.raises(ValueError):
+            entropy_of_composition(Composition((1, 2)), base)
+
+    @pytest.mark.parametrize("n, size", [(6, 4), (9, 6)])
+    def test_permutations_give_one_float(self, n, size):
+        # one float per multiset: the terms are summed in sorted order
+        compositions = enumerate_compositions(n, Alphabet(size))
+        multisets = {tuple(sorted(c.counts)) for c in compositions}
+        for counts in multisets:
+            values = {
+                entropy_of_composition(Composition(p)).bits_per_symbol
+                for p in set(itertools.permutations(counts))
+            }
+            assert len(values) == 1, counts
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySequenceError):

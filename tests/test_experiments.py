@@ -87,6 +87,18 @@ class TestSourceEntropy:
     def test_certainty_is_zero(self):
         assert source_entropy(SourceSpec(A3, (1.0, 0.0, 0.0))) == 0.0
 
+    @pytest.mark.parametrize("pmf", [(math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0)])
+    def test_non_finite_probability_rejected(self, pmf):
+        with pytest.raises(BadDistributionError):
+            SourceSpec(A3, pmf)
+
+    def test_base_must_be_finite_above_one(self):
+        for base in (math.nan, math.inf, 1.0, 0.5):
+            with pytest.raises(ValueError):
+                ExperimentConfig(length=3, alphabet_size=3, base=base)
+            with pytest.raises(ValueError):
+                source_entropy(SourceSpec(A3), base)
+
     def test_bad_distributions(self):
         with pytest.raises(BadDistributionError):
             SourceSpec(A3, (0.5, 0.5))
