@@ -1,4 +1,9 @@
-"""Minimal MSB-first bit stream writer/reader used by the entropy coder."""
+"""Minimal MSB-first bit stream writer/reader used by the entropy coder.
+
+Both sides go through a '0'/'1' string of the meaningful bits, so building
+or reading a stream costs time linear in its length: CPython converts
+between an int and its base-2 text in linear time.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -29,6 +34,21 @@ class Bits:
         return cls(b"", 0)
 
 
+def _bits_from_string(text: str) -> Bits:
+    """Pack a '0'/'1' string MSB-first, zero-padding the final byte."""
+    if not text:
+        return Bits.empty()
+    pad = -len(text) % 8
+    data = (int(text, 2) << pad).to_bytes((len(text) + pad) // 8, "big")
+    return Bits(data, len(text))
+
+
+def _string_from_bits(bits: Bits) -> str:
+    """The meaningful bits as a '0'/'1' string; pad bits are dropped."""
+    value = int.from_bytes(bits.data, "big")
+    return format(value, f"0{8 * len(bits.data)}b")[: bits.bit_length]
+
+
 class BitWriter:
     """Accumulates values MSB-first."""
 
@@ -48,41 +68,34 @@ class BitWriter:
         return self._bit_length
 
     def getvalue(self) -> Bits:
-        acc = 0
-        for value, nbits in self._chunks:
-            acc = (acc << nbits) | value
-        pad = (-self._bit_length) % 8
-        acc <<= pad
-        nbytes = (self._bit_length + pad) // 8
-        return Bits(acc.to_bytes(nbytes, "big"), self._bit_length)
+        return _bits_from_string(
+            "".join(format(value, f"0{nbits}b") for value, nbits in self._chunks)
+        )
 
 
 class BitReader:
     """Reads values MSB-first; exhausting the stream is a payload error."""
 
     def __init__(self, bits: Bits):
-        self._data = bits.data
-        self._bit_length = bits.bit_length
+        self._bits = _string_from_bits(bits)
         self._pos = 0
 
     @property
     def remaining(self) -> int:
-        return self._bit_length - self._pos
+        return len(self._bits) - self._pos
 
     def read(self, nbits: int) -> int:
         if nbits < 0:
             raise ValueError(f"cannot read {nbits} bits")
-        if self._pos + nbits > self._bit_length:
-            raise MalformedPayloadError(
-                f"bit stream exhausted: wanted {nbits} bits at offset {self._pos} "
-                f"of {self._bit_length}"
-            )
-        value = 0
         pos = self._pos
-        for i in range(pos, pos + nbits):
-            value = (value << 1) | ((self._data[i >> 3] >> (7 - (i & 7))) & 1)
-        self._pos += nbits
-        return value
+        end = pos + nbits
+        if end > len(self._bits):
+            raise MalformedPayloadError(
+                f"bit stream exhausted: wanted {nbits} bits at offset {pos} "
+                f"of {len(self._bits)}"
+            )
+        self._pos = end
+        return int(self._bits[pos:end], 2) if nbits else 0
 
     def read_bit(self) -> int:
         return self.read(1)

@@ -19,9 +19,16 @@ from __future__ import annotations
 
 import enum
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .bitio import BitReader, Bits, BitWriter
+from .bitio import (
+    BitReader,
+    Bits,
+    BitWriter,
+    _bits_from_string,
+    _string_from_bits,
+)
 from .core import Alphabet, Composition, Sequence, composition_of
 from .errors import (
     EmptyCompositionError,
@@ -149,43 +156,71 @@ def build_code(comp: Composition) -> CodeTable:
 
 def encode(seq: Sequence, table: CodeTable) -> Bits:
     """Replace each symbol by its codeword; the payload bit string."""
-    writer = BitWriter()
-    for s in seq.symbols:
-        l = table.lengths[s]
-        if not l:
-            raise UncodableSymbolError(f"symbol {s + 1} has no codeword")
-        writer.write(table.codewords[s], l)
-    return writer.getvalue()
+    uncodable = {s for s, l in enumerate(table.lengths) if not l}
+    if not uncodable.isdisjoint(seq.symbols):
+        first = next(s for s in seq.symbols if s in uncodable)
+        raise UncodableSymbolError(f"symbol {first + 1} has no codeword")
+    words = [format(c, f"0{l}b") for c, l in zip(table.codewords, table.lengths)]
+    return _bits_from_string("".join(map(words.__getitem__, seq.symbols)))
 
 
 def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
-    """Read exactly n codewords; anything else is a malformed payload."""
-    # key = a leading 1 bit, then the bits read so far: unique per codeword
-    symbol_of = {
-        (1 << l) | code: s
-        for s, (l, code) in enumerate(zip(table.lengths, table.codewords))
-        if l
-    }
-    limit = 1 << table.max_length
-    reader = BitReader(payload)
-    read_bit = reader.read_bit
-    lookup = symbol_of.get
+    """Read exactly n codewords; anything else is a malformed payload.
+
+    Canonical-limit decoding (Moffat & Turpin, "On the implementation of
+    minimum redundancy prefix codes", IEEE T-Comm 1997): left-justified to
+    max_length bits, the codewords of length <= l fill the range
+    [0, limit_l), so the length of the next codeword is the first l whose
+    limit exceeds the next max_length-bit window, and the symbol is an
+    offset from that length's first codeword.  One bisect per symbol for
+    any max_length; an incomplete code leaves [limit_max, 2**max_length)
+    unmatched.
+    """
+    lmax = table.max_length
+    # symbols in codeword order; per codeword length present, its limit and
+    # (length, window shift, first codeword minus its index in `symbols`)
+    used = sorted((l, s) for s, l in enumerate(table.lengths) if l)
+    symbols = [s for _, s in used]
+    limits, steps = [], []
+    for index, (l, s) in enumerate(used):
+        if steps and steps[-1][0] == l:
+            limits[-1] += 1 << (lmax - l)
+        else:
+            code = table.codewords[s]
+            steps.append((l, lmax - l, code - index))
+            limits.append((code + 1) << (lmax - l))
+    if n and not steps:
+        raise MalformedPayloadError("no symbol has a codeword")
+    total = payload.bit_length
+    # zero bits past the end keep every window lmax wide; a codeword that
+    # reaches into them is caught by the position check
+    bits = _string_from_bits(payload) + "0" * lmax
+    unmatched = len(limits)
+    pos = 0
     out = []
+    append = out.append
     for _ in range(n):
-        key = 1
-        while True:
-            key = (key << 1) | read_bit()
-            s = lookup(key)
-            if s is not None:
-                out.append(s)
+        window = int(bits[pos : pos + lmax], 2)
+        i = bisect_right(limits, window)
+        if i == unmatched:
+            if pos + lmax > total:
                 break
-            if key >= limit:
-                raise MalformedPayloadError(
-                    f"bit pattern {format(key, 'b')[1:]} matches no codeword"
-                )
-    if reader.remaining:
+            raise MalformedPayloadError(
+                f"bit pattern {bits[pos : pos + lmax]} matches no codeword"
+            )
+        length, shift, offset = steps[i]
+        pos += length
+        if pos > total:
+            break
+        append(symbols[(window >> shift) - offset])
+    if len(out) < n:
         raise MalformedPayloadError(
-            f"{reader.remaining} unread bits after decoding {n} symbols"
+            f"bit stream exhausted after {len(out)} of {n} symbols "
+            f"({total} payload bits)"
+        )
+    if pos < total:
+        raise MalformedPayloadError(
+            f"{total - pos} unread bits after decoding {n} symbols"
         )
     return Sequence(table.alphabet, tuple(out))
 
@@ -376,6 +411,15 @@ def pack_container(container: Container) -> bytes:
     return bytes(out)
 
 
+def _padded_block(data: bytes, bit_length: int, name: str) -> Bits:
+    """A container block; its pad bits must be zero, so that each message
+    has exactly one container."""
+    pad = -bit_length % 8
+    if pad and data[-1] & ((1 << pad) - 1):
+        raise MalformedPayloadError(f"nonzero pad bits in the {name} block")
+    return Bits(data, bit_length)
+
+
 def unpack_container(data: bytes) -> Container:
     def take(pos: int, count: int) -> tuple[bytes, int]:
         if pos + count > len(data):
@@ -411,11 +455,11 @@ def unpack_container(data: bytes) -> Container:
     chunk, pos = take(pos, 4)
     scheme_bits = int.from_bytes(chunk, "big")
     chunk, pos = take(pos, (scheme_bits + 7) // 8)
-    scheme = Bits(chunk, scheme_bits)
+    scheme = _padded_block(chunk, scheme_bits, "scheme")
     chunk, pos = take(pos, 8)
     payload_bits = int.from_bytes(chunk, "big")
     chunk, pos = take(pos, (payload_bits + 7) // 8)
-    payload = Bits(chunk, payload_bits)
+    payload = _padded_block(chunk, payload_bits, "payload")
     if pos != len(data):
         raise MalformedPayloadError(f"{len(data) - pos} trailing bytes")
     return Container(

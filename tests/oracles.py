@@ -96,3 +96,41 @@ def best_prefix_payload(counts):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def reference_encode(symbols, lengths, codewords):
+    """Payload (data, bit_length) by the quadratic accumulate loop: shift the
+    whole payload left by each codeword's length, then pad to whole bytes."""
+    acc = bit_length = 0
+    for s in symbols:
+        acc = (acc << lengths[s]) | codewords[s]
+        bit_length += lengths[s]
+    pad = -bit_length % 8
+    return (acc << pad).to_bytes((bit_length + pad) // 8, "big"), bit_length
+
+
+def reference_decode(data, bit_length, lengths, codewords, n):
+    """The per-bit canonical decoder: grow a key (a leading 1, then the bits
+    read) one bit at a time until it names a codeword.  Returns the symbol
+    tuple, or raises ValueError with "exhausted" or "no codeword"."""
+    symbol_of = {
+        (1 << l) | c: s for s, (l, c) in enumerate(zip(lengths, codewords)) if l
+    }
+    limit = 1 << max(lengths, default=0)
+    pos = 0
+    out = []
+    for _ in range(n):
+        key = 1
+        while True:
+            if pos == bit_length:
+                raise ValueError("bit stream exhausted")
+            key = (key << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
+            pos += 1
+            if key in symbol_of:
+                out.append(symbol_of[key])
+                break
+            if key >= limit:
+                raise ValueError("bit pattern matches no codeword")
+    if pos != bit_length:
+        raise ValueError("unread bits")
+    return tuple(out)

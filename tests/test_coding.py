@@ -1,8 +1,9 @@
 import math
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from setshaping import (
@@ -27,7 +28,11 @@ from setshaping import (
     unpack_container,
 )
 from setshaping.bitio import BitReader, BitWriter
-from setshaping.coding import payload_bit_count, scheme_bit_count
+from setshaping.coding import (
+    CONTAINER_HEADER_BYTES,
+    payload_bit_count,
+    scheme_bit_count,
+)
 from setshaping.errors import (
     EmptyCompositionError,
     EmptySequenceError,
@@ -37,7 +42,13 @@ from setshaping.errors import (
     UncodableSymbolError,
 )
 
-from oracles import all_tuples, best_prefix_payload, counts_of
+from oracles import (
+    all_tuples,
+    best_prefix_payload,
+    counts_of,
+    reference_decode,
+    reference_encode,
+)
 
 A3 = Alphabet(3)
 
@@ -87,6 +98,67 @@ class TestBitIO:
             w.write(v, n)
         r = BitReader(w.getvalue())
         assert [r.read(n) for _, n in items] == [v for v, _ in items]
+
+    def test_every_width_1_to_64(self):
+        rng = random.Random(64)
+        items = [(1, 1)]  # one leading bit puts every later field off byte alignment
+        for width in range(1, 65):
+            for value in ((1 << width) - 1, 0, rng.getrandbits(width)):
+                items.append((value, width))
+        w = BitWriter()
+        for v, n in items:
+            w.write(v, n)
+        bits = w.getvalue()
+        assert bits.bit_length == sum(n for _, n in items)
+        r = BitReader(bits)
+        assert [r.read(n) for _, n in items] == [v for v, _ in items]
+        assert r.remaining == 0
+
+    def test_zero_width(self):
+        w = BitWriter()
+        w.write(0, 0)
+        assert w.bit_length == 0
+        assert w.getvalue() == Bits.empty()
+        w.write(0b10, 2)
+        w.write(0, 0)
+        assert w.getvalue() == Bits(b"\x80", 2)
+        with pytest.raises(ValueError):
+            w.write(1, 0)
+        r = BitReader(Bits(b"\x80", 2))
+        assert r.read(0) == 0
+        assert r.read(2) == 0b10
+        assert r.read(0) == 0
+        assert r.remaining == 0
+        with pytest.raises(ValueError):
+            r.read(-1)
+
+    def test_empty_stream(self):
+        assert BitWriter().getvalue() == Bits.empty()
+        r = BitReader(Bits.empty())
+        assert r.remaining == 0
+        assert r.read(0) == 0
+        with pytest.raises(MalformedPayloadError):
+            r.read_bit()
+
+    def test_exact_byte_boundary(self):
+        w = BitWriter()
+        w.write(0xA5, 8)
+        w.write(0x3C, 8)
+        bits = w.getvalue()
+        assert bits == Bits(b"\xa5\x3c", 16)
+        r = BitReader(bits)
+        assert r.read(8) == 0xA5
+        assert [r.read_bit() for _ in range(8)] == [0, 0, 1, 1, 1, 1, 0, 0]
+        with pytest.raises(MalformedPayloadError):
+            r.read_bit()
+
+    def test_overrun_by_one_bit(self):
+        r = BitReader(Bits(b"\xff\xf8", 13))
+        assert r.read(5) == 0b11111
+        with pytest.raises(MalformedPayloadError):
+            r.read(r.remaining + 1)
+        assert r.remaining == 8  # a failed read consumes nothing
+        assert r.read(8) == 0xFF
 
 
 class TestBuildCode:
@@ -204,8 +276,95 @@ class TestDecode:
     def test_unmatchable_pattern(self):
         # code (1,2,0): patterns starting 11 match nothing
         table = CodeTable.from_lengths(A3, (1, 2, 0))
-        with pytest.raises(MalformedPayloadError):
+        with pytest.raises(MalformedPayloadError, match="matches no codeword"):
             decode(Bits(b"\xc0", 2), table, 1)
+
+    @pytest.mark.parametrize("depth", [40, 64])
+    def test_deep_code_round_trip(self, depth):
+        # lengths (1, 2, ..., depth, depth): a complete code whose longest
+        # codewords are far deeper than any lookup table could index
+        alphabet = Alphabet(depth + 1)
+        table = CodeTable.from_lengths(alphabet, tuple(range(1, depth + 1)) + (depth,))
+        assert table.max_length == depth
+        rng = random.Random(depth)
+        symbols = list(range(depth + 1)) * 2
+        symbols += [rng.randrange(depth + 1) for _ in range(50)]
+        rng.shuffle(symbols)
+        seq = Sequence(alphabet, tuple(symbols))
+        payload = encode(seq, table)
+        assert decode(payload, table, seq.length) == seq
+        with pytest.raises(MalformedPayloadError):
+            decode(payload, table, seq.length + 1)
+
+    def test_untrusted_length_fails_when_bits_run_out(self):
+        table = build_code(Composition((2, 1, 1)))
+        start = time.perf_counter()
+        with pytest.raises(MalformedPayloadError, match="exhausted"):
+            decode(Bits(b"\x00", 8), table, 10**18)
+        assert time.perf_counter() - start < 1.0
+
+
+def _pack(text):
+    """'0'/'1' text as Bits, zero-padded; independent of bitio."""
+    if not text:
+        return Bits.empty()
+    pad = -len(text) % 8
+    data = int(text + "0" * pad, 2).to_bytes((len(text) + pad) // 8, "big")
+    return Bits(data, len(text))
+
+
+@st.composite
+def codes_and_messages(draw):
+    """A code (complete from build_code, or any Kraft-feasible length list,
+    so also incomplete ones), a message over its codable symbols, and that
+    message's payload and length, mutated or not."""
+    size = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, 30), min_size=size, max_size=size))
+        assume(any(counts))
+        table = build_code(Composition(tuple(counts)))
+    else:
+        lengths = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size))
+        while sum(2.0**-l for l in lengths if l) > 1:
+            lengths = [l + 1 if l else 0 for l in lengths]
+        table = CodeTable.from_lengths(Alphabet(size), tuple(lengths))
+    codable = [s for s, l in enumerate(table.lengths) if l]
+    symbols = draw(st.lists(st.sampled_from(codable), max_size=40)) if codable else []
+    seq = Sequence(table.alphabet, tuple(symbols))
+    text = "".join(format(table.codewords[s], f"0{table.lengths[s]}b") for s in symbols)
+    n = len(symbols)
+    mutations = ["none", "flip", "truncate", "extend", "n+1", "n-1"]
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "flip" and text:
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + "10"[int(text[i])] + text[i + 1 :]
+    elif mutation == "truncate" and text:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif mutation == "extend":
+        text += draw(st.text("01", min_size=1, max_size=70))
+    elif mutation == "n+1":
+        n += 1
+    elif mutation == "n-1" and n:
+        n -= 1
+    return table, seq, _pack(text), n
+
+
+class TestDecodeAgainstReference:
+    @given(codes_and_messages())
+    @settings(max_examples=400)
+    def test_same_result_as_per_bit_decoder(self, case):
+        table, seq, payload, n = case
+        expected = reference_encode(seq.symbols, table.lengths, table.codewords)
+        assert encode(seq, table) == Bits(*expected)
+        try:
+            want = reference_decode(
+                payload.data, payload.bit_length, table.lengths, table.codewords, n
+            )
+        except ValueError:
+            with pytest.raises(MalformedPayloadError):
+                decode(payload, table, n)
+        else:
+            assert decode(payload, table, n).symbols == want
 
 
 class TestScheme:
@@ -376,6 +535,22 @@ class TestContainer:
         mutated[6] |= 0x80
         with pytest.raises(MalformedPayloadError):
             unpack_container(bytes(mutated))
+
+    def test_nonzero_pad_bits_rejected(self):
+        # "1 2 3 1 1" has an 11-bit lengths scheme and a 7-bit payload
+        seq = parse_sequence("1 2 3 1 1", A3)
+        data, container = self._round_trip(seq, SchemeFormat.LENGTH_LIST)
+        # the scheme bytes follow every header field but the payload bit count
+        scheme_end = CONTAINER_HEADER_BYTES - 8 + len(container.scheme.data)
+        blocks = [(scheme_end, container.scheme), (len(data), container.payload)]
+        for end, block in blocks:
+            pad = -block.bit_length % 8
+            assert pad
+            for bit in range(pad):
+                mutated = bytearray(data)
+                mutated[end - 1] ^= 1 << bit
+                with pytest.raises(MalformedPayloadError, match="pad bits"):
+                    unpack_container(bytes(mutated))
 
     def test_determinism(self):
         seq = parse_sequence("3 1 2 2 1", A3)
