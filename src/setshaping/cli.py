@@ -1,12 +1,16 @@
 """Command-line interface: transform, untransform, encode, decode, table,
 exhaustive, sample, census.
 
-Each option's default is declared once, on its flag; a ``--config`` file
-replaces those defaults, so flags given on the command line still win.
+Each option's default and value check are declared once, on its flag: the
+flag's ``type`` converts and range-checks a value whether it comes from
+the command line or from a ``--config`` file.  A file's values replace the
+defaults, so flags given on the command line still win, but every value in
+the file is checked, even one a flag overrides.
 
 Failures print exactly one JSON line on stderr ({"error": code, "detail":
 ...}) so scripts can parse them.  Exit codes: 0 success, 2 usage error,
-3 domain error, 4 I/O error.
+3 domain error, 4 I/O error.  ``main`` returns the code for every failure
+in process too; only ``--help`` exits, with status 0, from inside argparse.
 """
 from __future__ import annotations
 
@@ -101,7 +105,28 @@ def restore_sequence(data: bytes) -> Sequence:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise SystemExit(_usage_error(message))
+        # main reports every usage error, from argparse or not, as exit 2
+        raise ValueError(message)
+
+
+def _count(minimum: int):
+    """A flag type for whole numbers of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
+def _pmf(text: str) -> tuple[float, ...] | None:
+    """A flag type for comma-separated probabilities; empty means uniform."""
+    try:
+        return tuple(float(p) for p in text.split(",")) if text else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -112,17 +137,10 @@ def _load_config(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(
-                    _usage_error(f"{path}:{lineno}: expected key = value")
-                )
+                raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, raw = line.partition("=")
             values[key.strip().replace("-", "_")] = raw.strip()
     return values
-
-
-def _usage_error(detail: str) -> int:
-    print(json.dumps({"error": "Usage", "detail": detail}), file=sys.stderr)
-    return 2
 
 
 _SWITCH_WORDS = {
@@ -140,9 +158,9 @@ def _config_value(action: argparse.Action, raw: str):
         value = action.type(raw) if action.type else raw
         if action.choices is None or value in action.choices:
             return value
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, argparse.ArgumentTypeError):
         pass
-    raise SystemExit(_usage_error(f"config {action.dest}: invalid value {raw!r}"))
+    raise ValueError(f"config {action.dest}: invalid value {raw!r}")
 
 
 def _config_defaults(args: argparse.Namespace) -> dict:
@@ -153,7 +171,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     config = _load_config(args.config)
     unknown = sorted(set(config) - args.config_keys)
     if unknown:
-        raise SystemExit(_usage_error(f"config: unknown key {unknown[0]!r}"))
+        raise ValueError(f"config: unknown key {unknown[0]!r}")
     return {
         action.dest: _config_value(action, config[action.dest])
         for action in args.parser._actions
@@ -192,28 +210,18 @@ def _write_bytes(path: str, data: bytes) -> None:
             handle.write(data)
 
 
-def _check_positive(name: str, value, minimum: int = 1) -> None:
-    if value is None:
-        raise SystemExit(_usage_error(f"{name} is required"))
-    if value < minimum:
-        raise SystemExit(_usage_error(f"{name} must be >= {minimum}, got {value}"))
-
-
-_SCHEMES = {"lengths": SchemeFormat.LENGTH_LIST, "counts": SchemeFormat.COUNT_TABLE}
-
-
-def _scheme_formats(name: str) -> tuple[SchemeFormat, ...]:
-    if name == "both":
-        return (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE)
-    return (_SCHEMES[name],)
+def _check_required(args: argparse.Namespace) -> None:
+    """-n and -a have no default, and a --config file may supply them, so
+    their presence is checked once flags and file are both read."""
+    for action in args.parser._actions:
+        if action.dest in ("n", "alphabet") and getattr(args, action.dest) is None:
+            raise ValueError(f"{'/'.join(action.option_strings)} is required")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_transform(args, invert: bool) -> int:
-    _check_positive("--alphabet", args.alphabet)
-    _check_positive("--k", args.k)
     alphabet = Alphabet(args.alphabet)
     seq = parse_sequence(_read_text(args.input), alphabet)
     if invert and seq.length <= args.k:
@@ -231,11 +239,9 @@ def _cmd_transform(args, invert: bool) -> int:
 
 
 def _cmd_encode(args) -> int:
-    _check_positive("--alphabet", args.alphabet)
-    _check_positive("--k", args.k)
     seq = parse_sequence(_read_text(args.input), Alphabet(args.alphabet))
     data = compress_sequence(
-        seq, _SCHEMES[args.scheme], shaped=args.shape, extra_length=args.k
+        seq, SchemeFormat(args.scheme), shaped=args.shape, extra_length=args.k
     )
     _write_bytes(args.output, data)
     return 0
@@ -253,16 +259,13 @@ def _cmd_table(args) -> int:
 
 
 def _experiment_config(args, **settings) -> ExperimentConfig:
-    _check_positive("-n", args.n)
-    _check_positive("--alphabet", args.alphabet)
-    _check_positive("--k", args.k)
-    _check_positive("--jobs", args.jobs)
+    both = args.scheme == "both"
     return ExperimentConfig(
         length=args.n,
         alphabet_size=args.alphabet,
         extra_length=args.k,
         base=args.base,
-        scheme_formats=_scheme_formats(args.scheme),
+        scheme_formats=tuple(SchemeFormat) if both else (SchemeFormat(args.scheme),),
         charge_framing=args.charge_framing,
         jobs=args.jobs,
         **settings,
@@ -281,25 +284,12 @@ def _cmd_exhaustive(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _check_positive("--samples", args.samples)
-    if args.seed < 0:
-        raise SystemExit(_usage_error(f"--seed must be >= 0, got {args.seed}"))
     config = _experiment_config(args, sample_count=args.samples)
-    pmf = None
-    if args.pmf:
-        try:
-            pmf = tuple(float(p) for p in str(args.pmf).split(","))
-        except ValueError:
-            raise SystemExit(_usage_error(f"cannot parse --pmf {args.pmf!r}"))
-    spec = SourceSpec(Alphabet(args.alphabet), pmf, args.seed)
-    report = run_sampled(config, spec)
-    return _emit_report(report, args)
+    spec = SourceSpec(Alphabet(args.alphabet), args.pmf, args.seed)
+    return _emit_report(run_sampled(config, spec), args)
 
 
 def _cmd_census(args) -> int:
-    _check_positive("-n", args.n)
-    _check_positive("--alphabet", args.alphabet)
-    _check_positive("--k", args.k)
     census = type_class_census(args.n, Alphabet(args.alphabet), args.k)
     if args.format == "json":
         text = json.dumps(census.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -329,10 +319,11 @@ def _add_input(parser):
 
 def _add_sizes(parser, message_length: bool):
     if message_length:
-        parser.add_argument("-n", type=int, help="message length")
-    parser.add_argument("-a", "--alphabet", type=int, help="alphabet size")
+        parser.add_argument("-n", type=_count(1), help="message length")
+    parser.add_argument("-a", "--alphabet", type=_count(1), help="alphabet size")
     parser.add_argument(
-        "-k", "--k", type=int, default=1, help="length increase K (default %(default)s)"
+        "-k", "--k", type=_count(1), default=1,
+        help="length increase K (default %(default)s)",
     )
 
 
@@ -355,10 +346,10 @@ def _add_experiment_flags(parser):
     _add_choice(parser, "--format", ["json", "csv"], "json")
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_count(1),
         default=1,
-        help="worker processes for sample (default %(default)s); "
-        "exhaustive runs in one pass",
+        help="worker processes for sample, at most the CPU count "
+        "(default %(default)s); exhaustive runs in one pass",
     )
     parser.add_argument(
         "--charge-framing",
@@ -405,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(p)
     p.add_argument(
         "--cap",
-        type=int,
+        type=_count(1),
         default=DEFAULT_EXHAUSTIVE_CAP,
         help="exhaustive population cap (default %(default)s)",
     )
@@ -415,12 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="measure sampled messages from a source")
     _add_experiment_flags(p)
     p.add_argument(
-        "--samples", type=int, default=100_000, help="sample count (default %(default)s)"
+        "--samples", type=_count(1), default=100_000,
+        help="sample count (default %(default)s)",
     )
     p.add_argument(
-        "--seed", type=int, default=0, help="sampling seed (default %(default)s)"
+        "--seed", type=_count(0), default=0, help="sampling seed (default %(default)s)"
     )
-    p.add_argument("--pmf", help="comma-separated probabilities (default uniform)")
+    p.add_argument(
+        "--pmf", type=_pmf, help="comma-separated probabilities (default uniform)"
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -440,22 +434,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # built per call: set_defaults below changes the subcommand's parser
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             # the file's values become defaults, so explicit flags still win
             args.parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
+        _check_required(args)
         return args.func(args)
-    except SystemExit:
-        raise
     except SetShapingError as exc:
         print(
             json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr
         )
         return 3
     except ValueError as exc:
-        return _usage_error(str(exc))
+        print(json.dumps({"error": "Usage", "detail": str(exc)}), file=sys.stderr)
+        return 2
     except OSError as exc:
         print(
             json.dumps({"error": "IOError", "detail": str(exc)}), file=sys.stderr

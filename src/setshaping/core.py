@@ -50,9 +50,12 @@ class Sequence:
 
     def __post_init__(self):
         size = self.alphabet.size
-        for s in self.symbols:
-            if not 0 <= s < size:
-                raise ValueError(f"symbol {s} out of range for alphabet of size {size}")
+        # one pass in C builds the set; min and max then see each distinct
+        # symbol once, where a comparison loop runs per symbol in Python
+        distinct = set(self.symbols)
+        if distinct and not (0 <= min(distinct) and max(distinct) < size):
+            bad = next(s for s in self.symbols if not 0 <= s < size)
+            raise ValueError(f"symbol {bad} out of range for alphabet of size {size}")
 
     @property
     def length(self) -> int:
@@ -152,15 +155,17 @@ def parse_sequence(text: str, alphabet: Alphabet) -> Sequence:
         if not token:
             continue
         try:
-            value = int(token)
+            symbols.append(int(token) - 1)
         except ValueError:
             raise SequenceParseError(f"not an integer symbol: {token!r}") from None
-        if not 1 <= value <= alphabet.size:
-            raise SequenceParseError(
-                f"symbol {value} outside 1..{alphabet.size}"
-            )
-        symbols.append(value - 1)
-    return Sequence(alphabet, tuple(symbols))
+    try:
+        # Sequence checks the range, once for the whole message
+        return Sequence(alphabet, tuple(symbols))
+    except ValueError:
+        bad = next(s for s in symbols if not 0 <= s < alphabet.size)
+        raise SequenceParseError(
+            f"symbol {bad + 1} outside 1..{alphabet.size}"
+        ) from None
 
 
 def format_sequence(seq: Sequence) -> str:

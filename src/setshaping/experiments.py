@@ -7,8 +7,8 @@ counts and distinct-symbol counts are integer sums, and weighted-entropy
 sums are kept as integer coefficients of ln(v) terms (N*H0 = N*ln N -
 sum n*ln n, all integer-weighted), evaluated to float once at the end in a
 fixed order.  Sampled runs split the samples into chunks (optionally over
-``jobs`` processes) whose class counts add up exactly, so results are
-bit-identical regardless of worker count or chunking.
+``jobs`` processes, at most one per CPU) whose class counts add up exactly,
+so results are bit-identical regardless of worker count or chunking.
 
 Every report's sub-alphabet census is read off the exhaustive class-weight
 maps: the ones an exhaustive run tallies, or for a sampled run (whose maps
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -267,10 +268,11 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
         (config, pmf, spec.seed, lo, hi)
         for lo, hi in _split_ranges(config.sample_count, config.jobs * 4)
     ]
-    if config.jobs <= 1 or len(tasks) <= 1:
+    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_sampled_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sampled_chunk, tasks))
     plain, shaped = Counter(), Counter()
     for chunk_plain, chunk_shaped in results:

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,15 +95,11 @@ class TestTransformCommands:
 
     def test_missing_alphabet_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 1 1"))
-        with pytest.raises(SystemExit) as exc:
-            main(["transform"])
-        assert exc.value.code == 2
+        assert main(["transform"]) == 2
         assert stderr_json(capsys.readouterr().err)["error"] == "Usage"
 
     def test_bad_choice_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["encode", "-a", "3", "--scheme", "bogus"])
-        assert exc.value.code == 2
+        assert main(["encode", "-a", "3", "--scheme", "bogus"]) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -112,12 +112,75 @@ class TestTransformCommands:
     )
     def test_removed_flag_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert stderr_json(captured.err)["error"] == "Usage"
+
+
+class TestUsageErrors:
+    """Every usage error, whether argparse, a flag's type, the config file
+    or the library finds it, takes one path: main returns 2 and prints one
+    JSON Usage line."""
+
+    SOURCES = {
+        "bad-choice": (["encode", "-a", "3", "--scheme", "bogus"], None),
+        "unknown-flag": (["exhaustive", "-n", "3", "-a", "3", "--bogus"], None),
+        "missing-alphabet": (["exhaustive", "-n", "3"], None),
+        "k-0": (["transform", "-a", "3", "-k", "0"], None),
+        "seed-negative": (["sample", "-n", "3", "-a", "3", "--seed", "-1"], None),
+        "pmf-unparsable": (["sample", "-n", "3", "-a", "3", "--pmf", "a,b"], None),
+        "cap-0": (["exhaustive", "-n", "3", "-a", "3", "--cap", "0"], None),
+        "config-no-equals": (["exhaustive", "-n", "3", "-a", "3"], "k 2\n"),
+        "config-unknown-key": (["exhaustive", "-n", "3", "-a", "3"], "kk = 2\n"),
+        "base-1": (["exhaustive", "-n", "3", "-a", "3", "--base", "1"], None),
+    }
+
+    @pytest.mark.parametrize("name", list(SOURCES))
+    def test_returns_2_with_one_usage_line(self, tmp_path, capsys, monkeypatch, name):
+        argv, config = self.SOURCES[name]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert stderr_json(err)["error"] == "Usage"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exhaustive", "--help"])
+        assert exc.value.code == 0
+        assert "--cap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, stdin, code",
+        [
+            (["transform", "-a", "3"], "1 2 3", 0),
+            (["exhaustive", "-n", "3"], "", 2),
+            (["transform", "-a", "2"], "1 1", 3),
+            (["decode", "no-such-file.sstc"], "", 4),
+        ],
+        ids=["ok", "usage", "domain", "io"],
+    )
+    def test_module_exit_codes(self, tmp_path, argv, stdin, code):
+        # python -m setshaping hands main's return value to sys.exit
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "setshaping", *argv],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+        assert result.returncode == code, result.stderr
+        if code:
+            assert result.stdout == ""
+            assert len(result.stderr.splitlines()) == 1
+            json.loads(result.stderr)
 
 
 class TestEncodeDecode:
@@ -335,9 +398,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"n = 3\nalphabet = 3\n{line}\n")
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(cfg)])
-        assert exc.value.code == 2
+        assert main([command, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert stderr_json(captured.err)["error"] == "Usage"
@@ -345,9 +406,7 @@ class TestConfigFile:
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 3\nalphabet = 3\nchrage-framing = true\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["exhaustive", "--config", str(cfg)])
-        assert exc.value.code == 2
+        assert main(["exhaustive", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "chrage" in stderr_json(captured.err)["detail"]
@@ -388,14 +447,28 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert stderr_json(err)["error"] == "Usage"
 
-    def test_bad_config_value_rejected_even_when_flag_given(self, tmp_path, capsys):
-        # the whole file is checked, as README states, before flags apply
+    @pytest.mark.parametrize(
+        "command, line, flag",
+        [
+            ("exhaustive", "jobs = two", ["--jobs", "1"]),
+            ("exhaustive", "k = 0", ["-k", "1"]),
+            ("sample", "seed = -4", ["--seed", "1"]),
+            ("sample", "pmf = a,b", ["--pmf", "0.5,0.3,0.2"]),
+            ("sample", "samples = 0", ["--samples", "5"]),
+            ("sample", "jobs = 0", ["--jobs", "1"]),
+        ],
+        ids=["jobs = two", "k = 0", "seed = -4", "pmf = a,b", "samples = 0", "jobs = 0"],
+    )
+    def test_bad_config_value_rejected_even_when_flag_given(
+        self, tmp_path, capsys, command, line, flag
+    ):
+        # the whole file is checked, as README states, before flags apply:
+        # a flag's type checks its range, so a file value gets it too
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 3\nalphabet = 3\njobs = two\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["exhaustive", "--config", str(cfg), "--jobs", "1"])
-        assert exc.value.code == 2
-        assert "jobs" in stderr_json(capsys.readouterr().err)["detail"]
+        cfg.write_text(f"n = 3\nalphabet = 3\n{line}\n")
+        assert main([command, "--config", str(cfg), *flag]) == 2
+        key = line.split(" =")[0]
+        assert key in stderr_json(capsys.readouterr().err)["detail"]
 
     # (command, input text or None, settings); every setting is given once as
     # flags and once from a file: input, output and switches included

@@ -205,10 +205,12 @@ class TestTextFormat:
             seq("1 x 2")
 
     def test_out_of_range(self):
-        with pytest.raises(SequenceParseError):
+        with pytest.raises(SequenceParseError, match=r"^symbol 4 outside 1\.\.3$"):
             seq("1 4 2")
-        with pytest.raises(SequenceParseError):
+        with pytest.raises(SequenceParseError, match=r"^symbol 0 outside 1\.\.3$"):
             seq("0 1 2")
+        with pytest.raises(SequenceParseError, match=r"^symbol -1 outside 1\.\.3$"):
+            seq("1 -1 2")
 
     def test_symbols_validated(self):
         with pytest.raises(ValueError):

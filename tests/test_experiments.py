@@ -250,10 +250,38 @@ class TestSampled:
                 return map(fn, tasks)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         spec = SourceSpec(A3, seed=4)
         config = ExperimentConfig(length=3, alphabet_size=3, sample_count=2)
         report = run_sampled(replace(config, jobs=3), spec)
         assert sizes == [2]
+        assert report == run_sampled(config, spec)
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, []), (None, [])])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, sizes):
+        # --jobs 500 gets one worker per CPU (none past one CPU, or when the
+        # count is unknown); an in-process stand-in records the pool size
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        spec = SourceSpec(A3, seed=4)
+        config = ExperimentConfig(length=3, alphabet_size=3, sample_count=40)
+        report = run_sampled(replace(config, jobs=500), spec)
+        assert seen == sizes
         assert report == run_sampled(config, spec)
 
     @pytest.mark.parametrize("jobs", [1, 3])
