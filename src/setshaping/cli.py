@@ -151,14 +151,17 @@ _SWITCH_WORDS = {
 
 def _config_value(action: argparse.Action, raw: str):
     """Convert a config value as its own flag's value would be: the flag's
-    type and choices, or only true/false words for an on/off switch."""
+    type and choices, or only true/false words for an on/off switch.  A
+    range the type rejects is reported in the type's words, as for the flag."""
     try:
         if action.nargs == 0:
             return _SWITCH_WORDS[raw.lower()]
         value = action.type(raw) if action.type else raw
         if action.choices is None or value in action.choices:
             return value
-    except (KeyError, ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"config {action.dest}: {exc}") from None
+    except (KeyError, ValueError):
         pass
     raise ValueError(f"config {action.dest}: invalid value {raw!r}")
 

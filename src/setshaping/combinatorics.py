@@ -9,22 +9,29 @@ so equal-entropy classes (including distinct count multisets such as
 lexicographic rule.
 
 Classes whose counts are permutations of one multiset share that product
-and their size, so an ordering is built per count multiset: the exact
-product and multinomial are computed once per partition of N, the
-partitions are sorted, and each expands into its distinct permutations in
-lexicographic order.  The ordering stores plain counts tuples.
+and their size, so an ordering is kept per count multiset, not per class:
+the exact product and multinomial are computed once per partition of N,
+the partitions are sorted, and each becomes one group of classes, its
+multiset's distinct permutations in lexicographic order.  A class is then
+found by arithmetic on its group: the group's first rank, plus the
+lexicographic rank of the counts vector among its multiset's permutations
+(the same prefix-count method as ``rank_in_class``; Knuth, TAOCP 4A
+§7.2.1.2) times the class size.  Only the rare groups of distinct
+multisets with exactly equal products store their classes, merged
+lexicographically.
 
 Ranks are plain Python ints and therefore arbitrary precision; |A|**N
 overflows machine words almost immediately (3**41 > 2**64).
 """
 from __future__ import annotations
 
+import collections.abc
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, groupby, repeat
-from operator import itemgetter, mul
-from typing import Iterator
+from operator import itemgetter, mul, sub
+from typing import Iterator, NamedTuple
 
 from .core import Alphabet, Composition, Sequence, entropy_of_composition
 from .errors import RankOutOfRangeError, TooManyClassesError
@@ -116,46 +123,251 @@ def _permutations(counts: list[int]) -> Iterator[tuple[int, ...]]:
         counts[i + 1 :] = counts[: i : -1]
 
 
+def _lex_rank(symbols, counts: list[int], remaining: int) -> int:
+    """Position of `symbols` in the lexicographic order of the distinct
+    orderings of its own multiset: counts[s] occurrences of each symbol s,
+    `remaining` orderings in all.  Consumes counts.
+
+    Standard prefix-count method: at each position, add the number of
+    orderings of the rest that start with a smaller symbol.
+    ``remaining * counts[s] // total`` is exact.
+    """
+    total = len(symbols)
+    rank = 0
+    for sym in symbols:
+        if remaining == 1:  # one distinct symbol left: nothing smaller follows
+            break
+        for smaller in range(sym):
+            if counts[smaller]:
+                rank += remaining * counts[smaller] // total
+        remaining = remaining * counts[sym] // total
+        counts[sym] -= 1
+        total -= 1
+    return rank
+
+
+def _lex_unrank(counts, remaining: int, r: int) -> list[int]:
+    """Inverse of _lex_rank: the r-th of the `remaining` distinct orderings
+    of the multiset with counts[s] occurrences of each symbol s."""
+    size = len(counts)
+    counts = list(counts)
+    total = sum(counts)
+    symbols = []
+    while remaining > 1:
+        for sym in range(size):
+            c = counts[sym]
+            if c:
+                here = remaining * c // total
+                if r < here:
+                    break
+                r -= here
+        symbols.append(sym)
+        remaining = here
+        counts[sym] = c - 1
+        total -= 1
+    # one ordering left: the remaining copies of one symbol
+    for sym, c in enumerate(counts):
+        symbols.extend(repeat(sym, c))
+    return symbols
+
+
+class _Permutations(NamedTuple):
+    """Group of the classes of one count multiset: its distinct
+    permutations in lexicographic order, `classes` of them, each of
+    `class_size` sequences.  The multiset is `values` (ascending), each
+    repeated `repeats` times."""
+
+    values: tuple[int, ...]
+    repeats: tuple[int, ...]
+    classes: int
+    class_size: int
+
+    @property
+    def total(self) -> int:
+        return self.classes * self.class_size
+
+    def position(self, counts: tuple[int, ...]) -> int:
+        symbols = [self.values.index(c) for c in counts]
+        return _lex_rank(symbols, list(self.repeats), self.classes)
+
+    def counts(self, j: int) -> tuple[int, ...]:
+        return tuple([self.values[s] for s in _lex_unrank(self.repeats, self.classes, j)])
+
+    def size(self, j: int) -> int:
+        return self.class_size
+
+    def offset(self, j: int) -> int:
+        return j * self.class_size
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        return divmod(offset, self.class_size)
+
+    def walk(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        multiset = [v for v, k in zip(self.values, self.repeats) for _ in range(k)]
+        return zip(_permutations(multiset), repeat(self.class_size))
+
+
+class _Tie(NamedTuple):
+    """Group of the classes of distinct count multisets with exactly equal
+    entropy, stored one by one in lexicographic order: class j starts
+    `offsets[j]` ranks after the group's first, and the last offset is the
+    group's sequence count."""
+
+    members: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+
+    @property
+    def classes(self) -> int:
+        return len(self.members)
+
+    @property
+    def total(self) -> int:
+        return self.offsets[-1]
+
+    def position(self, counts: tuple[int, ...]) -> int:
+        return bisect_left(self.members, counts)
+
+    def counts(self, j: int) -> tuple[int, ...]:
+        return self.members[j]
+
+    def size(self, j: int) -> int:
+        return self.offsets[j + 1] - self.offsets[j]
+
+    def offset(self, j: int) -> int:
+        return self.offsets[j]
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        j = bisect_right(self.offsets, offset) - 1
+        return j, offset - self.offsets[j]
+
+    def walk(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        return zip(self.members, map(sub, self.offsets[1:], self.offsets))
+
+
+class _Classes(collections.abc.Sequence):
+    """Read-only view of an ordering's counts vectors by class index; each
+    is computed on access, none is stored."""
+
+    __slots__ = ("_ordering",)
+
+    def __init__(self, ordering: ClassOrdering):
+        self._ordering = ordering
+
+    def __len__(self) -> int:
+        return self._ordering.class_count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return self._ordering.class_counts(i + len(self) if i < 0 else i)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return (counts for counts, _ in self._ordering.classes())
+
+
 @dataclass(frozen=True)
 class ClassOrdering:
-    """All compositions of (length, alphabet) sorted by the entropy order,
-    as counts tuples, with cumulative sequence counts for rank arithmetic.
+    """All compositions of (length, alphabet) in the entropy order, kept as
+    one group per count multiset (or per exact tie between multisets).
 
-    Built once per count multiset (see the module docstring); immutable
-    after construction; rank/unrank are pure given the ordering.
+    `compositions` is a lazy view of the counts vectors by class index, and
+    `classes()` walks (counts, class size) in order; no per-class table is
+    held.  Immutable after construction; rank/unrank are pure given the
+    ordering.
     """
 
     length: int
     alphabet: Alphabet
-    compositions: tuple[tuple[int, ...], ...]
-    cumulative: tuple[int, ...] = field(repr=False)
-    _index: dict[tuple[int, ...], int] = field(repr=False)
+    _groups: tuple[_Permutations | _Tie, ...] = field(repr=False)
+    # rank of each group's first sequence, then the sequence count
+    _starts: tuple[int, ...] = field(repr=False)
+    # index of each group's first class, then the class count
+    _firsts: tuple[int, ...] = field(repr=False)
+    # sorted counts vector (the multiset) -> index of its group
+    _group_of: dict[tuple[int, ...], int] = field(repr=False)
 
     @property
     def sequence_count(self) -> int:
-        return self.cumulative[-1] if self.cumulative else 0
+        return self._starts[-1]
+
+    @property
+    def class_count(self) -> int:
+        return self._firsts[-1]
+
+    @property
+    def compositions(self) -> _Classes:
+        return _Classes(self)
+
+    def classes(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Every class's counts vector and size, in order."""
+        for group in self._groups:
+            yield from group.walk()
+
+    def _find(self, counts: tuple[int, ...]) -> tuple[int, int]:
+        """Group of a counts vector and its class's position in the group."""
+        g = self._group_of[tuple(sorted(counts))]
+        return g, self._groups[g].position(counts)
+
+    def _class(self, i: int) -> tuple[int, int]:
+        """Group of class i and the class's position in the group."""
+        if not 0 <= i < self.class_count:
+            raise IndexError(f"class {i} outside 0..{self.class_count - 1}")
+        g = bisect_right(self._firsts, i) - 1
+        return g, i - self._firsts[g]
 
     def class_index(self, comp: Composition) -> int:
-        return self._index[comp.counts]
+        g, j = self._find(comp.counts)
+        return self._firsts[g] + j
 
-    def class_of_rank(self, r: RankIndex) -> int:
-        """Index of the class holding global rank r."""
-        return bisect_right(self.cumulative, r)
+    def class_counts(self, i: int) -> tuple[int, ...]:
+        """Counts vector of class i."""
+        g, j = self._class(i)
+        return self._groups[g].counts(j)
 
     def class_start(self, i: int) -> int:
         """Global rank of the first sequence in class i."""
-        return self.cumulative[i - 1] if i else 0
+        g, j = self._class(i)
+        return self._starts[g] + self._groups[g].offset(j)
+
+    def class_span(self, counts: tuple[int, ...]) -> tuple[RankIndex, int]:
+        """Global rank of the first sequence with this counts vector, and
+        the size of its class."""
+        g, j = self._find(counts)
+        group = self._groups[g]
+        return self._starts[g] + group.offset(j), group.size(j)
+
+    def _at(self, r: RankIndex) -> tuple[int, int, int]:
+        """Group of global rank r, its class's position in the group and
+        r's offset within the class."""
+        starts = self._starts
+        if not 0 <= r < starts[-1]:
+            raise RankOutOfRangeError(f"rank {r} outside 0..{starts[-1] - 1}")
+        g = bisect_right(starts, r) - 1
+        j, offset = self._groups[g].locate(r - starts[g])
+        return g, j, offset
+
+    def locate(self, r: RankIndex) -> tuple[tuple[int, ...], int, int]:
+        """The class holding global rank r: its counts vector, its size and
+        r's offset within it."""
+        g, j, offset = self._at(r)
+        group = self._groups[g]
+        return group.counts(j), group.size(j), offset
+
+    def class_of_rank(self, r: RankIndex) -> int:
+        """Index of the class holding global rank r."""
+        g, j, _ = self._at(r)
+        return self._firsts[g] + j
 
     def class_entropy(self, i: int) -> float:
         """Empirical entropy of class i, in bits per symbol."""
-        return entropy_of_composition(Composition(self.compositions[i])).bits_per_symbol
+        return entropy_of_composition(Composition(self.class_counts(i))).bits_per_symbol
 
 
 def class_ordering(
     n: int, alphabet: Alphabet, max_classes: int = DEFAULT_CLASS_CAP
 ) -> ClassOrdering:
-    """Materialize the entropy-ordered class list for length-n sequences
-    (the order compares exact integers, so it has no log base).
+    """Build the entropy-ordered class groups for length-n sequences (the
+    order compares exact integers, so it has no log base).
 
     Raises TooManyClassesError, before allocating anything, when the
     ordering has more than max_classes classes or more than 4 * max_classes
@@ -171,7 +383,7 @@ def class_ordering(
             f"exceed the cap of {max_classes} classes or "
             f"{4 * max_classes} counts"
         )
-    factorial = list(accumulate(range(1, n + 1), mul, initial=1))
+    factorial = list(accumulate(range(1, max(n, size) + 1), mul, initial=1))
     self_power = [c**c for c in range(n + 1)]
     keyed = []
     for counts in _partitions(n, size):
@@ -180,78 +392,56 @@ def class_ordering(
         for c in counts:
             prod *= self_power[c]
             denominator *= factorial[c]
-        keyed.append((prod, counts, factorial[n] // denominator))
+        values, repeats = zip(*((v, len(list(run))) for v, run in groupby(counts)))
+        classes = factorial[size]
+        for k in repeats:
+            classes //= factorial[k]
+        group = _Permutations(values, repeats, classes, factorial[n] // denominator)
+        keyed.append((prod, tuple(counts), group))
     # prod n^n descending == entropy ascending for fixed N (exact ints)
     keyed.sort(key=itemgetter(0), reverse=True)
-    comps = []
-    sizes = []
-    for _, group in groupby(keyed, key=itemgetter(0)):
-        group = list(group)
-        start = len(comps)
-        for _, counts, class_size in group:
-            comps.extend(_permutations(counts))
-            sizes.extend(repeat(class_size, len(comps) - len(sizes)))
-        if len(group) > 1:
+    groups = []
+    group_of = {}
+    for _, tied in groupby(keyed, key=itemgetter(0)):
+        tied = list(tied)
+        if len(tied) == 1:
+            group = tied[0][2]
+        else:
             # distinct multisets with equal entropy: lexicographic on counts
-            tied = sorted(zip(comps[start:], sizes[start:]))
-            comps[start:] = [c for c, _ in tied]
-            sizes[start:] = [s for _, s in tied]
+            members, sizes = zip(*sorted(
+                member for _, _, permutations in tied for member in permutations.walk()
+            ))
+            group = _Tie(members, tuple(accumulate(sizes, initial=0)))
+        for _, multiset, _ in tied:
+            group_of[multiset] = len(groups)
+        groups.append(group)
     return ClassOrdering(
         length=n,
         alphabet=alphabet,
-        compositions=tuple(comps),
-        cumulative=tuple(accumulate(sizes)),
-        _index=dict(zip(comps, range(len(comps)))),
+        _groups=tuple(groups),
+        _starts=tuple(accumulate((g.total for g in groups), initial=0)),
+        _firsts=tuple(accumulate((g.classes for g in groups), initial=0)),
+        _group_of=group_of,
     )
 
 
 def rank_in_class(seq: Sequence) -> RankIndex:
-    """Position of seq in the lexicographic order of its type class.
-
-    Standard prefix-count method: at each position, add the number of
-    permutations of the remaining multiset that start with a smaller
-    symbol.  ``remaining * counts[s] // remaining_total`` is exact.
-    """
+    """Position of seq in the lexicographic order of its type class."""
     counts = [0] * seq.alphabet.size
     for s in seq.symbols:
         counts[s] += 1
-    remaining = multinomial(Composition(tuple(counts)))
-    total = seq.length
-    rank = 0
-    for sym in seq.symbols:
-        for smaller in range(sym):
-            if counts[smaller]:
-                rank += remaining * counts[smaller] // total
-        remaining = remaining * counts[sym] // total
-        counts[sym] -= 1
-        total -= 1
-    return rank
+    return _lex_rank(seq.symbols, counts, multinomial(Composition(tuple(counts))))
 
 
 def unrank_in_class(comp: Composition, r: RankIndex) -> Sequence:
     """Inverse of rank_in_class: the r-th lexicographic sequence of a class."""
-    size = len(comp.counts)
-    total = comp.total
     remaining = multinomial(comp)
     if not 0 <= r < remaining:
         raise RankOutOfRangeError(
             f"rank {r} outside class of size {remaining} for counts {comp.counts}"
         )
-    counts = list(comp.counts)
-    symbols = []
-    for _ in range(comp.total):
-        for sym in range(size):
-            if not counts[sym]:
-                continue
-            here = remaining * counts[sym] // total
-            if r < here:
-                symbols.append(sym)
-                remaining = here
-                counts[sym] -= 1
-                total -= 1
-                break
-            r -= here
-    return Sequence(Alphabet(size), tuple(symbols))
+    symbols = _lex_unrank(comp.counts, remaining, r)
+    return Sequence(Alphabet(len(comp.counts)), tuple(symbols))
 
 
 def rank_sequence(seq: Sequence, ordering: ClassOrdering) -> RankIndex:
@@ -264,8 +454,9 @@ def rank_sequence(seq: Sequence, ordering: ClassOrdering) -> RankIndex:
     counts = [0] * seq.alphabet.size
     for s in seq.symbols:
         counts[s] += 1
-    i = ordering._index[tuple(counts)]
-    return ordering.class_start(i) + rank_in_class(seq)
+    start, size = ordering.class_span(tuple(counts))
+    # rank_in_class, with the class size the ordering already holds
+    return start + _lex_rank(seq.symbols, counts, size)
 
 
 def unrank_sequence(
@@ -277,11 +468,6 @@ def unrank_sequence(
             f"requested ({n}, {alphabet.size}) does not match ordering "
             f"({ordering.length}, {ordering.alphabet.size})"
         )
-    if not 0 <= r < ordering.sequence_count:
-        raise RankOutOfRangeError(
-            f"rank {r} outside 0..{ordering.sequence_count - 1}"
-        )
-    i = ordering.class_of_rank(r)
-    return unrank_in_class(
-        Composition(ordering.compositions[i]), r - ordering.class_start(i)
-    )
+    counts, size, offset = ordering.locate(r)
+    # unrank_in_class, with the class size the ordering already holds
+    return Sequence(alphabet, tuple(_lex_unrank(counts, size, offset)))

@@ -45,7 +45,6 @@ from .core import (
     Alphabet,
     Composition,
     Sequence,
-    composition_of,
     format_sequence,
     weighted_entropy,
 )
@@ -212,19 +211,22 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
     shaped_ordering = shared_ordering(config.length + config.extra_length, alphabet)
     p = np.asarray(pmf, dtype=np.float64)
     p = p / p.sum()
-    plain, shaped = Counter(), Counter()
+    plain, shaped = Counter(), Counter()  # class index -> samples
     for i in range(lo, hi):
         # one generator per sample keyed by (seed, index): chunking cannot
         # change the stream any sample sees
         rng = np.random.default_rng([seed, i])
         symbols = tuple(int(s) for s in rng.choice(alphabet.size, size=config.length, p=p))
-        plain_seq = Sequence(alphabet, symbols)
-        r = rank_sequence(plain_seq, plain_ordering)
-        plain[composition_of(plain_seq).counts] += 1
-        # the image has rank r too, so its class is the one holding rank r
-        j = shaped_ordering.class_of_rank(r)
-        shaped[shaped_ordering.compositions[j]] += 1
-    return plain, shaped
+        r = rank_sequence(Sequence(alphabet, symbols), plain_ordering)
+        # the sample's class holds rank r; the image has rank r too, so
+        # its class is the one holding rank r in the N+K order
+        plain[plain_ordering.class_of_rank(r)] += 1
+        shaped[shaped_ordering.class_of_rank(r)] += 1
+    # keyed by counts vector instead, in the order first seen
+    return (
+        Counter({plain_ordering.class_counts(j): n for j, n in plain.items()}),
+        Counter({shaped_ordering.class_counts(j): n for j, n in shaped.items()}),
+    )
 
 
 def _split_ranges(total: int, chunks: int):

@@ -17,7 +17,7 @@ from .combinatorics import (
     rank_sequence,
     unrank_sequence,
 )
-from .core import Alphabet, Composition, Sequence
+from .core import Alphabet, Composition, Sequence, entropy_of_composition
 from .errors import (
     AlphabetTooSmallError,
     BadLengthError,
@@ -145,15 +145,16 @@ class ShapedSubsetStats:
 def shaped_subset_stats(params: ShapingParams) -> ShapedSubsetStats:
     """List the classes (with per-class included counts) forming the subset."""
     ordering = shared_ordering(params.target_length, params.alphabet)
-    last = ordering.class_of_rank(params.subset_size - 1)
-    # classes before `last` are included in full, `last` up to rank |A|**N
-    ends = ordering.cumulative[:last] + (params.subset_size,)
-    census = tuple(
-        (Composition(counts), end - ordering.class_start(i))
-        for i, (counts, end) in enumerate(zip(ordering.compositions, ends))
-    )
+    census = []
+    left = params.subset_size
+    # classes in order, in full until the one holding rank |A|**N - 1
+    for counts, size in ordering.classes():
+        census.append((Composition(counts), min(size, left)))
+        left -= size
+        if left <= 0:
+            break
     return ShapedSubsetStats(
         params=params,
-        max_entropy_in_subset=ordering.class_entropy(last),
-        class_census=census,
+        max_entropy_in_subset=entropy_of_composition(census[-1][0]).bits_per_symbol,
+        class_census=tuple(census),
     )

@@ -411,6 +411,22 @@ class TestConfigFile:
         assert captured.out == ""
         assert "chrage" in stderr_json(captured.err)["detail"]
 
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ("k = 0", "config k: must be >= 1, got 0"),
+            ("pmf = a,b", "config pmf: cannot parse 'a,b'"),
+        ],
+    )
+    def test_config_range_error_keeps_the_flag_types_message(
+        self, tmp_path, capsys, line, detail
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 3\nalphabet = 3\n{line}\n")
+        code, out, err = run_cli(["sample", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert stderr_json(err)["detail"] == detail
+
     @pytest.mark.parametrize("command", ["exhaustive", "sample"])
     def test_config_shared_across_commands(self, tmp_path, command):
         # keys another subcommand owns are accepted and ignored

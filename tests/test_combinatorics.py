@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -98,7 +100,7 @@ class TestClassOrdering:
 
     def test_cumulative_27_at_n4(self):
         ordering = class_ordering(4, A3)
-        assert ordering.cumulative[8] == 27
+        assert ordering.class_start(9) == 27
         for c in ordering.compositions[3:9]:
             assert sorted(c) == [0, 1, 3]
 
@@ -141,23 +143,65 @@ class TestClassOrdering:
 
     @pytest.mark.parametrize(
         "n, size",
-        [(8, 5), (10, 4), (12, 6), (20, 4), (40, 3), (2, 7), (3, 9), (1, 12)],
+        [
+            (8, 5), (10, 4), (12, 6), (20, 4), (40, 3), (2, 7), (3, 9), (1, 12),
+            # the smallest points with a 3-member exact-tie group
+            (22, 5), (16, 6),
+        ],
     )
     def test_matches_reference_order(self, n, size):
         ordering = class_ordering(n, Alphabet(size))
         classes, cumulative = reference_class_order(n, size)
         assert list(ordering.compositions) == classes
-        assert list(ordering.cumulative) == cumulative
+        assert [ordering.compositions[i] for i in range(len(classes))] == classes
+        assert list(accumulate(size for _, size in ordering.classes())) == cumulative
+        starts = [0] + cumulative[:-1]
+        assert [ordering.class_start(i) for i in range(len(classes))] == starts
+        assert ordering.sequence_count == cumulative[-1]
         assert [ordering.class_index(Composition(c)) for c in classes] == list(
             range(len(classes))
         )
+        for i, (first, end) in enumerate(zip(starts, cumulative)):
+            assert ordering.class_of_rank(first) == i == ordering.class_of_rank(end - 1)
+            size = end - first
+            assert ordering.class_span(classes[i]) == (first, size)
+            assert ordering.locate(first) == (classes[i], size, 0)
+            assert ordering.locate(end - 1) == (classes[i], size, size - 1)
+
+    def test_compositions_view(self):
+        ordering = class_ordering(4, A3)
+        view = ordering.compositions
+        listed = list(view)
+        assert len(view) == len(listed) == 15
+        assert view[-1] == view[14] == listed[-1]
+        assert view[3:9] == tuple(listed[3:9])
+        with pytest.raises(IndexError):
+            view[15]
+        with pytest.raises(IndexError):
+            ordering.class_start(-1)
+        with pytest.raises(RankOutOfRangeError):
+            ordering.class_of_rank(3**4)
+        with pytest.raises(RankOutOfRangeError):
+            ordering.class_of_rank(-1)
 
     def test_cumulative_strictly_increasing(self):
         ordering = class_ordering(6, A3)
-        assert all(
-            a < b for a, b in zip(ordering.cumulative, ordering.cumulative[1:])
-        )
+        starts = [ordering.class_start(i) for i in range(len(ordering.compositions))]
+        assert all(a < b for a, b in zip(starts, starts[1:]))
         assert ordering.sequence_count == 3**6
+
+    def test_retained_memory_per_multiset(self):
+        # one group per count multiset (8,029 at (100,4)), not one entry per
+        # class (176,851): about 4 MiB retained, against 39 MiB for a table
+        # of counts, cumulative sizes and an index per class
+        tracemalloc.start()
+        try:
+            ordering = class_ordering(100, A4)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ordering.compositions) == composition_count(100, A4)
+        assert retained < 13 * 2**20
 
     def test_class_cap(self):
         with pytest.raises(TooManyClassesError):
@@ -247,6 +291,31 @@ class TestGlobalRank:
             assert unrank_sequence(
                 n, alphabet, rank_sequence(s, ordering), ordering
             ) == s
+
+    def test_round_trip_every_sequence_n8_a5(self):
+        # the smallest point with an exact tie between count multisets:
+        # (2,2,2,2,0) and (4,1,1,1,1) and their permutations interleave
+        alphabet = Alphabet(5)
+        ordering = class_ordering(8, alphabet)
+        ranks = set()
+        for t in all_tuples(8, 5):
+            s = Sequence(alphabet, t)
+            r = rank_sequence(s, ordering)
+            assert unrank_sequence(8, alphabet, r, ordering) == s
+            ranks.add(r)
+        assert ranks == set(range(5**8))
+
+    def test_round_trip_around_exact_tie_n10_a4(self):
+        # every rank of the tied (1,1,2,6) / (3,0,3,4) group and of the
+        # five classes on either side of it
+        ordering = class_ordering(10, A4)
+        classes, _ = reference_class_order(10, 4)
+        tied = [i for i, c in enumerate(classes) if sorted(c) in ([1, 1, 2, 6], [0, 3, 3, 4])]
+        lo, hi = tied[0] - 5, tied[-1] + 6
+        for r in range(ordering.class_start(lo), ordering.class_start(hi)):
+            s = unrank_sequence(10, A4, r, ordering)
+            assert rank_sequence(s, ordering) == r
+            assert counts_of(s.symbols, 4) == classes[ordering.class_of_rank(r)]
 
     def test_entropy_monotone_in_rank(self):
         ordering = class_ordering(5, A3)
