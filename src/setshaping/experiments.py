@@ -8,7 +8,11 @@ sums are kept as integer coefficients of ln(v) terms (N*H0 = N*ln N -
 sum n*ln n, all integer-weighted), evaluated to float once at the end in a
 fixed order.  Sampled runs split the samples into chunks (optionally over
 ``jobs`` processes, at most one per CPU) whose class counts add up exactly,
-so results are bit-identical regardless of worker count or chunking.
+so results are bit-identical regardless of worker count or chunking.  A
+sample is classified by its counts vector alone, with no Sequence and no
+full rank: where its plain class maps inside one shaped class that is its
+shaped class, and where the class straddles a shaped boundary the sample
+is ranked only as far as it takes to tell which side it lies on.
 
 Every report's sub-alphabet census is read off the exhaustive class-weight
 maps: the ones an exhaustive run tallies, or for a sampled run (whose maps
@@ -37,14 +41,12 @@ from .combinatorics import (
     composition_count,
     enumerate_compositions,
     multinomial,
-    rank_sequence,
     unrank_sequence,
 )
 from .core import (
     _check_base,
     Alphabet,
     Composition,
-    Sequence,
     format_sequence,
     weighted_entropy,
 )
@@ -203,30 +205,86 @@ def _tally_classes(
     return tally
 
 
+def _shaped_span(counts, plain_ordering, shaped_ordering):
+    """Where the transform sends the plain class with this counts vector.
+
+    The transform keeps ranks, so the class's ranks [start, start + size)
+    land on the same range of the N+K order.  Returns the shaped classes
+    that range meets, in order, and the in-class ranks at which each of
+    them but the first begins, followed by the class size.
+    """
+    start, size = plain_ordering.class_span(counts)
+    classes = range(
+        shaped_ordering.class_of_rank(start),
+        shaped_ordering.class_of_rank(start + size - 1) + 1,
+    )
+    bounds = [shaped_ordering.class_start(j) - start for j in classes[1:]]
+    return classes, bounds + [size]
+
+
+def _bounds_below(symbols, counts, bounds) -> int:
+    """How many of ``bounds`` are <= the in-class rank of ``symbols`` (its
+    position in the lexicographic order of its counts' orderings).  The
+    bounds ascend and end with the class size, which no rank reaches.
+
+    The prefix-count method of ``_lex_rank``, stopped as soon as the prefix
+    read puts the rank in a range [low, low + remaining) that no bound
+    splits: few symbols are read, where a full rank reads them all.
+    """
+    counts = list(counts)
+    total = len(symbols)
+    low, remaining = 0, bounds[-1]
+    k = 0  # bounds <= low
+    for sym in symbols:
+        if bounds[k] >= low + remaining:
+            break
+        for smaller in range(sym):
+            if counts[smaller]:
+                low += remaining * counts[smaller] // total
+        remaining = remaining * counts[sym] // total
+        counts[sym] -= 1
+        total -= 1
+        while bounds[k] <= low:
+            k += 1
+    return k
+
+
 def _sampled_chunk(args) -> tuple[Counter, Counter]:
-    """Plain and shaped type-class counts of samples lo..hi-1."""
+    """Plain and shaped type-class counts of samples lo..hi-1, keyed by
+    counts vector.  A sample's plain class is its counts vector; its shaped
+    class is one of its plain class's ``_shaped_span``, kept once per
+    counts vector, and only a class straddling a shaped boundary has its
+    samples (partly) ranked."""
     config, pmf, seed, lo, hi = args
-    alphabet = config.alphabet
-    plain_ordering = shared_ordering(config.length, alphabet)
-    shaped_ordering = shared_ordering(config.length + config.extra_length, alphabet)
+    size, length = config.alphabet_size, config.length
+    plain_ordering = shared_ordering(length, config.alphabet)
+    shaped_ordering = shared_ordering(length + config.extra_length, config.alphabet)
     p = np.asarray(pmf, dtype=np.float64)
     p = p / p.sum()
-    plain, shaped = Counter(), Counter()  # class index -> samples
+    # Generator.choice(size, length, p=p) draws through this cdf: one
+    # uniform per symbol, mapped by searchsorted(side="right")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    plain, shaped = Counter(), Counter()  # shaped: class index -> samples
+    spans = {}  # counts vector -> _shaped_span
     for i in range(lo, hi):
         # one generator per sample keyed by (seed, index): chunking cannot
         # change the stream any sample sees
         rng = np.random.default_rng([seed, i])
-        symbols = tuple(int(s) for s in rng.choice(alphabet.size, size=config.length, p=p))
-        r = rank_sequence(Sequence(alphabet, symbols), plain_ordering)
-        # the sample's class holds rank r; the image has rank r too, so
-        # its class is the one holding rank r in the N+K order
-        plain[plain_ordering.class_of_rank(r)] += 1
-        shaped[shaped_ordering.class_of_rank(r)] += 1
-    # keyed by counts vector instead, in the order first seen
-    return (
-        Counter({plain_ordering.class_counts(j): n for j, n in plain.items()}),
-        Counter({shaped_ordering.class_counts(j): n for j, n in shaped.items()}),
-    )
+        symbols = cdf.searchsorted(rng.random(length), side="right")
+        counts = np.bincount(symbols, minlength=size)
+        if len(counts) != size:
+            raise ValueError(
+                f"symbol {symbols.max()} out of range for alphabet of size {size}"
+            )
+        counts = tuple(counts.tolist())
+        plain[counts] += 1
+        span = spans.get(counts)
+        if span is None:
+            span = spans[counts] = _shaped_span(counts, plain_ordering, shaped_ordering)
+        classes, bounds = span
+        shaped[classes[_bounds_below(symbols.tolist(), counts, bounds)]] += 1
+    return plain, Counter({shaped_ordering.class_counts(j): n for j, n in shaped.items()})
 
 
 def _split_ranges(total: int, chunks: int):

@@ -3,10 +3,17 @@
 Everything here recomputes expected values from first principles
 (enumeration, direct formulas) without touching the library's code paths,
 so the tests check implementations against genuinely separate arithmetic.
+The one exception, ``reference_sampled_classes``, keeps the sampler's
+earlier per-sample path, built on the library's rank and class lookup, as
+the reference for the sampler that classifies draws by counts vector.
 """
 import itertools
 import math
 from collections import Counter
+
+import numpy as np
+
+from setshaping import Alphabet, Sequence, rank_sequence, shared_ordering
 
 
 def brute_entropy(symbols, base=2.0):
@@ -134,3 +141,26 @@ def reference_decode(data, bit_length, lengths, codewords, n):
     if pos != bit_length:
         raise ValueError("unread bits")
     return tuple(out)
+
+
+def reference_sampled_classes(config, pmf, seed, lo, hi):
+    """Plain and shaped {counts vector: samples} of samples lo..hi-1, one
+    sample at a time: draw it with Generator.choice from the generator
+    keyed by (seed, index), rank it in the N order, and read the class
+    holding that rank in the N and the N+K orders."""
+    alphabet = Alphabet(config.alphabet_size)
+    plain_ordering = shared_ordering(config.length, alphabet)
+    shaped_ordering = shared_ordering(config.length + config.extra_length, alphabet)
+    p = np.asarray(pmf, dtype=np.float64)
+    p = p / p.sum()
+    plain, shaped = Counter(), Counter()  # class index -> samples
+    for i in range(lo, hi):
+        rng = np.random.default_rng([seed, i])
+        symbols = tuple(int(s) for s in rng.choice(alphabet.size, size=config.length, p=p))
+        r = rank_sequence(Sequence(alphabet, symbols), plain_ordering)
+        plain[plain_ordering.class_of_rank(r)] += 1
+        shaped[shaped_ordering.class_of_rank(r)] += 1
+    return (
+        Counter({plain_ordering.class_counts(j): n for j, n in plain.items()}),
+        Counter({shaped_ordering.class_counts(j): n for j, n in shaped.items()}),
+    )

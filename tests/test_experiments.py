@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setshaping import (
     Alphabet,
@@ -19,6 +21,7 @@ from setshaping import (
     reproduce_table,
     run_exhaustive,
     run_sampled,
+    shared_ordering,
     source_entropy,
     table_to_csv,
     total_compressed_length,
@@ -29,7 +32,16 @@ from setshaping import experiments
 from setshaping.experiments import ExperimentReport
 from setshaping.errors import BadDistributionError, TooLargeError
 
-from oracles import all_tuples, brute_entropy, counts_of, entropy_sorted_tuples
+from oracles import (
+    all_tuples,
+    brute_entropy,
+    compositions,
+    counts_of,
+    entropy_sorted_tuples,
+    multiset_permutations,
+    reference_class_order,
+    reference_sampled_classes,
+)
 
 A3 = Alphabet(3)
 FORMATS = (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE)
@@ -340,6 +352,166 @@ class TestSampled:
         config = ExperimentConfig(length=3, alphabet_size=3)
         with pytest.raises(BadDistributionError):
             run_sampled(config, SourceSpec(Alphabet(4), seed=0))
+
+
+SAMPLED_SHAPES = [(6, 4, 1), (6, 4, 2), (4, 3, 3), (8, 5, 1)]
+PMF_KINDS = ["uniform", "skewed", "zero first", "zero middle", "zero last"]
+
+
+def grid_pmf(size, kind):
+    weights = [1] * size if kind == "uniform" else [2 ** (size - s) for s in range(size)]
+    zero = {"zero first": 0, "zero middle": size // 2, "zero last": size - 1}.get(kind)
+    if zero is not None:
+        weights[zero] = 0
+    return tuple(w / sum(weights) for w in weights)
+
+
+class _FixedDraws(np.random.Generator):
+    """A generator whose every uniform draw is u; Generator.choice draws
+    through random(), so it sees the same u."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.full(size, self.u)
+
+
+class TestSampledClasses:
+    """The chunk loop's class maps against the per-sample reference path:
+    draw with Generator.choice, rank, look the rank up in both orders."""
+
+    @pytest.mark.parametrize("kind", PMF_KINDS)
+    @pytest.mark.parametrize("n, size, k", SAMPLED_SHAPES)
+    def test_chunk_matches_reference(self, n, size, k, kind):
+        config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
+        args = (config, grid_pmf(size, kind), 17, 100, 900)
+        assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
+
+    @pytest.mark.parametrize("n, size, k", SAMPLED_SHAPES)
+    def test_grid_reaches_both_branches(self, n, size, k):
+        # the uniform samples fall in classes inside one shaped class and in
+        # straddling ones, and some land past their class's first shaped
+        # class: a memo that gives a straddling class one label fails
+        # test_chunk_matches_reference
+        config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
+        plain, shaped = reference_sampled_classes(
+            config, grid_pmf(size, "uniform"), 17, 100, 900
+        )
+        alphabet = Alphabet(size)
+        plain_ordering = shared_ordering(n, alphabet)
+        shaped_ordering = shared_ordering(n + k, alphabet)
+        spans = {
+            c: experiments._shaped_span(c, plain_ordering, shaped_ordering)[0]
+            for c in plain
+        }
+        assert {len(classes) > 1 for classes in spans.values()} == {False, True}
+        first_only = Counter()
+        for counts, samples in plain.items():
+            first_only[shaped_ordering.class_counts(spans[counts][0])] += samples
+        assert first_only != shaped
+
+    @pytest.mark.parametrize(
+        "n, size, k, inside, straddling", [(6, 4, 1, 22, 62), (4, 3, 3, 9, 6)]
+    )
+    def test_span_matches_sorted_classes(self, n, size, k, inside, straddling):
+        # each plain class's rank range against the shaped classes sorted
+        # directly: which ones it meets, and where each begins inside it
+        plain_classes, plain_ends = reference_class_order(n, size)
+        _, shaped_ends = reference_class_order(n + k, size)
+        shaped_starts = [0] + shaped_ends[:-1]
+        alphabet = Alphabet(size)
+        plain_ordering = shared_ordering(n, alphabet)
+        shaped_ordering = shared_ordering(n + k, alphabet)
+        kinds = Counter()
+        start = 0
+        for counts, end in zip(plain_classes, plain_ends):
+            met = [
+                j
+                for j, (lo, hi) in enumerate(zip(shaped_starts, shaped_ends))
+                if lo < end and hi > start
+            ]
+            bounds = [shaped_starts[j] - start for j in met[1:]]
+            classes, got_bounds = experiments._shaped_span(
+                counts, plain_ordering, shaped_ordering
+            )
+            assert list(classes) == met
+            assert got_bounds == bounds + [end - start]
+            kinds[len(met) > 1] += 1
+            start = end
+        assert kinds == Counter({False: inside, True: straddling})
+
+    @pytest.mark.parametrize("n, size, k", [(6, 4, 1), (4, 3, 3), (5, 3, 2)])
+    def test_bounds_below_counts_bounds_at_or_below_rank(self, n, size, k):
+        # every sequence of every class, those that sit exactly on a shaped
+        # class's first rank included
+        alphabet = Alphabet(size)
+        plain_ordering = shared_ordering(n, alphabet)
+        shaped_ordering = shared_ordering(n + k, alphabet)
+        for counts in compositions(n, size):
+            classes, bounds = experiments._shaped_span(
+                counts, plain_ordering, shaped_ordering
+            )
+            for rank, seq in enumerate(multiset_permutations(counts)):
+                below = sum(1 for b in bounds if b <= rank)
+                assert experiments._bounds_below(list(seq), counts, bounds) == below
+
+    # the normalised pmf's cumsum ends an ulp below 1 for (5, 0, 17, 1, 2)
+    @pytest.mark.parametrize(
+        "weights", [(0, 2, 1, 1), (2, 0, 1, 1), (2, 1, 1, 0), (5, 0, 17, 1, 2)]
+    )
+    def test_draws_on_cdf_breakpoints_match_choice(self, monkeypatch, weights):
+        # a draw of 0, of a cdf value or just below 1 is where side="right"
+        # and dividing the cdf by its end decide the symbol
+        pmf = tuple(w / sum(weights) for w in weights)
+        p = np.asarray(pmf)
+        cdf = (p / p.sum()).cumsum()
+        cdf /= cdf[-1]
+        config = ExperimentConfig(length=3, alphabet_size=len(weights))
+        args = (config, pmf, 0, 0, 2)
+        for u in {0.0, np.nextafter(1.0, 0.0), *cdf[cdf < 1.0]}:
+            monkeypatch.setattr(np.random, "default_rng", lambda seed, u=u: _FixedDraws(u))
+            assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
+
+    def test_symbol_outside_alphabet_raises(self, monkeypatch):
+        # no generator draws 1.0; a draw that did would map past the last
+        # symbol, and must fail rather than be counted
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(1.0))
+        args = (ExperimentConfig(length=4, alphabet_size=3), (0.5, 0.25, 0.25), 0, 0, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            experiments._sampled_chunk(args)
+        with pytest.raises(ValueError, match="out of range"):
+            reference_sampled_classes(*args)
+
+
+@st.composite
+def sampled_cases(draw):
+    """A small (N, |A|, K) run with a random pmf, some entries forced to 0."""
+    size = draw(st.integers(3, 5))
+    zeros = draw(st.sets(st.integers(0, size - 1), max_size=size - 1))
+    weights = [0 if s in zeros else draw(st.integers(1, 20)) for s in range(size)]
+    pmf = tuple(w / sum(weights) for w in weights)
+    config = ExperimentConfig(
+        length=draw(st.integers(2, 7)),
+        alphabet_size=size,
+        extra_length=draw(st.integers(1, 3)),
+        sample_count=draw(st.integers(50, 150)),
+        jobs=draw(st.integers(1, 2)),
+    )
+    return config, SourceSpec(Alphabet(size), pmf, seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=40, deadline=5000)
+@given(sampled_cases())
+def test_sampled_report_matches_reference_classes(case):
+    config, spec = case
+    plain, shaped = reference_sampled_classes(
+        config, spec.pmf, spec.seed, 0, config.sample_count
+    )
+    census = type_class_census(config.length, spec.alphabet, config.extra_length)
+    expected = experiments._build_report(config, plain, shaped, spec, census)
+    assert run_sampled(config, spec) == expected
 
 
 class TestReportSerialization:
