@@ -15,8 +15,9 @@ shaped class, and where the class straddles a shaped boundary the sample
 is ranked only as far as it takes to tell which side it lies on.
 
 Every report's sub-alphabet census is read off the exhaustive class-weight
-maps: the ones an exhaustive run tallies, or for a sampled run (whose maps
-hold only the sampled classes) the ones ``type_class_census`` builds.
+maps, which the two class orderings hold: the ones an exhaustive run
+tallies, or for a sampled run (whose maps hold only the sampled classes)
+the ones ``type_class_census`` reads.
 """
 from __future__ import annotations
 
@@ -36,13 +37,7 @@ from .coding import (
     payload_bit_count,
     scheme_bit_count,
 )
-from .combinatorics import (
-    DEFAULT_CLASS_CAP,
-    composition_count,
-    enumerate_compositions,
-    multinomial,
-    unrank_sequence,
-)
+from .combinatorics import unrank_sequence
 from .core import (
     _check_base,
     Alphabet,
@@ -53,7 +48,7 @@ from .core import (
 from .errors import BadDistributionError, TooLargeError
 from .shaping import (
     ShapingParams,
-    shaped_subset_stats,
+    _subset_classes,
     shared_ordering,
     transform,
 )
@@ -296,17 +291,18 @@ def _split_ranges(total: int, chunks: int):
 def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
     """Measure every length-N message and its image, one type class at a time.
 
-    The plain side holds every class in full (multinomial(c) messages); the
+    The plain side holds every class of the length-N ordering in full; the
     shaped side holds the classes of the |A|**N lowest-ranked length-(N+K)
     sequences, the last of them possibly in part.  Cost grows with the
     number of classes, not messages; ``jobs`` does not apply.
     """
     params = config.shaping  # validate alphabet/length/extra_length up front
-    population = config.alphabet_size**config.length
-    if population > config.exhaustive_cap:
+    size, n, cap = config.alphabet_size, config.length, config.exhaustive_cap
+    # |A| > 2, so n >= cap.bit_length() puts |A|**n over the cap unbuilt
+    if n >= cap.bit_length() or size**n > cap:
         raise TooLargeError(
-            f"{population} messages exceed the exhaustive cap of "
-            f"{config.exhaustive_cap}; use sampled mode"
+            f"{size}**{n} messages exceed the exhaustive cap of {cap}; "
+            f"use sampled mode"
         )
     plain, shaped = _population(params)
     census = _census(params, plain, shaped)
@@ -378,11 +374,9 @@ class CensusReport:
 def _population(params: ShapingParams) -> tuple[Counter, Counter]:
     """Every length-N message and its image as {counts vector: message count}:
     each plain class in full, and the shaped subset's classes with the
-    included part of the boundary class."""
-    census = shaped_subset_stats(params).class_census
-    shaped = Counter({comp.counts: included for comp, included in census})
-    comps = enumerate_compositions(params.length, params.alphabet)
-    plain = Counter({c.counts: multinomial(c) for c in comps})
+    included part of the boundary class, read off the two orderings."""
+    shaped = Counter(dict(_subset_classes(params)))
+    plain = Counter(dict(shared_ordering(params.length, params.alphabet).classes()))
     return plain, shaped
 
 
@@ -406,12 +400,9 @@ def _census(params: ShapingParams, plain: Counter, shaped: Counter) -> CensusRep
 
 
 def type_class_census(n: int, alphabet: Alphabet, extra_length: int = 1) -> CensusReport:
-    """Census of sub-alphabet type classes, plain set vs shaped subset."""
+    """Census of sub-alphabet type classes, plain set vs shaped subset; an
+    ordering over its class cap raises TooManyClassesError."""
     params = ShapingParams(n, alphabet, extra_length)
-    if composition_count(n, alphabet) > DEFAULT_CLASS_CAP:
-        raise TooLargeError(
-            f"composition census for length {n} exceeds cap {DEFAULT_CLASS_CAP}"
-        )
     return _census(params, *_population(params))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 from .combinatorics import (
     ClassOrdering,
@@ -142,19 +143,23 @@ class ShapedSubsetStats:
         return sum(count for _, count in self.class_census)
 
 
-def shaped_subset_stats(params: ShapingParams) -> ShapedSubsetStats:
-    """List the classes (with per-class included counts) forming the subset."""
-    ordering = shared_ordering(params.target_length, params.alphabet)
-    census = []
+def _subset_classes(params: ShapingParams) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The shaped subset's classes in order, as (counts vector, sequences
+    included): each in full until the one holding rank |A|**N - 1, which
+    may be cut."""
     left = params.subset_size
-    # classes in order, in full until the one holding rank |A|**N - 1
-    for counts, size in ordering.classes():
-        census.append((Composition(counts), min(size, left)))
+    for counts, size in shared_ordering(params.target_length, params.alphabet).classes():
+        yield counts, min(size, left)
         left -= size
         if left <= 0:
-            break
+            return
+
+
+def shaped_subset_stats(params: ShapingParams) -> ShapedSubsetStats:
+    """List the classes (with per-class included counts) forming the subset."""
+    census = tuple((Composition(c), included) for c, included in _subset_classes(params))
     return ShapedSubsetStats(
         params=params,
         max_entropy_in_subset=entropy_of_composition(census[-1][0]).bits_per_symbol,
-        class_census=tuple(census),
+        class_census=census,
     )

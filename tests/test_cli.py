@@ -78,10 +78,16 @@ class TestTransformCommands:
         assert stderr_json(err)["error"] == "ParseError"
 
     @pytest.mark.parametrize(
-        "argv", [["transform", "-a", "1200"], ["exhaustive", "-n", "1", "-a", "1200"]]
+        "argv",
+        [
+            ["transform", "-a", "1200"],
+            ["exhaustive", "-n", "1", "-a", "1200"],
+            ["census", "-n", "1000", "-a", "4"],
+        ],
     )
     def test_ordering_too_large(self, argv, capsys, monkeypatch):
-        # the length-2 ordering has 720,600 classes of 1,200 counts
+        # the length-2 ordering has 720,600 classes of 1,200 counts; the
+        # length-1001 ordering has 168,171,004 classes of 4 counts
         monkeypatch.setattr("sys.stdin", io.StringIO("7"))
         code, out, err = run_cli(argv, capsys)
         assert code == 3
@@ -283,6 +289,14 @@ class TestReports:
         code, out, err = run_cli(
             ["exhaustive", "-n", "40", "-a", "3", "--cap", "100"], capsys
         )
+        assert code == 3
+        payload = stderr_json(err)
+        assert payload["error"] == "TooLarge"
+        assert "sampled" in payload["detail"]
+
+    def test_exhaustive_cap_huge_length(self, capsys):
+        # 3**100000 has 47,713 digits: the cap check never builds it
+        code, out, err = run_cli(["exhaustive", "-n", "100000", "-a", "3"], capsys)
         assert code == 3
         payload = stderr_json(err)
         assert payload["error"] == "TooLarge"

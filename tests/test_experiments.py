@@ -17,10 +17,13 @@ from setshaping import (
     ShapingParams,
     SourceSpec,
     encode_message,
+    enumerate_compositions,
+    multinomial,
     pack_container,
     reproduce_table,
     run_exhaustive,
     run_sampled,
+    shaped_subset_stats,
     shared_ordering,
     source_entropy,
     table_to_csv,
@@ -203,6 +206,14 @@ class TestExhaustive:
             run_exhaustive(
                 ExperimentConfig(length=30, alphabet_size=3, exhaustive_cap=1000)
             )
+        with pytest.raises(TooLargeError, match=r"3\*\*1000000 messages"):
+            run_exhaustive(ExperimentConfig(length=10**6, alphabet_size=3))
+        # 3**3 == 27: a population equal to the cap runs, one over it does not
+        assert run_exhaustive(
+            ExperimentConfig(length=3, alphabet_size=3, exhaustive_cap=27)
+        ).population == 27
+        with pytest.raises(TooLargeError):
+            run_exhaustive(ExperimentConfig(length=3, alphabet_size=3, exhaustive_cap=26))
 
     def test_jobs_do_not_change_results(self, report):
         parallel = run_exhaustive(
@@ -584,6 +595,26 @@ class TestCensus:
         ):
             assert (census.length, census.alphabet_size, census.extra_length) == (n, size, k)
             assert {key: getattr(census, key) for key in expected} == expected
+
+    @pytest.mark.parametrize(
+        "n, size, k", [(8, 5, 1), (10, 4, 1), (9, 4, 1), (6, 3, 2), (6, 3, 3), (40, 4, 1)]
+    )
+    def test_population_matches_composition_oracle(self, n, size, k):
+        # exact-tie groups on the plain side at (8,5), (10,4) and (40,4), and
+        # in the shaped subset at (9,4,1) and (40,4,1)
+        params = ShapingParams(n, Alphabet(size), k)
+        plain = {c.counts: multinomial(c) for c in enumerate_compositions(n, params.alphabet)}
+        shaped = {}
+        classes, ends = reference_class_order(n + k, size)
+        start = 0
+        for counts, end in zip(classes, ends):
+            shaped[counts] = min(end, size**n) - start
+            start = end
+            if end >= size**n:
+                break
+        census = shaped_subset_stats(params).class_census
+        assert {c.counts: included for c, included in census} == shaped
+        assert experiments._population(params) == (Counter(plain), Counter(shaped))
 
     def test_round_trip(self):
         census = type_class_census(4, A3, 1)
