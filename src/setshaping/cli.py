@@ -15,6 +15,7 @@ in process too; only ``--help`` exits, with status 0, from inside argparse.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -434,13 +435,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without --config, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    # built per call: set_defaults below changes the subcommand's parser
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.config:
-            # the file's values become defaults, so explicit flags still win
+            # the file's values become defaults, so explicit flags still win;
+            # set_defaults changes a parser, so they go on one of this call's own
+            parser = build_parser()
+            args = parser.parse_args(argv)
             args.parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         _check_required(args)

@@ -8,11 +8,15 @@ sums are kept as integer coefficients of ln(v) terms (N*H0 = N*ln N -
 sum n*ln n, all integer-weighted), evaluated to float once at the end in a
 fixed order.  Sampled runs split the samples into chunks (optionally over
 ``jobs`` processes, at most one per CPU) whose class counts add up exactly,
-so results are bit-identical regardless of worker count or chunking.  A
-sample is classified by its counts vector alone, with no Sequence and no
-full rank: where its plain class maps inside one shaped class that is its
-shaped class, and where the class straddles a shaped boundary the sample
-is ranked only as far as it takes to tell which side it lies on.
+so results are bit-identical regardless of worker count or chunking.
+Sample i draws the uniform stream of ``np.random.default_rng([seed, i])``,
+computed for a block of indices at once in numpy integer arrays rather
+than by one generator per sample; the symbols and counts of a block come
+from whole-array operations too.  A sample is classified by its counts
+vector alone, with no Sequence and no full rank: where its plain class
+maps inside one shaped class that is its shaped class, and where the
+class straddles a shaped boundary the sample is ranked only as far as it
+takes to tell which side it lies on.
 
 Every report's sub-alphabet census is read off the exhaustive class-weight
 maps, which the two class orderings hold: the ones an exhaustive run
@@ -244,10 +248,158 @@ def _bounds_below(symbols, counts, bounds) -> int:
     return k
 
 
+# Sample i's draws are np.random.default_rng([seed, i]).random(N): numpy's
+# SeedSequence hashes the entropy words (the seed's uint32 words, then the
+# index's) into a pool of four, PCG64 is seeded from four uint64 words of
+# that pool, and each draw is one 128-bit LCG step, its XSL-RR output and
+# (x >> 11) * 2**-53.  _uniform_block runs that chain over a block of
+# indices at once, in uint32 and uint64 arrays; the constants are numpy's.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+# 32-bit limbs of the multiplier's low word: the high word of its product
+# with the state's low word is built from them
+_PCG_MULT_LIMBS = (np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32))
+_SHIFT16, _SHIFT32 = np.uint32(16), np.uint64(32)
+_LOW32 = np.uint64(_MASK32)
+# uniform draws per block: bounds a block's floats and symbols at 8 MiB each
+_BLOCK_DRAWS = 1 << 20
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The uint32 words SeedSequence reads from a non-negative int, low first."""
+    words = []
+    while True:
+        words.append(n & _MASK32)
+        n >>= 32
+        if not n:
+            return words
+
+
+def _hash_constants(calls: int, init: int, mult: int):
+    """The (xor, multiplier) pair of each of ``calls`` successive SeedSequence
+    hashes: the hash constant advances by a fixed product per call, so the
+    pairs do not depend on the values hashed."""
+    pairs = []
+    for _ in range(calls):
+        nxt = init * mult & _MASK32
+        pairs.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return pairs
+
+
+def _mul_high(a, limbs):
+    """High 64 bits of the 128-bit products a * b, with b given by its
+    32-bit limbs (low first)."""
+    b0, b1 = limbs
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
+    carry = (low >> _SHIFT32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return a1 * b1 + (cross0 >> _SHIFT32) + (cross1 >> _SHIFT32) + (carry >> _SHIFT32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_step(state, inc):
+    """state * multiplier + inc, mod 2**128, on (high, low) word arrays."""
+    s_hi, s_lo = state
+    high = _mul_high(s_lo, _PCG_MULT_LIMBS)
+    high += s_hi * _PCG_MULT_LO + s_lo * _PCG_MULT_HI
+    return _add128(high, s_lo * _PCG_MULT_LO, *inc)
+
+
+def _pcg64_seeded(seed: int, lo: int, hi: int):
+    """The PCG64 (state, inc) that ``np.random.default_rng([seed, i])``
+    starts from, for i in lo..hi-1, each as (high, low) uint64 arrays."""
+    count = hi - lo
+    index = np.arange(lo, hi, dtype=np.uint64)
+    entropy = [np.full(count, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    entropy.append((index & _LOW32).astype(np.uint32))
+    if hi - 1 > _MASK32:
+        entropy.append((index >> _SHIFT32).astype(np.uint32))
+    # SeedSequence.mix_entropy: the pool starts as the first four words
+    # (zeros past the end) hashed, mixes each word into the others, then
+    # mixes in any words past the fourth
+    tail = max(0, len(entropy) - _POOL_SIZE)
+    hashes = iter(
+        _hash_constants(_POOL_SIZE * (_POOL_SIZE + tail), _HASH_INIT_A, _HASH_MULT_A)
+    )
+
+    def hashmix(value):
+        xor, mult = next(hashes)
+        value = (value ^ xor) * mult
+        return value ^ (value >> _SHIFT16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _SHIFT16)
+
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight hashed uint32 words, paired low first
+    state = []
+    for k, (xor, mult) in enumerate(_hash_constants(8, _HASH_INIT_B, _HASH_MULT_B)):
+        value = (pool[k % _POOL_SIZE] ^ xor) * mult
+        state.append((value ^ (value >> _SHIFT16)).astype(np.uint64))
+    words = [state[k] | (state[k + 1] << _SHIFT32) for k in range(0, 8, 2)]
+    # PCG64 srandom_r: inc = seq << 1 | 1, then step, add the state, step
+    inc = (
+        (words[2] << np.uint64(1)) | (words[3] >> np.uint64(63)),
+        (words[3] << np.uint64(1)) | np.uint64(1),
+    )
+    return _pcg64_step(_add128(*inc, words[0], words[1]), inc), inc
+
+
+def _uniform_block(seed: int, lo: int, hi: int, length: int):
+    """Row i - lo is ``np.random.default_rng([seed, i]).random(length)``,
+    for i in lo..hi-1; every index of a block has the same number of uint32
+    words (so none crosses 2**32), and all are below 2**64."""
+    state, inc = _pcg64_seeded(seed, lo, hi)
+    draws = np.empty((hi - lo, length))
+    for k in range(length):
+        state = _pcg64_step(state, inc)
+        # XSL-RR: (high ^ low) rotated right by the state's top six bits
+        s_hi, s_lo = state
+        x, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        draws[:, k] = (x >> np.uint64(11)) * 2.0**-53
+    return draws
+
+
+def _blocks(lo: int, hi: int, length: int):
+    """lo..hi-1 cut into ranges of at most _BLOCK_DRAWS draws (one sample at
+    least), and cut at 2**32, where an index takes a second uint32 word."""
+    step = max(1, _BLOCK_DRAWS // length)
+    while lo < hi:
+        end = min(lo + step, hi)
+        if lo <= _MASK32 < end - 1:
+            end = _MASK32 + 1
+        yield lo, end
+        lo = end
+
+
 def _sampled_chunk(args) -> tuple[Counter, Counter]:
     """Plain and shaped type-class counts of samples lo..hi-1, keyed by
-    counts vector.  A sample's plain class is its counts vector; its shaped
-    class is one of its plain class's ``_shaped_span``, kept once per
+    counts vector.  Sample i's symbols come from the stream of
+    ``np.random.default_rng([seed, i])``, so chunking cannot change what any
+    sample draws; ``_uniform_block`` computes those streams a block of
+    samples at a time.  A sample's plain class is its counts vector; its
+    shaped class is one of its plain class's ``_shaped_span``, kept once per
     counts vector, and only a class straddling a shaped boundary has its
     samples (partly) ranked."""
     config, pmf, seed, lo, hi = args
@@ -262,23 +414,38 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
     cdf /= cdf[-1]
     plain, shaped = Counter(), Counter()  # shaped: class index -> samples
     spans = {}  # counts vector -> _shaped_span
-    for i in range(lo, hi):
-        # one generator per sample keyed by (seed, index): chunking cannot
-        # change the stream any sample sees
-        rng = np.random.default_rng([seed, i])
-        symbols = cdf.searchsorted(rng.random(length), side="right")
-        counts = np.bincount(symbols, minlength=size)
-        if len(counts) != size:
-            raise ValueError(
-                f"symbol {symbols.max()} out of range for alphabet of size {size}"
-            )
-        counts = tuple(counts.tolist())
-        plain[counts] += 1
-        span = spans.get(counts)
-        if span is None:
-            span = spans[counts] = _shaped_span(counts, plain_ordering, shaped_ordering)
-        classes, bounds = span
-        shaped[classes[_bounds_below(symbols.tolist(), counts, bounds)]] += 1
+    for start, end in _blocks(lo, hi, length):
+        symbols = cdf.searchsorted(_uniform_block(seed, start, end, length), side="right")
+        top = symbols.max()
+        if top >= size:
+            raise ValueError(f"symbol {top} out of range for alphabet of size {size}")
+        rows = end - start
+        # every row's counts from one bincount over row * |A| + symbol
+        counts = np.bincount(
+            (symbols + size * np.arange(rows)[:, None]).ravel(), minlength=rows * size
+        ).reshape(rows, size)
+        classes, inverse, samples = np.unique(
+            counts, axis=0, return_inverse=True, return_counts=True
+        )
+        # the block's rows grouped by class, in class order
+        by_class = np.argsort(inverse.reshape(-1), kind="stable").tolist()
+        stop = 0
+        for class_counts, n in zip(classes.tolist(), samples.tolist()):
+            class_counts = tuple(class_counts)
+            plain[class_counts] += n
+            span = spans.get(class_counts)
+            if span is None:
+                span = spans[class_counts] = _shaped_span(
+                    class_counts, plain_ordering, shaped_ordering
+                )
+            shaped_classes, bounds = span
+            stop += n
+            if len(shaped_classes) == 1:
+                shaped[shaped_classes[0]] += n
+                continue
+            for row in by_class[stop - n : stop]:
+                below = _bounds_below(symbols[row].tolist(), class_counts, bounds)
+                shaped[shaped_classes[below]] += 1
     return plain, Counter({shaped_ordering.class_counts(j): n for j, n in shaped.items()})
 
 

@@ -19,7 +19,8 @@ from setshaping import (
     total_compressed_length,
     unpack_container,
 )
-from setshaping.cli import main
+from setshaping import cli
+from setshaping.cli import build_parser, main
 
 from oracles import all_tuples
 
@@ -569,3 +570,32 @@ class TestConfigFile:
         assert (data["base"], data["extra_length"], data["charge_framing"]) == (
             2.0, 1, False
         )
+
+    def test_configs_do_not_carry_between_runs(self, tmp_path, capsys, monkeypatch):
+        # the parser of runs without --config is built once and shared; a
+        # config run builds its own, so neither file reaches another run
+        argv = ["exhaustive", "-n", "3", "-a", "3"]
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text("k = 2\nbase = 3\ncharge-framing = on\n")
+        second.write_text("scheme = counts\n")
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        built = []
+        monkeypatch.setattr(
+            cli, "build_parser", lambda: built.append(1) or build_parser()
+        )
+        fields = ("base", "extra_length", "charge_framing", "scheme_formats")
+        seen = []
+        for extra in (["--config", str(first)], [], ["--config", str(second)], []):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            seen.append(tuple(json.loads(out)[f] for f in fields))
+            if not extra:
+                assert out == plain
+        assert seen == [
+            (3.0, 2, True, ["lengths", "counts"]),
+            (2.0, 1, False, ["lengths", "counts"]),
+            (2.0, 1, False, ["counts"]),
+            (2.0, 1, False, ["lengths", "counts"]),
+        ]
+        assert len(built) == 2

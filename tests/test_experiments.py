@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -389,6 +390,11 @@ class _FixedDraws(np.random.Generator):
         return np.full(size, self.u)
 
 
+def _fixed_block(u):
+    """A stand-in for experiments._uniform_block whose every draw is u."""
+    return lambda seed, lo, hi, length: np.full((hi - lo, length), u)
+
+
 class TestSampledClasses:
     """The chunk loop's class maps against the per-sample reference path:
     draw with Generator.choice, rank, look the rank up in both orders."""
@@ -483,17 +489,110 @@ class TestSampledClasses:
         args = (config, pmf, 0, 0, 2)
         for u in {0.0, np.nextafter(1.0, 0.0), *cdf[cdf < 1.0]}:
             monkeypatch.setattr(np.random, "default_rng", lambda seed, u=u: _FixedDraws(u))
+            monkeypatch.setattr(experiments, "_uniform_block", _fixed_block(u))
             assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
 
     def test_symbol_outside_alphabet_raises(self, monkeypatch):
         # no generator draws 1.0; a draw that did would map past the last
         # symbol, and must fail rather than be counted
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(1.0))
+        monkeypatch.setattr(experiments, "_uniform_block", _fixed_block(1.0))
         args = (ExperimentConfig(length=4, alphabet_size=3), (0.5, 0.25, 0.25), 0, 0, 1)
         with pytest.raises(ValueError, match="out of range"):
             experiments._sampled_chunk(args)
         with pytest.raises(ValueError, match="out of range"):
             reference_sampled_classes(*args)
+
+
+def default_rng_rows(seed, lo, hi, length):
+    """Samples lo..hi-1's uniform draws from numpy's own generator."""
+    return np.array(
+        [np.random.default_rng([seed, i]).random(length) for i in range(lo, hi)]
+    )
+
+
+def blocks(lo, hi, length):
+    """experiments._blocks(lo, hi, length), stopped where one block per
+    sample is passed: a split that makes no progress fails, not hangs."""
+    return list(islice(experiments._blocks(lo, hi, length), hi - lo + 1))
+
+
+def block_rows(seed, lo, hi, length):
+    """The same draws as the sampler computes them, block by block."""
+    return np.concatenate(
+        [
+            experiments._uniform_block(seed, start, end, length)
+            for start, end in blocks(lo, hi, length)
+        ]
+    )
+
+
+# one to five uint32 words; with the index word, the last two seeds give
+# five and six entropy words, past SeedSequence's pool of four
+STREAM_SEEDS = [0, 2**32 - 1, 2**32, 2**70 + 3, 2**100 + 17, 2**128 + 1]
+
+
+class TestUniformStream:
+    """The block generator against np.random.default_rng([seed, i]) itself:
+    a numpy release that changed the stream fails here."""
+
+    @pytest.mark.parametrize("length", [1, 20, 101])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_matches_default_rng(self, seed, length):
+        assert np.array_equal(
+            block_rows(seed, 0, 30, length), default_rng_rows(seed, 0, 30, length)
+        )
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_index_crossing_2_pow_32(self, seed):
+        # index 2**32 is the first with two uint32 words
+        lo, hi = 2**32 - 3, 2**32 + 3
+        assert blocks(lo, hi, 20) == [(lo, 2**32), (2**32, hi)]
+        assert np.array_equal(block_rows(seed, lo, hi, 20), default_rng_rows(seed, lo, hi, 20))
+
+    @pytest.mark.parametrize("length, count", [(20, 5), (101, 9)])
+    def test_crossing_block_edges(self, monkeypatch, length, count):
+        # two samples of 20 draws per block, and one sample of 101 draws
+        monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 50)
+        spans = blocks(3, 12, length)
+        assert len(spans) == count
+        assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+        assert (spans[0][0], spans[-1][1]) == (3, 12)
+        assert np.array_equal(block_rows(7, 3, 12, length), default_rng_rows(7, 3, 12, length))
+
+    def test_block_draws_bounded(self):
+        assert blocks(0, 3, 2**21) == [(0, 1), (1, 2), (2, 3)]
+        step = experiments._BLOCK_DRAWS // 1000
+        assert blocks(0, 2 * step + 1, 1000) == [
+            (0, step), (step, 2 * step), (2 * step, 2 * step + 1)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**160),
+        lo=st.integers(0, 2**33),
+        count=st.integers(1, 4),
+        length=st.sampled_from([1, 20, 101]),
+    )
+    def test_hypothesis_seeds_and_indices(self, seed, lo, count, length):
+        hi = lo + count
+        assert np.array_equal(
+            block_rows(seed, lo, hi, length), default_rng_rows(seed, lo, hi, length)
+        )
+
+    @pytest.mark.parametrize("seed", [9, 2**100 + 17])
+    def test_chunk_crossing_2_pow_32_matches_reference(self, seed):
+        config = ExperimentConfig(length=6, alphabet_size=4)
+        args = (config, grid_pmf(4, "skewed"), seed, 2**32 - 3, 2**32 + 3)
+        assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
+
+    @pytest.mark.parametrize("n, size, k", SAMPLED_SHAPES)
+    def test_chunk_over_small_blocks_matches_reference(self, monkeypatch, n, size, k):
+        # classes seen again in later blocks, straddling ones included
+        monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 7 * n)
+        config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
+        args = (config, grid_pmf(size, "uniform"), 17, 100, 300)
+        assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
 
 
 @st.composite
