@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import enum
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bitio import (
     BitReader,
@@ -167,62 +169,74 @@ def encode(seq: Sequence, table: CodeTable) -> Bits:
 def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     """Read exactly n codewords; anything else is a malformed payload.
 
-    Canonical-limit decoding (Moffat & Turpin, "On the implementation of
-    minimum redundancy prefix codes", IEEE T-Comm 1997): left-justified to
-    max_length bits, the codewords of length <= l fill the range
-    [0, limit_l), so the length of the next codeword is the first l whose
-    limit exceeds the next max_length-bit window, and the symbol is an
-    offset from that length's first codeword.  One bisect per symbol for
-    any max_length; an incomplete code leaves [limit_max, 2**max_length)
-    unmatched.
+    Canonical decoding with limits (Moffat & Turpin, "On the implementation
+    of minimum redundancy prefix codes", IEEE T-Comm 1997), taken per
+    codeword: left-justified to max_length bits, the canonical codewords in
+    (length, symbol) order start at increasing values and cover
+    [0, limit), so the codeword at a bit position is the last one whose
+    start does not exceed the max_length-bit window there.  An incomplete
+    code leaves [limit, 2**max_length) unmatched.
+
+    The windows are max_length-character slices of the payload's '0'/'1'
+    text, whose order is numeric order, so one numpy searchsorted finds the
+    codeword at every bit position for any max_length.  What is left per
+    symbol is a pointer chase from each codeword's start to the next.
     """
     lmax = table.max_length
-    # symbols in codeword order; per codeword length present, its limit and
-    # (length, window shift, first codeword minus its index in `symbols`)
     used = sorted((l, s) for s, l in enumerate(table.lengths) if l)
-    symbols = [s for _, s in used]
-    limits, steps = [], []
-    for index, (l, s) in enumerate(used):
-        if steps and steps[-1][0] == l:
-            limits[-1] += 1 << (lmax - l)
-        else:
-            code = table.codewords[s]
-            steps.append((l, lmax - l, code - index))
-            limits.append((code + 1) << (lmax - l))
-    if n and not steps:
-        raise MalformedPayloadError("no symbol has a codeword")
     total = payload.bit_length
-    # zero bits past the end keep every window lmax wide; a codeword that
-    # reaches into them is caught by the position check
-    bits = _string_from_bits(payload) + "0" * lmax
-    unmatched = len(limits)
+    # a code without codewords has max_length 0 and still reads one bit
+    width = max(lmax, 1)
+    # keys[j] is where codeword j starts; an incomplete code's limit, where
+    # "no codeword" starts, is one more key
+    keys = [format(table.codewords[s] << (lmax - l), f"0{width}b") for l, s in used]
+    limit = sum(1 << (lmax - l) for l, _ in used)
+    if limit < 1 << width:
+        keys.append(format(limit, f"0{width}b"))
+    # searchsorted gives codeword j as row j + 1; rows 0 (never given) and
+    # len(used) + 1 ("no codeword") take symbol 0 and length 0.  Symbols
+    # and lengths are kept per bit position, so in the narrowest types
+    symbol_of = np.array(
+        [0, *(s for _, s in used), 0], np.min_scalar_type(len(table.lengths))
+    )
+    length_of = np.array([0, *(l for l, _ in used), 0], np.min_scalar_type(lmax))
+    # zero bits past the end keep every window `width` wide
+    text = (_string_from_bits(payload) + "0" * width).encode()
+    windows = np.ndarray((total + 1,), f"S{width}", text, 0, (1,))
+    row = np.array(keys, f"S{width}").searchsorted(windows, side="right")
+    # per position, the symbol and the length of the codeword there: length
+    # 0 where none matches, and past the end, where a codeword that runs
+    # past the payload lands, so the chase stops moving at the first symbol
+    # it cannot read
+    found = symbol_of[row]
+    steps = np.zeros(total + width + 1, length_of.dtype)
+    np.take(length_of, row, out=steps[: total + 1])
+    del row  # 8 bytes per payload bit, not needed by the chase
+    step = memoryview(steps)
+    # every codeword takes at least one bit, so after total + 1 steps the
+    # chase has stopped moving
+    chase = np.empty(min(max(n, 0), total + 1), np.intp)
+    starts = memoryview(chase)
     pos = 0
-    out = []
-    append = out.append
-    for _ in range(n):
-        window = int(bits[pos : pos + lmax], 2)
-        i = bisect_right(limits, window)
-        if i == unmatched:
-            if pos + lmax > total:
-                break
-            raise MalformedPayloadError(
-                f"bit pattern {bits[pos : pos + lmax]} matches no codeword"
-            )
-        length, shift, offset = steps[i]
-        pos += length
-        if pos > total:
-            break
-        append(symbols[(window >> shift) - offset])
-    if len(out) < n:
+    for i in range(len(starts)):
+        starts[i] = pos
+        pos += step[pos]
+    if starts and (pos > total or pos == starts[-1]):
+        # the starts rise up to the failing one, then repeat where it stopped
+        done = bisect_left(starts, pos) - (pos > total)
+        fail = starts[done]
+        if pos == fail and fail + width <= total:
+            pattern = text[fail : fail + width].decode()
+            raise MalformedPayloadError(f"bit pattern {pattern} matches no codeword")
         raise MalformedPayloadError(
-            f"bit stream exhausted after {len(out)} of {n} symbols "
+            f"bit stream exhausted after {done} of {n} symbols "
             f"({total} payload bits)"
         )
     if pos < total:
         raise MalformedPayloadError(
             f"{total - pos} unread bits after decoding {n} symbols"
         )
-    return Sequence(table.alphabet, tuple(out))
+    return Sequence(table.alphabet, tuple(found[chase].tolist()))
 
 
 def serialize_scheme(source: CodeTable | Composition, fmt: SchemeFormat) -> Bits:

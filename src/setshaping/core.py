@@ -6,8 +6,9 @@ Symbols are stored zero-based; all textual I/O renders them one-based
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     EmptyCompositionError,
@@ -94,10 +95,9 @@ class EntropyValue:
 
 def composition_of(seq: Sequence) -> Composition:
     """Count symbol occurrences, yielding the sequence's type class."""
-    counts = [0] * seq.alphabet.size
-    for s in seq.symbols:
-        counts[s] += 1
-    return Composition(tuple(counts))
+    symbols = np.fromiter(seq.symbols, np.int64, seq.length)
+    counts = np.bincount(symbols, minlength=seq.alphabet.size)
+    return Composition(tuple(counts.tolist()))
 
 
 def _check_base(base: float) -> None:
@@ -145,22 +145,23 @@ def distinct_symbol_count(seq: Sequence) -> int:
     return sum(1 for c in composition_of(seq).counts if c)
 
 
-_SEPARATORS = re.compile(r"[,\s]+")
-
-
 def parse_sequence(text: str, alphabet: Alphabet) -> Sequence:
-    """Parse whitespace- or comma-separated one-based symbols ("2 1 1")."""
-    symbols = []
-    for token in _SEPARATORS.split(text.strip()):
-        if not token:
-            continue
-        try:
-            symbols.append(int(token) - 1)
-        except ValueError:
-            raise SequenceParseError(f"not an integer symbol: {token!r}") from None
+    """Parse whitespace- or comma-separated one-based symbols ("2 1 1").
+
+    ``str.split`` breaks at the same whitespace as re's ``\\s`` (both ask
+    ``Py_UNICODE_ISSPACE``) and drops empty tokens.  ``int`` judges each
+    distinct token once, so "+1" and "01" read as 1.
+    """
+    tokens = text.replace(",", " ").split()
+    try:
+        symbol_of = {token: int(token) - 1 for token in set(tokens)}
+    except ValueError:
+        bad = next(token for token in tokens if not _is_integer(token))
+        raise SequenceParseError(f"not an integer symbol: {bad!r}") from None
+    symbols = tuple(map(symbol_of.__getitem__, tokens))
     try:
         # Sequence checks the range, once for the whole message
-        return Sequence(alphabet, tuple(symbols))
+        return Sequence(alphabet, symbols)
     except ValueError:
         bad = next(s for s in symbols if not 0 <= s < alphabet.size)
         raise SequenceParseError(
@@ -168,6 +169,15 @@ def parse_sequence(text: str, alphabet: Alphabet) -> Sequence:
         ) from None
 
 
+def _is_integer(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 def format_sequence(seq: Sequence) -> str:
     """Render a sequence as space-separated one-based symbols."""
-    return " ".join(str(s + 1) for s in seq.symbols)
+    names = {s: str(s + 1) for s in set(seq.symbols)}
+    return " ".join(map(names.__getitem__, seq.symbols))

@@ -393,6 +393,21 @@ def _blocks(lo: int, hi: int, length: int):
         lo = end
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order, how often
+    each occurs, and the row indices grouped by distinct row (in row order
+    within a group): ``np.unique(rows, axis=0, return_counts=True)`` and a
+    stable argsort of its inverse, from one lexsort."""
+    # lexsort is stable and takes its last key as the primary one
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.empty(len(rows), bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.diff(starts, append=len(rows)), order
+
+
 def _sampled_chunk(args) -> tuple[Counter, Counter]:
     """Plain and shaped type-class counts of samples lo..hi-1, keyed by
     counts vector.  Sample i's symbols come from the stream of
@@ -424,11 +439,9 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
         counts = np.bincount(
             (symbols + size * np.arange(rows)[:, None]).ravel(), minlength=rows * size
         ).reshape(rows, size)
-        classes, inverse, samples = np.unique(
-            counts, axis=0, return_inverse=True, return_counts=True
-        )
+        classes, samples, order = _group_rows(counts)
         # the block's rows grouped by class, in class order
-        by_class = np.argsort(inverse.reshape(-1), kind="stable").tolist()
+        by_class = order.tolist()
         stop = 0
         for class_counts, n in zip(classes.tolist(), samples.tolist()):
             class_counts = tuple(class_counts)

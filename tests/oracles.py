@@ -9,6 +9,7 @@ the reference for the sampler that classifies draws by counts vector.
 """
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -141,6 +142,28 @@ def reference_decode(data, bit_length, lengths, codewords, n):
     if pos != bit_length:
         raise ValueError("unread bits")
     return tuple(out)
+
+
+_SEPARATORS = re.compile(r"[,\s]+")
+
+
+def reference_parse_sequence(text, size):
+    """The regex tokenizer: split the stripped text at runs of commas and
+    whitespace, drop empty tokens, read each one with int, then check the
+    range.  Returns the zero-based symbol tuple, or raises ValueError with
+    the message parse_sequence gives."""
+    symbols = []
+    for token in _SEPARATORS.split(text.strip()):
+        if not token:
+            continue
+        try:
+            symbols.append(int(token) - 1)
+        except ValueError:
+            raise ValueError(f"not an integer symbol: {token!r}") from None
+    for s in symbols:
+        if not 0 <= s < size:
+            raise ValueError(f"symbol {s + 1} outside 1..{size}")
+    return tuple(symbols)
 
 
 def reference_sampled_classes(config, pmf, seed, lo, hi):

@@ -279,7 +279,17 @@ class TestDecode:
         with pytest.raises(MalformedPayloadError, match="matches no codeword"):
             decode(Bits(b"\xc0", 2), table, 1)
 
-    @pytest.mark.parametrize("depth", [40, 64])
+    def test_code_without_codewords(self):
+        # as the per-bit decoder: no bit to read is an exhausted stream, and
+        # any first bit matches no codeword
+        table = CodeTable.from_lengths(A3, (0, 0, 0))
+        with pytest.raises(MalformedPayloadError, match="exhausted after 0 of 1"):
+            decode(Bits.empty(), table, 1)
+        with pytest.raises(MalformedPayloadError, match="^bit pattern 1 matches no"):
+            decode(Bits(b"\x80", 1), table, 1)
+        assert decode(Bits.empty(), table, 0).symbols == ()
+
+    @pytest.mark.parametrize("depth", [40, 64, 70])
     def test_deep_code_round_trip(self, depth):
         # lengths (1, 2, ..., depth, depth): a complete code whose longest
         # codewords are far deeper than any lookup table could index
@@ -360,11 +370,20 @@ class TestDecodeAgainstReference:
             want = reference_decode(
                 payload.data, payload.bit_length, table.lengths, table.codewords, n
             )
-        except ValueError:
-            with pytest.raises(MalformedPayloadError):
+        except ValueError as expected:
+            with pytest.raises(MalformedPayloadError) as raised:
                 decode(payload, table, n)
+            assert _error_kind(str(raised.value)) == _error_kind(str(expected))
         else:
             assert decode(payload, table, n).symbols == want
+
+
+def _error_kind(message):
+    """Which of the three ways a decode can fail a message names."""
+    for kind in ("exhausted", "no codeword", "unread bits"):
+        if kind in message:
+            return kind
+    return message
 
 
 class TestScheme:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from setshaping.errors import (
     SequenceParseError,
 )
 
-from oracles import all_tuples, brute_entropy, counts_of
+from oracles import all_tuples, brute_entropy, counts_of, reference_parse_sequence
 
 A3 = Alphabet(3)
 
@@ -217,3 +219,58 @@ class TestTextFormat:
             Sequence(A3, (0, 3))
         with pytest.raises(ValueError):
             Alphabet(0)
+
+
+# separators: commas, ASCII whitespace, the information separators
+# \x1c-\x1f, NEL, no-break space, an en quad and the ideographic space
+_SEPARATOR_CHARS = ", \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2000\u3000"
+_separators = st.text(_SEPARATOR_CHARS, min_size=1, max_size=3)
+_tokens = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.sampled_from(["+1", "01", "+02", "1_0", "x", "1.5", "1\u200b", "\u0663"]),
+)
+
+
+@st.composite
+def separated_texts(draw):
+    """Tokens joined by separator runs, with or without separators (or a
+    lone comma) in front and behind."""
+    tokens = draw(st.lists(_tokens, max_size=12))
+    text = ""
+    for token in tokens:
+        text += draw(_separators) + token
+    text += draw(st.sampled_from(["", ",", " ", ",\n", "\u3000,"]))
+    if draw(st.booleans()):
+        text = text.lstrip(_SEPARATOR_CHARS)
+    return text
+
+
+class TestParseAgainstRegexTokenizer:
+    """parse_sequence against the regex tokenizer it replaced (oracles)."""
+
+    def _check(self, text, size):
+        try:
+            want = reference_parse_sequence(text, size)
+        except ValueError as expected:
+            with pytest.raises(SequenceParseError) as raised:
+                parse_sequence(text, Alphabet(size))
+            assert str(raised.value) == str(expected)
+        else:
+            assert parse_sequence(text, Alphabet(size)).symbols == want
+
+    @given(separated_texts(), st.integers(1, 5))
+    def test_separated_tokens(self, text, size):
+        self._check(text, size)
+
+    @given(
+        st.text(_SEPARATOR_CHARS + "0123456789+-_x.\u200b", max_size=30),
+        st.integers(1, 12),
+    )
+    def test_any_text(self, text, size):
+        self._check(text, size)
+
+    def test_every_code_point_splits_alike(self):
+        # str.split and re's \s agree on whitespace over all of Unicode
+        text = "x".join(map(chr, range(sys.maxunicode + 1)))
+        want = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+        assert text.replace(",", " ").split() == want

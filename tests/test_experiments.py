@@ -504,6 +504,35 @@ class TestSampledClasses:
             reference_sampled_classes(*args)
 
 
+class TestGroupRows:
+    """experiments._group_rows against np.unique(axis=0) and a stable
+    argsort of its inverse."""
+
+    @pytest.mark.parametrize(
+        "length, size, rows",
+        [
+            (20, 4, 5000),
+            (20, 4, 1),
+            (3, 4, 2),
+            (100, 16, 5000),
+            (3, 16, 300),
+            (5, 1, 40),
+        ],
+    )
+    def test_matches_unique(self, length, size, rows):
+        rng = np.random.default_rng([length, size, rows])
+        pmf = rng.dirichlet(np.ones(size))
+        counts = rng.multinomial(length, pmf, size=rows)
+        classes, samples, by_class = experiments._group_rows(counts)
+        want, inverse, want_samples = np.unique(
+            counts, axis=0, return_inverse=True, return_counts=True
+        )
+        assert classes.tolist() == want.tolist()
+        assert samples.tolist() == want_samples.tolist()
+        want_order = np.argsort(inverse.reshape(-1), kind="stable")
+        assert by_class.tolist() == want_order.tolist()
+
+
 def default_rng_rows(seed, lo, hi, length):
     """Samples lo..hi-1's uniform draws from numpy's own generator."""
     return np.array(
