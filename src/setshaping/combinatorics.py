@@ -129,17 +129,17 @@ def _lex_rank(symbols, counts: list[int], remaining: int) -> int:
     `remaining` orderings in all.  Consumes counts.
 
     Standard prefix-count method: at each position, add the number of
-    orderings of the rest that start with a smaller symbol.
-    ``remaining * counts[s] // total`` is exact.
+    orderings of the rest that start with a smaller symbol, one term for
+    all of them.  ``remaining * counts[s] // total`` is exact, and so is
+    ``remaining * sum(counts[:sym]) // total``.
     """
     total = len(symbols)
     rank = 0
     for sym in symbols:
         if remaining == 1:  # one distinct symbol left: nothing smaller follows
             break
-        for smaller in range(sym):
-            if counts[smaller]:
-                rank += remaining * counts[smaller] // total
+        if sym:
+            rank += remaining * sum(counts[:sym]) // total
         remaining = remaining * counts[sym] // total
         counts[sym] -= 1
         total -= 1
@@ -148,22 +148,22 @@ def _lex_rank(symbols, counts: list[int], remaining: int) -> int:
 
 def _lex_unrank(counts, remaining: int, r: int) -> list[int]:
     """Inverse of _lex_rank: the r-th of the `remaining` distinct orderings
-    of the multiset with counts[s] occurrences of each symbol s."""
-    size = len(counts)
+    of the multiset with counts[s] occurrences of each symbol s; r must be
+    below `remaining`.  Each symbol's orderings are skipped in one step
+    (none for a symbol with count 0)."""
     counts = list(counts)
     total = sum(counts)
     symbols = []
     while remaining > 1:
-        for sym in range(size):
-            c = counts[sym]
-            if c:
-                here = remaining * c // total
-                if r < here:
-                    break
-                r -= here
+        sym = 0
+        here = remaining * counts[0] // total
+        while r >= here:
+            r -= here
+            sym += 1
+            here = remaining * counts[sym] // total
         symbols.append(sym)
         remaining = here
-        counts[sym] = c - 1
+        counts[sym] -= 1
         total -= 1
     # one ordering left: the remaining copies of one symbol
     for sym, c in enumerate(counts):

@@ -12,11 +12,16 @@ so results are bit-identical regardless of worker count or chunking.
 Sample i draws the uniform stream of ``np.random.default_rng([seed, i])``,
 computed for a block of indices at once in numpy integer arrays rather
 than by one generator per sample; the symbols and counts of a block come
-from whole-array operations too.  A sample is classified by its counts
-vector alone, with no Sequence and no full rank: where its plain class
-maps inside one shaped class that is its shaped class, and where the
-class straddles a shaped boundary the sample is ranked only as far as it
-takes to tell which side it lies on.
+from whole-array operations too.  A sample is classified with no Sequence
+and no full rank: its plain class is its counts vector, and where that
+class maps inside one shaped class that is its shaped class.  Where the
+class straddles shaped boundaries, the sequence at each boundary is read
+only as deep as at least one report sample is expected to share its
+prefix (given its counts, an i.i.d. sample is uniform over its type
+class), and a block's samples of straddling classes are placed against
+those prefixes by one searchsorted over fixed-width byte keys.  Only a
+sample sharing a shortened prefix is ranked, and only as far as it takes
+to tell which side of each boundary it lies on.
 
 Every report's sub-alphabet census is read off the exhaustive class-weight
 maps, which the two class orderings hold: the ones an exhaustive run
@@ -31,6 +36,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -208,17 +214,20 @@ def _shaped_span(counts, plain_ordering, shaped_ordering):
     """Where the transform sends the plain class with this counts vector.
 
     The transform keeps ranks, so the class's ranks [start, start + size)
-    land on the same range of the N+K order.  Returns the shaped classes
-    that range meets, in order, and the in-class ranks at which each of
-    them but the first begins, followed by the class size.
+    land on the same range of the N+K order.  Returns the counts vectors of
+    the shaped classes that range meets, in order, and the in-class ranks
+    at which each of them but the first begins, followed by the class size.
     """
     start, size = plain_ordering.class_span(counts)
-    classes = range(
-        shaped_ordering.class_of_rank(start),
-        shaped_ordering.class_of_rank(start + size - 1) + 1,
-    )
-    bounds = [shaped_ordering.class_start(j) - start for j in classes[1:]]
-    return classes, bounds + [size]
+    shaped, bounds = [], []
+    rank = start
+    while True:
+        shaped_counts, shaped_size, offset = shaped_ordering.locate(rank)
+        shaped.append(shaped_counts)
+        rank += shaped_size - offset  # the next shaped class's first rank
+        bounds.append(min(rank - start, size))
+        if rank - start >= size:
+            return tuple(shaped), bounds
 
 
 def _bounds_below(symbols, counts, bounds) -> int:
@@ -237,15 +246,96 @@ def _bounds_below(symbols, counts, bounds) -> int:
     for sym in symbols:
         if bounds[k] >= low + remaining:
             break
-        for smaller in range(sym):
-            if counts[smaller]:
-                low += remaining * counts[smaller] // total
+        if sym:
+            low += remaining * sum(counts[:sym]) // total
         remaining = remaining * counts[sym] // total
         counts[sym] -= 1
         total -= 1
         while bounds[k] <= low:
             k += 1
     return k
+
+
+def _boundary_prefix(counts, size: int, offset: int, log_each: float):
+    """The first symbols of the sequence at in-class rank ``offset`` of the
+    class with these counts (``size`` sequences), read as ``_lex_unrank``
+    reads them, but only until fewer than one report sample is expected to
+    share them: ``log_each`` is ln of the samples expected per sequence of
+    the class, and the walk stops once that plus ln of the sequences
+    sharing the prefix is below 0.  Returns the prefix and whether it is
+    the whole sequence."""
+    counts = list(counts)
+    total = sum(counts)
+    symbols = []
+    while size > 1:
+        if log_each + math.log(size) < 0:
+            return symbols, False
+        sym = 0
+        here = size * counts[0] // total
+        while offset >= here:
+            offset -= here
+            sym += 1
+            here = size * counts[sym] // total
+        symbols.append(sym)
+        size = here
+        counts[sym] -= 1
+        total -= 1
+    for sym, c in enumerate(counts):
+        symbols.extend(repeat(sym, c))
+    return symbols, True
+
+
+def _key_dtype(top: int) -> np.dtype:
+    """The narrowest big-endian unsigned integer holding 0..top."""
+    return np.dtype(next(f">u{w}" for w in (1, 2, 4, 8) if top < 1 << 8 * w))
+
+
+def _row_keys(tags, symbols, tag_dtype, symbol_dtype) -> np.ndarray:
+    """One fixed-width byte string per row: its tag, then each symbol s as
+    s + 1, all big-endian in the given widths.  Keys compare as memcmp, so
+    their order is the order of (tag, symbols); 0 is left for the padding
+    of a shorter key, which sorts before every row that extends it."""
+    rows = len(tags)
+    parts = [
+        tags.astype(tag_dtype).view(np.uint8).reshape(rows, -1),
+        (symbols + 1).astype(symbol_dtype).view(np.uint8).reshape(rows, -1),
+    ]
+    keys = np.concatenate(parts, axis=1)
+    return keys.view(f"S{keys.shape[1]}").ravel()
+
+
+def _span_entry(counts, orderings, log_samples: float, log_p, symbol_dtype):
+    """What a report keeps of the plain class with these counts: its
+    ``_shaped_span`` and, for a straddling class, the keys (past the class
+    tag) that split its rows at the shaped boundaries.
+
+    Each boundary's sequence is read by ``_boundary_prefix`` (the samples
+    of a class are uniform over it).  Read in full, it gives one key: rows
+    at or above it lie past the boundary.  Otherwise its prefix gives two,
+    the prefix and the prefix followed by a code above every symbol, which
+    bracket the rows sharing the prefix; boundaries with the same prefix
+    share one bracket.  Each key comes with the number of bounds that rows
+    from it up to the next key lie past, or -1 for a bracket, whose rows
+    ``_bounds_below`` ranks."""
+    shaped, bounds = _shaped_span(counts, *orderings)
+    if len(shaped) == 1:
+        return shaped, bounds, ()
+    log_each = log_samples + sum(n * log_p[s] for s, n in enumerate(counts) if n)
+    width = symbol_dtype.itemsize
+    above = b"\xff" * width
+    keys = []
+    last = None
+    for below, offset in enumerate(bounds[:-1], 1):
+        prefix, whole = _boundary_prefix(counts, bounds[-1], offset, log_each)
+        key = b"".join([(s + 1).to_bytes(width, "big") for s in prefix])
+        if whole:
+            keys.append((key, below))
+        elif key == last:
+            keys[-1] = (key + above, below)
+        else:
+            keys += [(key, -1), (key + above, below)]
+        last = key
+    return shaped, bounds, tuple(keys)
 
 
 # Sample i's draws are np.random.default_rng([seed, i]).random(N): numpy's
@@ -408,27 +498,41 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[starts], np.diff(starts, append=len(rows)), order
 
 
-def _sampled_chunk(args) -> tuple[Counter, Counter]:
+def _sampled_chunk(args, spans: dict | None = None) -> tuple[Counter, Counter]:
     """Plain and shaped type-class counts of samples lo..hi-1, keyed by
     counts vector.  Sample i's symbols come from the stream of
     ``np.random.default_rng([seed, i])``, so chunking cannot change what any
     sample draws; ``_uniform_block`` computes those streams a block of
-    samples at a time.  A sample's plain class is its counts vector; its
-    shaped class is one of its plain class's ``_shaped_span``, kept once per
-    counts vector, and only a class straddling a shaped boundary has its
-    samples (partly) ranked."""
+    samples at a time.  A sample's plain class is its counts vector, and
+    ``spans`` (counts vector -> ``_span_entry``, filled as classes are
+    first seen; one report's chunks in a process may share it) gives the
+    shaped class of every sample of a class inside one shaped class.
+
+    The samples of straddling classes are classified together, once per
+    block: each row becomes a ``_row_keys`` key (its class's tag in the
+    block, then its symbols), and one searchsorted against the sorted
+    table of the block's straddling classes (each class's bare tag, then
+    its boundary keys) reads off how many bounds it lies past.  Only rows
+    inside a bracket, whose prefix is that of a boundary read to less than
+    full depth, are ranked, by ``_bounds_below``."""
     config, pmf, seed, lo, hi = args
     size, length = config.alphabet_size, config.length
-    plain_ordering = shared_ordering(length, config.alphabet)
-    shaped_ordering = shared_ordering(length + config.extra_length, config.alphabet)
+    orderings = (
+        shared_ordering(length, config.alphabet),
+        shared_ordering(length + config.extra_length, config.alphabet),
+    )
     p = np.asarray(pmf, dtype=np.float64)
     p = p / p.sum()
+    log_samples = math.log(config.sample_count)
+    log_p = [math.log(x) if x > 0 else -math.inf for x in p.tolist()]
+    symbol_dtype = _key_dtype(size + 1)
     # Generator.choice(size, length, p=p) draws through this cdf: one
     # uniform per symbol, mapped by searchsorted(side="right")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    plain, shaped = Counter(), Counter()  # shaped: class index -> samples
-    spans = {}  # counts vector -> _shaped_span
+    plain, shaped = Counter(), Counter()
+    if spans is None:
+        spans = {}
     for start, end in _blocks(lo, hi, length):
         symbols = cdf.searchsorted(_uniform_block(seed, start, end, length), side="right")
         top = symbols.max()
@@ -440,26 +544,55 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
             (symbols + size * np.arange(rows)[:, None]).ravel(), minlength=rows * size
         ).reshape(rows, size)
         classes, samples, order = _group_rows(counts)
-        # the block's rows grouped by class, in class order
-        by_class = order.tolist()
-        stop = 0
-        for class_counts, n in zip(classes.tolist(), samples.tolist()):
+        tags = np.full(len(classes), -1)  # straddling classes' tags in the block
+        straddling = []  # per tag: counts, bounds, first label, boundary keys
+        labels = []  # the straddling classes' shaped counts vectors, in turn
+        for i, (class_counts, n) in enumerate(zip(classes.tolist(), samples.tolist())):
             class_counts = tuple(class_counts)
             plain[class_counts] += n
             span = spans.get(class_counts)
             if span is None:
-                span = spans[class_counts] = _shaped_span(
-                    class_counts, plain_ordering, shaped_ordering
+                span = spans[class_counts] = _span_entry(
+                    class_counts, orderings, log_samples, log_p, symbol_dtype
                 )
-            shaped_classes, bounds = span
-            stop += n
+            shaped_classes, bounds, keys = span
             if len(shaped_classes) == 1:
                 shaped[shaped_classes[0]] += n
                 continue
-            for row in by_class[stop - n : stop]:
-                below = _bounds_below(symbols[row].tolist(), class_counts, bounds)
-                shaped[shaped_classes[below]] += 1
-    return plain, Counter({shaped_ordering.class_counts(j): n for j, n in shaped.items()})
+            tags[i] = len(straddling)
+            straddling.append((class_counts, bounds, len(labels), keys))
+            labels += shaped_classes
+        if not straddling:
+            continue
+        # the table: each class's bare tag (no bound passed), then its keys
+        tag_dtype = _key_dtype(len(straddling) - 1)
+        table, passed = [], []
+        for t, (_, _, first, keys) in enumerate(straddling):
+            tag = t.to_bytes(tag_dtype.itemsize, "big")
+            table.append(tag)
+            passed.append(first)
+            for key, below in keys:
+                table.append(tag + key)
+                passed.append(first + below if below >= 0 else -1)
+        width = tag_dtype.itemsize + length * symbol_dtype.itemsize
+        row_tags = np.repeat(tags, samples)  # in the order of `order`
+        keep = row_tags >= 0
+        strad_rows, row_tags = order[keep], row_tags[keep]
+        row_keys = _row_keys(row_tags, symbols[strad_rows], tag_dtype, symbol_dtype)
+        # a row key equal to a table key lies past it; of equal table keys
+        # (an empty prefix and its bare tag) the later one holds
+        at = np.array(table, f"S{width}").searchsorted(row_keys, side="right") - 1
+        label = np.array(passed)[at]
+        decided = label >= 0
+        tally = np.bincount(label[decided], minlength=len(labels))
+        for shaped_counts, n in zip(labels, tally.tolist()):
+            if n:
+                shaped[shaped_counts] += n
+        for row, tag in zip(strad_rows[~decided].tolist(), row_tags[~decided].tolist()):
+            class_counts, bounds, first, _ = straddling[tag]
+            below = _bounds_below(symbols[row].tolist(), class_counts, bounds)
+            shaped[labels[first + below]] += 1
+    return plain, shaped
 
 
 def _split_ranges(total: int, chunks: int):
@@ -506,7 +639,8 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
     ]
     workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_sampled_chunk(t) for t in tasks]
+        spans = {}  # shared by this report's chunks, and by no other report
+        results = [_sampled_chunk(t, spans) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sampled_chunk, tasks))

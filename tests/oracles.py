@@ -3,9 +3,12 @@
 Everything here recomputes expected values from first principles
 (enumeration, direct formulas) without touching the library's code paths,
 so the tests check implementations against genuinely separate arithmetic.
-The one exception, ``reference_sampled_classes``, keeps the sampler's
-earlier per-sample path, built on the library's rank and class lookup, as
-the reference for the sampler that classifies draws by counts vector.
+Two exceptions keep earlier library code as references:
+``reference_sampled_classes`` is the sampler's per-sample path, built on the
+library's rank and class lookup, the reference for the sampler that
+classifies draws by counts vector; ``reference_lex_rank`` and
+``reference_lex_unrank`` are the prefix-count loops with one term per
+smaller symbol, the reference for the loops that sum them first.
 """
 import itertools
 import math
@@ -164,6 +167,48 @@ def reference_parse_sequence(text, size):
         if not 0 <= s < size:
             raise ValueError(f"symbol {s + 1} outside 1..{size}")
     return tuple(symbols)
+
+
+def reference_lex_rank(symbols, counts, remaining):
+    """Position of `symbols` among the `remaining` distinct orderings of its
+    multiset (counts[s] copies of symbol s): at each position, one term per
+    smaller symbol still present.  Consumes counts."""
+    total = len(symbols)
+    rank = 0
+    for sym in symbols:
+        if remaining == 1:
+            break
+        for smaller in range(sym):
+            if counts[smaller]:
+                rank += remaining * counts[smaller] // total
+        remaining = remaining * counts[sym] // total
+        counts[sym] -= 1
+        total -= 1
+    return rank
+
+
+def reference_lex_unrank(counts, remaining, r):
+    """Inverse of reference_lex_rank: the r-th of the `remaining` orderings,
+    trying each symbol in turn at each position."""
+    size = len(counts)
+    counts = list(counts)
+    total = sum(counts)
+    symbols = []
+    while remaining > 1:
+        for sym in range(size):
+            c = counts[sym]
+            if c:
+                here = remaining * c // total
+                if r < here:
+                    break
+                r -= here
+        symbols.append(sym)
+        remaining = here
+        counts[sym] = c - 1
+        total -= 1
+    for sym, c in enumerate(counts):
+        symbols.extend([sym] * c)
+    return symbols
 
 
 def reference_sampled_classes(config, pmf, seed, lo, hi):

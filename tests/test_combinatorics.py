@@ -29,7 +29,10 @@ from oracles import (
     entropy_sorted_tuples,
     multiset_permutations,
     reference_class_order,
+    reference_lex_rank,
+    reference_lex_unrank,
 )
+from setshaping.combinatorics import _lex_rank, _lex_unrank
 
 A3 = Alphabet(3)
 A4 = Alphabet(4)
@@ -247,6 +250,45 @@ class TestRankInClass:
         for i, t in enumerate(perms):
             assert rank_in_class(Sequence(alphabet, t)) == i
             assert unrank_in_class(Composition(counts), i).symbols == t
+
+
+class TestLexLoopsAgainstReference:
+    """_lex_rank and _lex_unrank, which take each position's smaller symbols
+    in one step, against the loops with one step per smaller symbol."""
+
+    @pytest.mark.parametrize(
+        "counts", [(2, 0, 1), (0, 3, 0, 2), (1, 1, 1, 1), (2, 0, 0, 2, 1, 0), (4,), (0, 0, 5)]
+    )
+    def test_every_rank_of_small_classes(self, counts):
+        size = multinomial(Composition(counts))
+        for r in range(size):
+            symbols = _lex_unrank(counts, size, r)
+            assert symbols == reference_lex_unrank(counts, size, r)
+            assert _lex_rank(symbols, list(counts), size) == r
+            assert reference_lex_rank(symbols, list(counts), size) == r
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 16),
+        length=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_random_multisets(self, size, length, data):
+        # zero counts and symbols missing at either end included
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+        if not any(weights):
+            weights[data.draw(st.integers(0, size - 1))] = 1
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        symbols = rng.choices(range(size), weights=weights, k=length)
+        counts = counts_of(symbols, size)
+        remaining = multinomial(Composition(counts))
+        r = _lex_rank(symbols, list(counts), remaining)
+        assert r == reference_lex_rank(symbols, list(counts), remaining)
+        assert _lex_unrank(counts, remaining, r) == symbols
+        for r in {0, remaining - 1, rng.randrange(remaining)}:
+            assert _lex_unrank(counts, remaining, r) == reference_lex_unrank(
+                counts, remaining, r
+            )
 
 
 class TestGlobalRank:

@@ -426,7 +426,7 @@ class TestSampledClasses:
         assert {len(classes) > 1 for classes in spans.values()} == {False, True}
         first_only = Counter()
         for counts, samples in plain.items():
-            first_only[shaped_ordering.class_counts(spans[counts][0])] += samples
+            first_only[spans[counts][0]] += samples
         assert first_only != shaped
 
     @pytest.mark.parametrize(
@@ -436,7 +436,7 @@ class TestSampledClasses:
         # each plain class's rank range against the shaped classes sorted
         # directly: which ones it meets, and where each begins inside it
         plain_classes, plain_ends = reference_class_order(n, size)
-        _, shaped_ends = reference_class_order(n + k, size)
+        shaped_classes, shaped_ends = reference_class_order(n + k, size)
         shaped_starts = [0] + shaped_ends[:-1]
         alphabet = Alphabet(size)
         plain_ordering = shared_ordering(n, alphabet)
@@ -453,7 +453,7 @@ class TestSampledClasses:
             classes, got_bounds = experiments._shaped_span(
                 counts, plain_ordering, shaped_ordering
             )
-            assert list(classes) == met
+            assert list(classes) == [shaped_classes[j] for j in met]
             assert got_bounds == bounds + [end - start]
             kinds[len(met) > 1] += 1
             start = end
@@ -502,6 +502,149 @@ class TestSampledClasses:
             experiments._sampled_chunk(args)
         with pytest.raises(ValueError, match="out of range"):
             reference_sampled_classes(*args)
+
+
+class _CountingBoundsBelow:
+    """Stands in for experiments._bounds_below and counts its calls: the
+    rows that fell inside a boundary bracket."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._inner = experiments._bounds_below
+        monkeypatch.setattr(experiments, "_bounds_below", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self._inner(*args)
+
+
+def straddling_rows(plain, spans):
+    """Samples of the plain classes that straddle a shaped boundary."""
+    return sum(n for counts, n in plain.items() if len(spans[counts][0]) > 1)
+
+
+class TestStraddlingKeys:
+    """Straddling rows classified by one searchsorted against the boundary
+    keys, with rows inside a bracket ranked by _bounds_below, against the
+    per-sample reference path."""
+
+    @pytest.mark.parametrize(
+        "n, size, k, pmf, samples",
+        [
+            (20, 4, 1, (0.6, 0.2, 0.1, 0.1), 20000),
+            (10, 4, 2, (0, 0.5, 0.25, 0.25), 5000),
+            (10, 4, 2, (0.5, 0.25, 0.25, 0), 5000),
+            (12, 3, 3, (1 / 3, 1 / 3, 1 / 3), 5000),
+            (8, 5, 3, (0.4, 0.3, 0, 0.2, 0.1), 5000),
+        ],
+    )
+    def test_keys_and_fallback_both_classify(self, monkeypatch, n, size, k, pmf, samples):
+        # the prefix depth follows the report's sample count, not the chunk's
+        counter = _CountingBoundsBelow(monkeypatch)
+        config = ExperimentConfig(
+            length=n, alphabet_size=size, extra_length=k, sample_count=samples
+        )
+        args = (config, pmf, 17, 0, 1000)
+        spans = {}
+        got = experiments._sampled_chunk(args, spans)
+        assert got == reference_sampled_classes(*args)
+        assert 0 < counter.calls < straddling_rows(got[0], spans)
+
+    def test_full_depth_keys_need_no_ranking(self, monkeypatch):
+        # few classes and many samples: every boundary is read in full
+        counter = _CountingBoundsBelow(monkeypatch)
+        config = ExperimentConfig(length=6, alphabet_size=3, extra_length=2, sample_count=50000)
+        args = (config, grid_pmf(3, "uniform"), 17, 0, 1000)
+        spans = {}
+        got = experiments._sampled_chunk(args, spans)
+        assert got == reference_sampled_classes(*args)
+        assert counter.calls == 0 and straddling_rows(got[0], spans) > 0
+        for _, bounds, keys in spans.values():
+            assert len(keys) == len(bounds) - 1
+            assert all(len(key) == 6 and below > 0 for key, below in keys)
+
+    def test_more_than_256_straddling_classes_in_one_block(self, monkeypatch):
+        # two-byte tags, among them 256, which ends in a zero byte
+        counter = _CountingBoundsBelow(monkeypatch)
+        config = ExperimentConfig(length=100, alphabet_size=4, sample_count=20000)
+        args = (config, grid_pmf(4, "uniform"), 17, 0, 600)
+        spans = {}
+        got = experiments._sampled_chunk(args, spans)
+        assert got == reference_sampled_classes(*args)
+        straddling = sum(1 for shaped, _, _ in spans.values() if len(shaped) > 1)
+        assert straddling > 256
+        assert 0 < counter.calls < straddling_rows(got[0], spans)
+
+    def test_boundaries_sharing_a_prefix(self):
+        # a bracket past which a row lies beyond two bounds at once
+        config = ExperimentConfig(length=12, alphabet_size=3, extra_length=2, sample_count=400)
+        args = (config, grid_pmf(3, "uniform"), 17, 0, 400)
+        spans = {}
+        got = experiments._sampled_chunk(args, spans)
+        assert got == reference_sampled_classes(*args)
+        shared = 0
+        for _, _, keys in spans.values():
+            passed = [(key, below) for key, below in keys if below >= 0]
+            for (_, before), (key, below) in zip([(b"", 0)] + passed, passed):
+                shared += below - before > 1 and len(key.rstrip(b"\xff")) > 0
+        assert shared > 0
+
+    @pytest.mark.parametrize("size, tags", [(4, 300), (3, 5), (300, 70000)])
+    def test_row_keys_sort_like_tuples(self, size, tags):
+        # one- and two-byte symbols, one-, two- and four-byte tags
+        rng = np.random.default_rng([size, tags])
+        symbols = rng.integers(0, size, (2000, 5))
+        symbols[:500] = symbols[500:1000]  # equal rows under other tags
+        symbols[:, 4][rng.random(2000) < 0.3] = size - 1
+        tag = rng.integers(0, tags, 2000)
+        tag[:3] = [0, tags - 1, 256 % tags]
+        tag_dtype = experiments._key_dtype(tags - 1)
+        symbol_dtype = experiments._key_dtype(size + 1)
+        assert symbol_dtype.itemsize == (1 if size < 255 else 2)
+        keys = experiments._row_keys(tag, symbols, tag_dtype, symbol_dtype)
+        assert keys.dtype.itemsize == tag_dtype.itemsize + 5 * symbol_dtype.itemsize
+        want = sorted(range(2000), key=lambda i: (tag[i], tuple(symbols[i])))
+        assert np.argsort(keys, kind="stable").tolist() == want
+        # a row lies in the bracket of each of its prefixes: at or above the
+        # prefix (zero-padded), below the prefix followed by an all-ones code
+        above = np.full((2000, 1), (1 << 8 * symbol_dtype.itemsize) - 2)
+        for depth in (0, 2, 4):
+            low = experiments._row_keys(tag, symbols[:, :depth], tag_dtype, symbol_dtype)
+            high = experiments._row_keys(
+                tag, np.hstack([symbols[:, :depth], above]), tag_dtype, symbol_dtype
+            )
+            assert (low.astype(keys.dtype) <= keys).all()
+            assert (keys < high.astype(keys.dtype)).all()
+
+    def test_memo_lives_for_one_report(self, monkeypatch):
+        # the in-process chunks of one report share a memo; the next report
+        # (other pmf, sample count and K) starts a new one
+        memos = []
+        chunk = experiments._sampled_chunk
+
+        def recording(args, spans=None):
+            memos.append(spans)
+            return chunk(args, spans)
+
+        monkeypatch.setattr(experiments, "_sampled_chunk", recording)
+        cases = [
+            (ExperimentConfig(length=8, alphabet_size=4, sample_count=900), (0.6, 0.2, 0.1, 0.1)),
+            (ExperimentConfig(length=8, alphabet_size=4, sample_count=400), (0.1, 0.2, 0.3, 0.4)),
+            (
+                ExperimentConfig(length=8, alphabet_size=4, extra_length=2, sample_count=400),
+                (0.1, 0.2, 0.3, 0.4),
+            ),
+        ]
+        for config, pmf in cases:
+            spec = SourceSpec(Alphabet(4), pmf, seed=5)
+            plain, shaped = reference_sampled_classes(config, pmf, 5, 0, config.sample_count)
+            census = type_class_census(config.length, spec.alphabet, config.extra_length)
+            expected = experiments._build_report(config, plain, shaped, spec, census)
+            assert run_sampled(config, spec) == expected
+        assert len(memos) == 12
+        reports = [memos[i : i + 4] for i in range(0, 12, 4)]
+        assert all(all(m is memo[0] for m in memo) for memo in reports)
+        assert len({id(memo[0]) for memo in reports}) == 3
 
 
 class TestGroupRows:
