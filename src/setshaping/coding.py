@@ -156,6 +156,46 @@ def build_code(comp: Composition) -> CodeTable:
     return CodeTable.from_lengths(alphabet, tuple(lengths))
 
 
+_DEAD = np.iinfo(np.int64).max  # the key of a merged-away node or unused symbol
+
+
+def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
+    """build_code's lengths for every row of an (m, |A|) int64 counts
+    array, in one pass of array operations over all rows.
+
+    Each node sits at the slot of its smallest symbol under the key
+    count * |A| + smallest symbol, which orders nodes as the heap's
+    (count, smallest symbol) tuples do; no two live nodes share a key.
+    Merge step t takes the two least keys of every row with more than
+    t + 1 nodes left and deepens the leaves under both by one.
+    """
+    size = counts.shape[1]
+    present = counts > 0
+    used = present.sum(1)
+    if not used.all():
+        raise EmptyCompositionError("cannot build a code for an empty composition")
+    slots = np.arange(size)
+    key = np.where(present, counts * size + slots, _DEAD)
+    node = np.where(present, slots, -1)  # the slot of the node above each leaf
+    # a lone used symbol gets a 1-bit codeword, as in build_code
+    lengths = (present & (used == 1)[:, None]).astype(np.int64)
+    for step in range(used.max(initial=1) - 1):
+        rows = np.flatnonzero(used > step + 1)
+        k, n, i = key[rows], node[rows], np.arange(len(rows))
+        a = k.argmin(1)
+        key_a = k[i, a]
+        k[i, a] = _DEAD
+        b = k.argmin(1)
+        lo, hi = np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
+        merged = (key_a // size + k[i, b] // size) * size + lo[:, 0]
+        k[i, hi[:, 0]] = _DEAD
+        k[i, lo[:, 0]] = merged
+        key[rows] = k
+        lengths[rows] += (n == lo) | (n == hi)
+        node[rows] = np.where(n == hi, lo, n)
+    return lengths
+
+
 def encode(seq: Sequence, table: CodeTable) -> Bits:
     """Replace each symbol by its codeword; the payload bit string."""
     uncodable = {s for s, l in enumerate(table.lengths) if not l}
@@ -236,7 +276,12 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
         raise MalformedPayloadError(
             f"{total - pos} unread bits after decoding {n} symbols"
         )
-    return Sequence(table.alphabet, tuple(found[chase].tolist()))
+    symbols = found[chase]
+    # the per-bit arrays and the text are dead once the symbols are
+    # gathered; freeing them before the list and the tuple are built keeps
+    # them out of the peak
+    del starts, step, chase, steps, found, windows, text
+    return Sequence(table.alphabet, tuple(symbols.tolist()))
 
 
 def serialize_scheme(source: CodeTable | Composition, fmt: SchemeFormat) -> Bits:
@@ -298,12 +343,24 @@ def scheme_bit_count(
     comp: Composition, fmt: SchemeFormat, table: CodeTable | None = None
 ) -> int:
     """Bit cost of the serialized scheme, without materializing it."""
-    size = len(comp.counts)
+    if table is None and fmt is SchemeFormat.LENGTH_LIST:
+        table = build_code(comp)
+    lmax = 0 if table is None else table.max_length
+    return _scheme_bits(fmt, len(comp.counts), lmax, comp.total)
+
+
+def _scheme_bits(fmt: SchemeFormat, size: int, lmax, total):
+    """Bit cost of a scheme over `size` symbols, for a code whose longest
+    codeword has lmax bits and a message of total symbols: what
+    serialize_scheme writes.  Elementwise on int64 arrays of lmax and total
+    too, whose bit lengths are frexp's exponents (exact below 2**53)."""
     if fmt is SchemeFormat.LENGTH_LIST:
-        if table is None:
-            table = build_code(comp)
-        return 5 + size * table.max_length.bit_length()
-    return size * comp.total.bit_length()
+        return 5 + size * _bit_length(lmax)
+    return size * _bit_length(total)
+
+
+def _bit_length(x):
+    return x.bit_length() if isinstance(x, int) else np.frexp(x)[1]
 
 
 def payload_bit_count(comp: Composition, table: CodeTable) -> int:

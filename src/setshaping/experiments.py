@@ -2,13 +2,18 @@
 
 Every reported quantity of a message depends only on its composition (its
 type class), so a population is tallied as a map from counts vector to
-message count, and each class is measured once.  Totals are exact: bit
-counts and distinct-symbol counts are integer sums, and weighted-entropy
-sums are kept as integer coefficients of ln(v) terms (N*H0 = N*ln N -
-sum n*ln n, all integer-weighted), evaluated to float once at the end in a
-fixed order.  Sampled runs split the samples into chunks (optionally over
-``jobs`` processes, at most one per CPU) whose class counts add up exactly,
-so results are bit-identical regardless of worker count or chunking.
+message count, and each class is measured once.  The classes are measured
+together in array passes over slices of the map: one pass gives every
+class its Huffman code lengths (``coding._huffman_lengths``, the lengths
+``build_code`` gives), and payload, scheme and framing bits are array
+expressions over them.  Totals are exact: each figure is multiplied by its
+class's message count in Python integers, bit counts and distinct-symbol
+counts are integer sums, and weighted-entropy sums are kept as integer
+coefficients of ln(v) terms (N*H0 = N*ln N - sum n*ln n, all
+integer-weighted), evaluated to float once at the end in a fixed order.
+Sampled runs split the samples into chunks (optionally over ``jobs``
+processes, at most one per CPU) whose class counts add up exactly, so
+results are bit-identical regardless of worker count or chunking.
 Sample i draws the uniform stream of ``np.random.default_rng([seed, i])``,
 computed for a block of indices at once in numpy integer arrays rather
 than by one generator per sample; the symbols and counts of a block come
@@ -40,18 +45,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .coding import (
-    _framing_bits,
-    SchemeFormat,
-    build_code,
-    payload_bit_count,
-    scheme_bit_count,
-)
+from .coding import _framing_bits, _huffman_lengths, _scheme_bits, SchemeFormat
 from .combinatorics import unrank_sequence
 from .core import (
     _check_base,
     Alphabet,
-    Composition,
     format_sequence,
     weighted_entropy,
 )
@@ -157,9 +155,9 @@ class ExperimentConfig:
 class _LogSum:
     """Exact sum of integer-weighted ln(v) terms.
 
-    add_weighted_entropy accumulates N*ln N - sum n_i*ln n_i for one
-    composition, times a message count; value() converts to float (in the
-    requested log base) only once, iterating terms in sorted order.
+    add takes the terms v*ln(v) of many classes at once, each times its
+    weight; value() converts to float (in the requested log base) only once,
+    iterating terms in sorted order.
     """
 
     __slots__ = ("coef",)
@@ -167,12 +165,18 @@ class _LogSum:
     def __init__(self):
         self.coef: Counter[int] = Counter()
 
-    def add_weighted_entropy(self, counts, total: int, weight: int) -> None:
-        if total > 1:
-            self.coef[total] += weight * total
-        for c in counts:
-            if c > 1:
-                self.coef[c] -= weight * c
+    def add(self, values: np.ndarray, weights: np.ndarray) -> None:
+        """Add weight * v*ln(v) for each value v > 1 of an int array and its
+        weight in an object array of Python ints, the weights of each v
+        summed first."""
+        keep = values > 1
+        values = values[keep]
+        order = values.argsort()
+        values = values[order]
+        firsts = np.flatnonzero(np.diff(values, prepend=-1))
+        sums = np.add.reduceat(weights[keep][order], firsts)
+        for v, weight in zip(values[firsts].tolist(), sums.tolist()):
+            self.coef[v] += v * weight
 
     def value(self, base: float) -> float:
         terms = [a * math.log(v) for v, a in sorted(self.coef.items()) if a]
@@ -190,23 +194,45 @@ class _SideTally:
     framing_bits: Counter[SchemeFormat] = field(default_factory=Counter)
 
 
+# classes measured per array pass, so that the pass's arrays do not grow
+# with the population
+_TALLY_ROWS = 1 << 16
+
+
+def _dot(weights: list[int], values: np.ndarray) -> int:
+    """sum(weight * value) in Python ints: exhaustive message counts pass
+    2**63."""
+    return sum(map(int.__mul__, weights, values.tolist()))
+
+
 def _tally_classes(
     classes: Counter[tuple[int, ...]], formats: tuple[SchemeFormat, ...]
 ) -> _SideTally:
-    """Totals over a population given as {counts vector: message count}:
-    each class is measured once and its figures multiplied by its count."""
+    """Totals over a population given as {counts vector: message count}.
+
+    Each class's Huffman lengths, payload, distinct symbols, scheme and
+    framing bits come from array expressions over a slice of classes; each
+    figure is then multiplied by its class's message count exactly.  The
+    weighted entropy N*ln N - sum n*ln n keeps integer coefficients.
+    """
     tally = _SideTally()
-    for counts, weight in classes.items():
-        comp = Composition(counts)
-        tally.entropy.add_weighted_entropy(counts, comp.total, weight)
-        tally.distinct += weight * sum(1 for c in counts if c)
-        table = build_code(comp)
-        payload = payload_bit_count(comp, table)
-        tally.payload_bits += weight * payload
+    vectors, weights = list(classes), list(classes.values())
+    for lo in range(0, len(weights), _TALLY_ROWS):
+        counts = np.array(vectors[lo : lo + _TALLY_ROWS], np.int64)
+        w = weights[lo : lo + _TALLY_ROWS]
+        size = counts.shape[1]
+        lengths = _huffman_lengths(counts)
+        total = counts.sum(1)
+        payload = (lengths * counts).sum(1)
+        tally.distinct += _dot(w, (counts > 0).sum(1))
+        tally.payload_bits += _dot(w, payload)
         for fmt in formats:
-            scheme = scheme_bit_count(comp, fmt, table)
-            tally.scheme_bits[fmt] += weight * scheme
-            tally.framing_bits[fmt] += weight * _framing_bits(scheme, payload)
+            scheme = _scheme_bits(fmt, size, lengths.max(1), total)
+            tally.scheme_bits[fmt] += _dot(w, scheme)
+            tally.framing_bits[fmt] += _dot(w, _framing_bits(scheme, payload))
+        mass = np.array(w, dtype=object)  # Python ints, for exact sums
+        tally.entropy.add(total, mass)
+        tally.entropy.add(counts.ravel(), -mass.repeat(size))
     return tally
 
 

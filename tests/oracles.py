@@ -8,7 +8,10 @@ Two exceptions keep earlier library code as references:
 library's rank and class lookup, the reference for the sampler that
 classifies draws by counts vector; ``reference_lex_rank`` and
 ``reference_lex_unrank`` are the prefix-count loops with one term per
-smaller symbol, the reference for the loops that sum them first.
+smaller symbol, the reference for the loops that sum them first;
+``reference_tally_classes`` is the per-class tally built on ``build_code``,
+the reference for the tally that measures a slice of classes in one array
+pass.
 """
 import itertools
 import math
@@ -17,7 +20,16 @@ from collections import Counter
 
 import numpy as np
 
-from setshaping import Alphabet, Sequence, rank_sequence, shared_ordering
+from setshaping import (
+    Alphabet,
+    Composition,
+    Sequence,
+    build_code,
+    rank_sequence,
+    shared_ordering,
+)
+from setshaping.coding import _framing_bits, payload_bit_count, scheme_bit_count
+from setshaping.experiments import _SideTally
 
 
 def brute_entropy(symbols, base=2.0):
@@ -232,3 +244,26 @@ def reference_sampled_classes(config, pmf, seed, lo, hi):
         Counter({plain_ordering.class_counts(j): n for j, n in plain.items()}),
         Counter({shaped_ordering.class_counts(j): n for j, n in shaped.items()}),
     )
+
+
+def reference_tally_classes(classes, formats):
+    """Totals over {counts vector: message count}, one class at a time:
+    build_code per class, then payload, scheme and framing bits, distinct
+    symbols and the entropy's integer coefficients times its count."""
+    tally = _SideTally()
+    for counts, weight in classes.items():
+        comp = Composition(counts)
+        if comp.total > 1:
+            tally.entropy.coef[comp.total] += weight * comp.total
+        for c in counts:
+            if c > 1:
+                tally.entropy.coef[c] -= weight * c
+        tally.distinct += weight * sum(1 for c in counts if c)
+        table = build_code(comp)
+        payload = payload_bit_count(comp, table)
+        tally.payload_bits += weight * payload
+        for fmt in formats:
+            scheme = scheme_bit_count(comp, fmt, table)
+            tally.scheme_bits[fmt] += weight * scheme
+            tally.framing_bits[fmt] += weight * _framing_bits(scheme, payload)
+    return tally

@@ -1,7 +1,9 @@
 import math
 import random
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from setshaping import (
 from setshaping.bitio import BitReader, BitWriter
 from setshaping.coding import (
     CONTAINER_HEADER_BYTES,
+    _huffman_lengths,
     payload_bit_count,
     scheme_bit_count,
 )
@@ -45,6 +48,7 @@ from setshaping.errors import (
 from oracles import (
     all_tuples,
     best_prefix_payload,
+    compositions,
     counts_of,
     reference_decode,
     reference_encode,
@@ -201,6 +205,64 @@ class TestBuildCode:
             )
 
 
+def heap_lengths(rows):
+    return [build_code(Composition(tuple(row))).lengths for row in rows]
+
+
+@st.composite
+def count_rows(draw):
+    """Rows of one alphabet size: zero counts, rows with one used symbol,
+    and counts drawn from a few values so that nodes tie."""
+    size = draw(st.integers(1, 32))
+    values = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3))
+    count = st.one_of(st.just(0), st.sampled_from(values), st.integers(1, 10**6))
+    lone = st.integers(0, size - 1).flatmap(
+        lambda s: st.integers(1, 10**6).map(lambda c: [0] * s + [c] + [0] * (size - 1 - s))
+    )
+    row = st.one_of(st.lists(count, min_size=size, max_size=size), lone)
+    return draw(st.lists(row.filter(any), min_size=1, max_size=8))
+
+
+class TestHuffmanLengths:
+    """The array pass the tallies use against build_code's heap."""
+
+    @pytest.mark.parametrize(
+        "size, top", [(1, 20), (2, 20), (3, 14), (4, 10), (5, 8), (6, 7), (7, 6), (8, 6)]
+    )
+    def test_every_composition(self, size, top):
+        rows = [c for n in range(1, top + 1) for c in compositions(n, size)]
+        lengths = _huffman_lengths(np.array(rows, np.int64))
+        assert list(map(tuple, lengths.tolist())) == heap_lengths(rows)
+
+    @given(count_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_rows(self, rows):
+        lengths = _huffman_lengths(np.array(rows, np.int64))
+        assert list(map(tuple, lengths.tolist())) == heap_lengths(rows)
+
+    @pytest.mark.parametrize(
+        "row, expected",
+        [((1, 1, 1), [2, 2, 1]), ((2, 1, 1, 2), [2, 3, 3, 1]), ((0, 3, 3, 3, 0), [0, 2, 2, 1, 0])],
+    )
+    def test_ties_break_on_smallest_symbol(self, row, expected):
+        # equal counts merge the node holding the smaller symbol first
+        assert _huffman_lengths(np.array([row], np.int64)).tolist() == [expected]
+        assert heap_lengths([row]) == [tuple(expected)]
+
+    def test_lone_symbol_gets_one_bit(self):
+        rows = [(0, 0, 7, 0), (5, 0, 0, 0), (2, 1, 0, 0)]
+        assert _huffman_lengths(np.array(rows, np.int64)).tolist() == [
+            [0, 0, 1, 0],
+            [1, 0, 0, 0],
+            [1, 1, 0, 0],
+        ]
+        assert _huffman_lengths(np.array([(9,)], np.int64)).tolist() == [[1]]
+
+    def test_empty_row_rejected(self):
+        with pytest.raises(EmptyCompositionError):
+            _huffman_lengths(np.array([(1, 2, 0), (0, 0, 0)], np.int64))
+
+
 class TestEncode:
     def test_given_table_2111(self):
         table = CodeTable.from_lengths(A3, (1, 2, 0))
@@ -254,6 +316,25 @@ class TestDecode:
             seq = Sequence(alphabet, t)
             table = build_code(composition_of(seq))
             assert decode(encode(seq, table), table, 100) == seq
+
+    def test_peak_memory_of_a_long_decode(self):
+        # about 0.8 M payload bits: the per-bit arrays are freed before the
+        # symbol list and tuple are built (9.2 MiB; 13.7 MiB with all alive
+        # at once).  The chase runs about 20 times slower under tracemalloc,
+        # hence half a million symbols, not more
+        rng = random.Random(3)
+        symbols = tuple(rng.choices(range(4), weights=(6, 2, 1, 1), k=500_000))
+        seq = Sequence(Alphabet(4), symbols)
+        table = build_code(composition_of(seq))
+        payload = encode(seq, table)
+        tracemalloc.start()
+        try:
+            decoded = decode(payload, table, seq.length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decoded == seq
+        assert peak < 11 * 2**20
 
     def test_empty_payload(self):
         table = CodeTable.from_lengths(A3, (1, 1, 0))

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from setshaping import (
     Alphabet,
+    Composition,
     Container,
     ExperimentConfig,
     SchemeFormat,
     Sequence,
     ShapingParams,
     SourceSpec,
+    build_code,
     encode_message,
     enumerate_compositions,
     multinomial,
@@ -45,6 +47,7 @@ from oracles import (
     multiset_permutations,
     reference_class_order,
     reference_sampled_classes,
+    reference_tally_classes,
 )
 
 A3 = Alphabet(3)
@@ -794,6 +797,103 @@ def test_sampled_report_matches_reference_classes(case):
     census = type_class_census(config.length, spec.alphabet, config.extra_length)
     expected = experiments._build_report(config, plain, shaped, spec, census)
     assert run_sampled(config, spec) == expected
+
+
+def assert_same_tally(got, want):
+    def nonzero(coef):
+        return {v: a for v, a in coef.items() if a}
+
+    assert nonzero(got.entropy.coef) == nonzero(want.entropy.coef)
+    assert (got.distinct, got.payload_bits) == (want.distinct, want.payload_bits)
+    assert got.scheme_bits == want.scheme_bits
+    assert got.framing_bits == want.framing_bits
+
+
+TALLY_SHAPES = [
+    (1, 3, 1),
+    (3, 3, 1),
+    (4, 3, 2),
+    (5, 3, 1),
+    (3, 4, 1),
+    (3, 5, 1),
+    (8, 5, 1),
+    (9, 4, 1),
+    (10, 4, 1),
+    (6, 3, 2),
+    (6, 3, 3),
+    (40, 4, 1),
+]
+
+
+class TestTallyClasses:
+    """The array-pass tally against the per-class reference on build_code."""
+
+    @pytest.mark.parametrize("n, size, k", TALLY_SHAPES)
+    def test_exhaustive_populations(self, n, size, k):
+        for side in experiments._population(ShapingParams(n, Alphabet(size), k)):
+            for formats in (FORMATS, FORMATS[1:]):
+                assert_same_tally(
+                    experiments._tally_classes(side, formats),
+                    reference_tally_classes(side, formats),
+                )
+
+    @pytest.mark.parametrize(
+        "n, size, k, pmf, samples",
+        [
+            (20, 4, 1, (0.6, 0.2, 0.1, 0.1), 3000),
+            (100, 4, 1, None, 400),
+            (12, 6, 2, (0.5, 0.2, 0.0, 0.1, 0.1, 0.1), 2000),
+        ],
+    )
+    def test_sampled_counters(self, n, size, k, pmf, samples):
+        config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
+        pmf = pmf or (1 / size,) * size
+        for side in experiments._sampled_chunk((config, pmf, 5, 0, samples)):
+            assert_same_tally(
+                experiments._tally_classes(side, FORMATS),
+                reference_tally_classes(side, FORMATS),
+            )
+
+    def test_weights_above_2_pow_63(self):
+        for side in experiments._population(ShapingParams(60, Alphabet(4), 1)):
+            assert max(side.values()) > 2**63
+            assert_same_tally(
+                experiments._tally_classes(side, FORMATS),
+                reference_tally_classes(side, FORMATS),
+            )
+
+    @pytest.mark.parametrize("classes", [Counter({(0, 5, 0): 1}), Counter({(7,): 3})])
+    def test_one_class_one_symbol(self, classes):
+        tally = experiments._tally_classes(classes, FORMATS)
+        assert_same_tally(tally, reference_tally_classes(classes, FORMATS))
+        # a 1-bit codeword per symbol
+        (counts, weight), = classes.items()
+        assert tally.payload_bits == weight * sum(counts)
+
+    def test_slices_of_three_rows(self, monkeypatch):
+        # every slice edge of a (6,3,2) population, both sides, and every
+        # slice's lengths against build_code
+        sliced = []
+
+        def lengths(counts):
+            assert len(counts) <= 3
+            sliced.extend(map(tuple, counts.tolist()))
+            got = huffman_lengths(counts)
+            assert list(map(tuple, got.tolist())) == [
+                build_code(Composition(tuple(c))).lengths for c in counts.tolist()
+            ]
+            return got
+
+        huffman_lengths = experiments._huffman_lengths
+        monkeypatch.setattr(experiments, "_TALLY_ROWS", 3)
+        monkeypatch.setattr(experiments, "_huffman_lengths", lengths)
+        for side in experiments._population(ShapingParams(6, Alphabet(3), 2)):
+            del sliced[:]
+            assert_same_tally(
+                experiments._tally_classes(side, FORMATS),
+                reference_tally_classes(side, FORMATS),
+            )
+            assert sliced == list(side)
 
 
 class TestReportSerialization:
