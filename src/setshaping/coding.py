@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,11 +198,50 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
 def encode(seq: Sequence, table: CodeTable) -> Bits:
     """Replace each symbol by its codeword; the payload bit string."""
     uncodable = {s for s, l in enumerate(table.lengths) if not l}
-    if not uncodable.isdisjoint(seq.symbols):
+    # the scan reads every symbol, so it runs only if some symbol has no
+    # codeword
+    if uncodable and not uncodable.isdisjoint(seq.symbols):
         first = next(s for s in seq.symbols if s in uncodable)
         raise UncodableSymbolError(f"symbol {first + 1} has no codeword")
     words = [format(c, f"0{l}b") for c, l in zip(table.codewords, table.lengths)]
     return _bits_from_string("".join(map(words.__getitem__, seq.symbols)))
+
+
+# the integer window types, narrowest first, each with its big-endian form
+_WINDOW_TYPES = tuple((np.dtype(f"u{k}"), np.dtype(f">u{k}")) for k in (1, 2, 4, 8))
+# bit offset r in a byte as a column: the word shifted left by r takes the
+# top r bits of the next byte
+_OFFSETS = {t: np.arange(8, dtype=t)[:, None] for t, _ in _WINDOW_TYPES}
+_CARRY = 8 - _OFFSETS[np.dtype(np.uint8)]
+
+
+def _int_windows(data: bytes, types: tuple, count: int) -> np.ndarray:
+    """The bits of a window type that start at each bit position of data,
+    zero past its end, for at least count positions: the big-endian word
+    at each byte, shifted left by the bit offset and or-ed with the next
+    byte's top bits.  Row i holds positions 8i to 8i + 7."""
+    native, big_endian = types
+    k = native.itemsize
+    rows = -(-count // 8)
+    padded = data + bytes(rows + k - len(data))
+    words = np.ndarray((rows,), big_endian, padded, 0, (1,))
+    following = np.frombuffer(padded, np.uint8, rows, k)
+    windows = words << _OFFSETS[native]
+    windows |= following >> _CARRY
+    return windows.T
+
+
+# positions per np.take when a jump table is squared in place: bounds the
+# intp copy of the indices that it makes
+_SQUARE_BLOCK = 1 << 16
+
+
+def _jump_depth(count: int) -> int:
+    """log2 of the codewords one jump covers in a chase of count codewords:
+    0 below 256 codewords, one more at each fourfold, at most 5 (from
+    65,536 codewords).  Each squaring of the jump table is one pass over
+    every bit position, and it halves the Python walk."""
+    return min(max(count.bit_length() - 7, 0) // 2, 5)
 
 
 def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
@@ -211,28 +249,44 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
 
     Canonical decoding with limits (Moffat & Turpin, "On the implementation
     of minimum redundancy prefix codes", IEEE T-Comm 1997), taken per
-    codeword: left-justified to max_length bits, the canonical codewords in
-    (length, symbol) order start at increasing values and cover
-    [0, limit), so the codeword at a bit position is the last one whose
-    start does not exceed the max_length-bit window there.  An incomplete
-    code leaves [limit, 2**max_length) unmatched.
+    codeword: left-justified, the canonical codewords in (length, symbol)
+    order start at increasing values and cover [0, limit), so the codeword
+    at a bit position is the last one whose start does not exceed the
+    window there.  An incomplete code leaves [limit, 2**max_length)
+    unmatched.
 
-    The windows are max_length-character slices of the payload's '0'/'1'
-    text, whose order is numeric order, so one numpy searchsorted finds the
-    codeword at every bit position for any max_length.  What is left per
-    symbol is a pointer chase from each codeword's start to the next.
+    Up to 64 bits, the window at a position is an unsigned integer of the
+    narrowest numpy type (8, 16, 32 or 64 bits) that holds max_length bits,
+    read from the payload bytes with shifts; the bits after the first
+    max_length cannot carry it past a codeword start, whose low bits are
+    zero.  Deeper codes take byte-string windows of the payload's '0'/'1'
+    text, whose order is numeric order.  Either way one numpy searchsorted
+    over the codeword starts gives the codeword, hence the symbol and the
+    length, at every position.
+
+    The codeword starts are then a pointer chase: the next start is the
+    position plus the length there.  Short messages walk it one codeword
+    per Python step.  Longer ones jump (Hillis & Steele, "Data parallel
+    algorithms", CACM 1986): the next-start table, squared m times, hops
+    2**m codewords, one Python walk visits every 2**m-th start, and
+    2**m - 1 gathers fill in the starts between.  m follows from the
+    symbol count (_jump_depth).
     """
     lmax = table.max_length
     used = sorted((l, s) for s, l in enumerate(table.lengths) if l)
     total = payload.bit_length
     # a code without codewords has max_length 0 and still reads one bit
     width = max(lmax, 1)
-    # keys[j] is where codeword j starts; an incomplete code's limit, where
-    # "no codeword" starts, is one more key
-    keys = [format(table.codewords[s] << (lmax - l), f"0{width}b") for l, s in used]
+    # windows of 8, 16, 32 or 64 bits, or byte strings above that
+    kind = max((width - 1).bit_length() - 3, 0)
+    deep = kind >= len(_WINDOW_TYPES)
+    bits = width if deep else 8 << kind
+    # keys[j] is where codeword j starts, left-justified to `bits`; an
+    # incomplete code's limit, where "no codeword" starts, is one more key
+    keys = [table.codewords[s] << (bits - l) for l, s in used]
     limit = sum(1 << (lmax - l) for l, _ in used)
     if limit < 1 << width:
-        keys.append(format(limit, f"0{width}b"))
+        keys.append(limit << (bits - lmax))
     # searchsorted gives codeword j as row j + 1; rows 0 (never given) and
     # len(used) + 1 ("no codeword") take symbol 0 and length 0.  Symbols
     # and lengths are kept per bit position, so in the narrowest types
@@ -240,33 +294,68 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
         [0, *(s for _, s in used), 0], np.min_scalar_type(len(table.lengths))
     )
     length_of = np.array([0, *(l for l, _ in used), 0], np.min_scalar_type(lmax))
-    # zero bits past the end keep every window `width` wide
-    text = (_string_from_bits(payload) + "0" * width).encode()
-    windows = np.ndarray((total + 1,), f"S{width}", text, 0, (1,))
-    row = np.array(keys, f"S{width}").searchsorted(windows, side="right")
+    # windows reach total + width, past the end of any codeword that starts
+    # in the payload
+    end = total + width + 1
+    if deep:
+        # zero bits past the end keep every window `width` wide
+        text = (_string_from_bits(payload) + "0" * (2 * width)).encode()
+        windows = np.ndarray((end,), f"S{width}", text, 0, (1,))
+        keys = np.array([format(key, f"0{width}b") for key in keys], f"S{width}")
+        del text  # the windows keep it until they are freed
+    else:
+        windows = _int_windows(payload.data, _WINDOW_TYPES[kind], end)
+        keys = np.array(keys, _WINDOW_TYPES[kind][0])
+    row = keys.searchsorted(windows, side="right").reshape(-1)
+    del windows
     # per position, the symbol and the length of the codeword there: length
     # 0 where none matches, and past the end, where a codeword that runs
     # past the payload lands, so the chase stops moving at the first symbol
     # it cannot read
+    row[total + 1 :] = 0
     found = symbol_of[row]
-    steps = np.zeros(total + width + 1, length_of.dtype)
-    np.take(length_of, row, out=steps[: total + 1])
+    steps = length_of[row]
     del row  # 8 bytes per payload bit, not needed by the chase
-    step = memoryview(steps)
     # every codeword takes at least one bit, so after total + 1 steps the
     # chase has stopped moving
-    chase = np.empty(min(max(n, 0), total + 1), np.intp)
-    starts = memoryview(chase)
-    pos = 0
-    for i in range(len(starts)):
-        starts[i] = pos
-        pos += step[pos]
-    if starts and (pos > total or pos == starts[-1]):
+    count = min(max(n, 0), total + 1)
+    depth = _jump_depth(count)
+    if depth:
+        # chase[j, b] is the start of codeword b * 2**depth + j
+        chase = np.empty((1 << depth, -(-count >> depth)), np.min_scalar_type(end))
+        hop = np.arange(end, dtype=chase.dtype)
+        hop += steps[:end]
+        for _ in range(depth):
+            # squared in place a block at a time: hop[p] >= p, so a block
+            # reads only itself and later blocks, none of them changed yet
+            for lo in range(0, end, _SQUARE_BLOCK):
+                block = hop[lo : lo + _SQUARE_BLOCK]
+                np.take(hop, block, out=block, mode="clip")
+        anchors, jump = memoryview(chase[0]), memoryview(hop)
+        pos = 0
+        for b in range(len(anchors)):
+            anchors[b] = pos
+            pos = jump[pos]
+        del anchors, jump, hop, block
+        for j in range(1, 1 << depth):
+            np.add(chase[j - 1], steps[chase[j - 1]], out=chase[j])
+        starts = chase.T.reshape(-1)[:count]
+        del chase
+        pos = int(starts[-1]) + int(steps[starts[-1]])
+    else:
+        starts = np.empty(count, np.intp)
+        chase, step = memoryview(starts), memoryview(steps)
+        pos = 0
+        for i in range(count):
+            chase[i] = pos
+            pos += step[pos]
+        del chase, step
+    if count and (pos > total or pos == starts[-1]):
         # the starts rise up to the failing one, then repeat where it stopped
-        done = bisect_left(starts, pos) - (pos > total)
-        fail = starts[done]
+        done = int(starts.searchsorted(pos)) - (pos > total)
+        fail = int(starts[done])
         if pos == fail and fail + width <= total:
-            pattern = text[fail : fail + width].decode()
+            pattern = _string_from_bits(payload)[fail : fail + width]
             raise MalformedPayloadError(f"bit pattern {pattern} matches no codeword")
         raise MalformedPayloadError(
             f"bit stream exhausted after {done} of {n} symbols "
@@ -276,11 +365,11 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
         raise MalformedPayloadError(
             f"{total - pos} unread bits after decoding {n} symbols"
         )
-    symbols = found[chase]
-    # the per-bit arrays and the text are dead once the symbols are
-    # gathered; freeing them before the list and the tuple are built keeps
-    # them out of the peak
-    del starts, step, chase, steps, found, windows, text
+    symbols = found[starts]
+    # the per-bit arrays are dead once the symbols are gathered; freeing
+    # them before the list and the tuple are built keeps them out of the
+    # peak
+    del starts, steps, found
     return Sequence(table.alphabet, tuple(symbols.tolist()))
 
 

@@ -135,7 +135,9 @@ def reference_encode(symbols, lengths, codewords):
 def reference_decode(data, bit_length, lengths, codewords, n):
     """The per-bit canonical decoder: grow a key (a leading 1, then the bits
     read) one bit at a time until it names a codeword.  Returns the symbol
-    tuple, or raises ValueError with "exhausted" or "no codeword"."""
+    tuple, or raises ValueError naming the failure as decode does:
+    "exhausted" with the symbols read, "no codeword" with the max-length
+    pattern, or the count of "unread bits"."""
     symbol_of = {
         (1 << l) | c: s for s, (l, c) in enumerate(zip(lengths, codewords)) if l
     }
@@ -146,16 +148,20 @@ def reference_decode(data, bit_length, lengths, codewords, n):
         key = 1
         while True:
             if pos == bit_length:
-                raise ValueError("bit stream exhausted")
+                raise ValueError(
+                    f"bit stream exhausted after {len(out)} of {n} symbols "
+                    f"({bit_length} payload bits)"
+                )
             key = (key << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
             pos += 1
             if key in symbol_of:
                 out.append(symbol_of[key])
                 break
             if key >= limit:
-                raise ValueError("bit pattern matches no codeword")
+                pattern = format(key, "b")[1:]
+                raise ValueError(f"bit pattern {pattern} matches no codeword")
     if pos != bit_length:
-        raise ValueError("unread bits")
+        raise ValueError(f"{bit_length - pos} unread bits after decoding {n} symbols")
     return tuple(out)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -29,10 +30,12 @@ from setshaping import (
     total_compressed_length,
     unpack_container,
 )
-from setshaping.bitio import BitReader, BitWriter
+from setshaping import coding
+from setshaping.bitio import BitReader, BitWriter, _string_from_bits as _text
 from setshaping.coding import (
     CONTAINER_HEADER_BYTES,
     _huffman_lengths,
+    _jump_depth,
     payload_bit_count,
     scheme_bit_count,
 )
@@ -318,10 +321,12 @@ class TestDecode:
             assert decode(encode(seq, table), table, 100) == seq
 
     def test_peak_memory_of_a_long_decode(self):
-        # about 0.8 M payload bits: the per-bit arrays are freed before the
-        # symbol list and tuple are built (9.2 MiB; 13.7 MiB with all alive
-        # at once).  The chase runs about 20 times slower under tracemalloc,
-        # hence half a million symbols, not more
+        # about 0.8 M payload bits, enough that a per-bit array kept past
+        # its use shows: the peak, 8.1 MiB, comes when the symbol list and
+        # tuple are built, after the per-bit arrays are freed (7.6 MiB while
+        # they are alive), and a view that kept the 3 MiB jump table to the
+        # end read 11.1 MiB.  Traced, the decode takes about 0.2 s, four
+        # times its untraced time
         rng = random.Random(3)
         symbols = tuple(rng.choices(range(4), weights=(6, 2, 1, 1), k=500_000))
         seq = Sequence(Alphabet(4), symbols)
@@ -370,10 +375,16 @@ class TestDecode:
             decode(Bits(b"\x80", 1), table, 1)
         assert decode(Bits.empty(), table, 0).symbols == ()
 
-    @pytest.mark.parametrize("depth", [40, 64, 70])
-    def test_deep_code_round_trip(self, depth):
+    @pytest.mark.parametrize("depth", [8, 9, 16, 17, 32, 33, 40, 64, 70])
+    def test_deep_code_round_trip(self, depth, monkeypatch):
         # lengths (1, 2, ..., depth, depth): a complete code whose longest
-        # codewords are far deeper than any lookup table could index
+        # codewords are far deeper than any lookup table could index; the
+        # depths put the windows at both ends of each integer type, and
+        # past 64 bits in byte strings of the payload's text
+        texts = []
+        monkeypatch.setattr(
+            coding, "_string_from_bits", lambda bits: texts.append(bits) or _text(bits)
+        )
         alphabet = Alphabet(depth + 1)
         table = CodeTable.from_lengths(alphabet, tuple(range(1, depth + 1)) + (depth,))
         assert table.max_length == depth
@@ -386,6 +397,7 @@ class TestDecode:
         assert decode(payload, table, seq.length) == seq
         with pytest.raises(MalformedPayloadError):
             decode(payload, table, seq.length + 1)
+        assert len(texts) == (2 if depth > 64 else 0)
 
     def test_untrusted_length_fails_when_bits_run_out(self):
         table = build_code(Composition((2, 1, 1)))
@@ -457,6 +469,65 @@ class TestDecodeAgainstReference:
             assert _error_kind(str(raised.value)) == _error_kind(str(expected))
         else:
             assert decode(payload, table, n).symbols == want
+
+
+# message lengths on both sides of each step of the jump depth
+_JUMP_STEPS = (255, 256, 1023, 1024, 4095, 4096, 16383, 16384, 65535, 65536)
+
+
+class TestJumpDepthsAgainstReference:
+    def test_lengths_straddle_every_step(self):
+        depths = [_jump_depth(n) for n in _JUMP_STEPS]
+        assert depths == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
+
+    @pytest.mark.parametrize("length", _JUMP_STEPS)
+    @pytest.mark.parametrize(
+        "lengths",
+        [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10), (1, 2, 0)],
+        ids=["complete", "incomplete"],
+    )
+    def test_mutations(self, length, lengths):
+        """The mutations of codes_and_messages at codeword i inside a jump,
+        at the last anchor and in the final block: flip its first bit, cut
+        its last bit and all after it, or end the payload with it and read
+        it with random bits after it, one codeword more or one less.  The
+        decode gives the reference's symbols or its failure message."""
+        table = CodeTable.from_lengths(Alphabet(len(lengths)), lengths)
+        rng = random.Random(length)
+        codable = [s for s, l in enumerate(lengths) if l]
+        weights = [2.0 ** -lengths[s] for s in codable]
+        words = [
+            format(table.codewords[s], f"0{lengths[s]}b")
+            for s in rng.choices(codable, weights, k=length)
+        ]
+        ends = list(itertools.accumulate(map(len, words)))
+        text = "".join(words)
+        depth = _jump_depth(length)
+        inside = (length // 2 >> depth << depth) + (1 << depth >> 1)
+        last_anchor = (length - 1) >> depth << depth
+        cases = [(text, length)]
+        for i in sorted({inside, last_anchor, length - 1}):
+            start, stop = ends[i] - len(words[i]), ends[i]
+            extra = "".join(rng.choices("01", k=rng.randint(1, 70)))
+            cases += [
+                (text[:start] + "10"[int(text[start])] + text[start + 1 :], length),
+                (text[: stop - 1], length),
+                (text[:stop] + extra, i + 1),
+                (text[:stop], i + 2),
+                (text[:stop], i),
+            ]
+        for bits, n in cases:
+            payload = _pack(bits)
+            try:
+                want = reference_decode(
+                    payload.data, payload.bit_length, lengths, table.codewords, n
+                )
+            except ValueError as expected:
+                with pytest.raises(MalformedPayloadError) as raised:
+                    decode(payload, table, n)
+                assert str(raised.value) == str(expected)
+            else:
+                assert decode(payload, table, n).symbols == want
 
 
 def _error_kind(message):
