@@ -31,7 +31,6 @@ from .combinatorics import (
     RankIndex,
     class_ordering,
     composition_count,
-    enumerate_compositions,
     multinomial,
     rank_in_class,
     rank_sequence,
@@ -108,7 +107,6 @@ __all__ = [
     "encode",
     "encode_message",
     "entropy_of_composition",
-    "enumerate_compositions",
     "errors",
     "format_sequence",
     "inverse_transform",

@@ -29,11 +29,11 @@ import collections.abc
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, groupby, repeat
+from itertools import accumulate, groupby, repeat
 from operator import itemgetter, mul, sub
 from typing import Iterator, NamedTuple
 
-from .core import Alphabet, Composition, Sequence, entropy_of_composition
+from .core import Alphabet, Composition, Sequence
 from .errors import RankOutOfRangeError, TooManyClassesError
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "ClassOrdering",
     "multinomial",
     "composition_count",
-    "enumerate_compositions",
     "class_ordering",
     "rank_in_class",
     "unrank_in_class",
@@ -68,18 +67,6 @@ def multinomial(comp: Composition) -> int:
 def composition_count(n: int, alphabet: Alphabet) -> int:
     """Number of compositions of n into |A| non-negative parts."""
     return math.comb(n + alphabet.size - 1, alphabet.size - 1)
-
-
-def enumerate_compositions(n: int, alphabet: Alphabet) -> Iterator[Composition]:
-    """Yield every composition of n into |A| parts, in lexicographic order
-    of the counts vector."""
-    # stars and bars: bar positions ascending lexicographically give counts
-    # ascending lexicographically
-    end = (n + alphabet.size - 1,)
-    for bars in combinations(range(n + alphabet.size - 1), alphabet.size - 1):
-        yield Composition(
-            tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
-        )
 
 
 def _partitions(n: int, parts: int) -> Iterator[list[int]]:
@@ -202,9 +189,12 @@ class _Permutations(NamedTuple):
     def locate(self, offset: int) -> tuple[int, int]:
         return divmod(offset, self.class_size)
 
-    def walk(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        multiset = [v for v, k in zip(self.values, self.repeats) for _ in range(k)]
-        return zip(_permutations(multiset), repeat(self.class_size))
+    def walk(self, j: int = 0) -> Iterator[tuple[tuple[int, ...], int]]:
+        if j:
+            start = list(self.counts(j))
+        else:  # the multiset ascending, with no unrank (whole-group walks)
+            start = [v for v, k in zip(self.values, self.repeats) for _ in range(k)]
+        return zip(_permutations(start), repeat(self.class_size))
 
 
 class _Tie(NamedTuple):
@@ -240,8 +230,8 @@ class _Tie(NamedTuple):
         j = bisect_right(self.offsets, offset) - 1
         return j, offset - self.offsets[j]
 
-    def walk(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return zip(self.members, map(sub, self.offsets[1:], self.offsets))
+    def walk(self, j: int = 0) -> Iterator[tuple[tuple[int, ...], int]]:
+        return zip(self.members[j:], map(sub, self.offsets[j + 1 :], self.offsets[j:]))
 
 
 class _Classes(collections.abc.Sequence):
@@ -270,8 +260,12 @@ class ClassOrdering:
     """All compositions of (length, alphabet) in the entropy order, kept as
     one group per count multiset (or per exact tie between multisets).
 
-    `compositions` is a lazy view of the counts vectors by class index, and
-    `classes()` walks (counts, class size) in order; no per-class table is
+    `classes()` walks (counts, class size) in order, and `spans(lo, hi)`
+    walks the classes that meet a rank range, each with its sequences
+    inside the range; `class_span` and `locate` find one class by its
+    counts vector or by a rank.  `compositions`, a lazy view of the counts
+    vectors by class index, is kept for the benchmark's tracer, which
+    counts the classes of each ordering it sees.  No per-class table is
     held.  Immutable after construction; rank/unrank are pure given the
     ordering.
     """
@@ -303,31 +297,40 @@ class ClassOrdering:
         for group in self._groups:
             yield from group.walk()
 
+    def spans(self, lo: RankIndex, hi: RankIndex) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Each class that meets the ranks [lo, hi), in order: its counts
+        vector and how many of its sequences lie in the range.  Nothing for
+        an empty range; RankOutOfRangeError, before anything is yielded,
+        unless 0 <= lo <= hi <= sequence_count."""
+        if not 0 <= lo <= hi <= self.sequence_count:
+            raise RankOutOfRangeError(
+                f"ranks [{lo}, {hi}) outside 0..{self.sequence_count}"
+            )
+        if lo == hi:
+            return
+        g, j, offset = self._at(lo)
+        left = hi - lo + offset  # ranks from the first class's start to hi
+        groups = self._groups
+        while True:
+            for counts, size in groups[g].walk(j):
+                yield counts, min(size, left) - offset
+                left -= size
+                if left <= 0:
+                    return
+                offset = 0
+            g, j = g + 1, 0
+
     def _find(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """Group of a counts vector and its class's position in the group."""
         g = self._group_of[tuple(sorted(counts))]
         return g, self._groups[g].position(counts)
 
-    def _class(self, i: int) -> tuple[int, int]:
-        """Group of class i and the class's position in the group."""
+    def class_counts(self, i: int) -> tuple[int, ...]:
+        """Counts vector of class i."""
         if not 0 <= i < self.class_count:
             raise IndexError(f"class {i} outside 0..{self.class_count - 1}")
         g = bisect_right(self._firsts, i) - 1
-        return g, i - self._firsts[g]
-
-    def class_index(self, comp: Composition) -> int:
-        g, j = self._find(comp.counts)
-        return self._firsts[g] + j
-
-    def class_counts(self, i: int) -> tuple[int, ...]:
-        """Counts vector of class i."""
-        g, j = self._class(i)
-        return self._groups[g].counts(j)
-
-    def class_start(self, i: int) -> int:
-        """Global rank of the first sequence in class i."""
-        g, j = self._class(i)
-        return self._starts[g] + self._groups[g].offset(j)
+        return self._groups[g].counts(i - self._firsts[g])
 
     def class_span(self, counts: tuple[int, ...]) -> tuple[RankIndex, int]:
         """Global rank of the first sequence with this counts vector, and
@@ -352,15 +355,6 @@ class ClassOrdering:
         g, j, offset = self._at(r)
         group = self._groups[g]
         return group.counts(j), group.size(j), offset
-
-    def class_of_rank(self, r: RankIndex) -> int:
-        """Index of the class holding global rank r."""
-        g, j, _ = self._at(r)
-        return self._firsts[g] + j
-
-    def class_entropy(self, i: int) -> float:
-        """Empirical entropy of class i, in bits per symbol."""
-        return entropy_of_composition(Composition(self.class_counts(i))).bits_per_symbol
 
 
 def class_ordering(

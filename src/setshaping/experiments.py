@@ -41,7 +41,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from .core import (
 from .errors import BadDistributionError, TooLargeError
 from .shaping import (
     ShapingParams,
-    _subset_classes,
     shared_ordering,
     transform,
 )
@@ -245,15 +244,8 @@ def _shaped_span(counts, plain_ordering, shaped_ordering):
     at which each of them but the first begins, followed by the class size.
     """
     start, size = plain_ordering.class_span(counts)
-    shaped, bounds = [], []
-    rank = start
-    while True:
-        shaped_counts, shaped_size, offset = shaped_ordering.locate(rank)
-        shaped.append(shaped_counts)
-        rank += shaped_size - offset  # the next shaped class's first rank
-        bounds.append(min(rank - start, size))
-        if rank - start >= size:
-            return tuple(shaped), bounds
+    shaped, included = zip(*shaped_ordering.spans(start, start + size))
+    return shaped, list(accumulate(included))
 
 
 def _bounds_below(symbols, counts, bounds) -> int:
@@ -715,7 +707,8 @@ def _population(params: ShapingParams) -> tuple[Counter, Counter]:
     """Every length-N message and its image as {counts vector: message count}:
     each plain class in full, and the shaped subset's classes with the
     included part of the boundary class, read off the two orderings."""
-    shaped = Counter(dict(_subset_classes(params)))
+    target = shared_ordering(params.target_length, params.alphabet)
+    shaped = Counter(dict(target.spans(0, params.subset_size)))
     plain = Counter(dict(shared_ordering(params.length, params.alphabet).classes()))
     return plain, shaped
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
 
 from .combinatorics import (
     ClassOrdering,
@@ -143,21 +142,10 @@ class ShapedSubsetStats:
         return sum(count for _, count in self.class_census)
 
 
-def _subset_classes(params: ShapingParams) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The shaped subset's classes in order, as (counts vector, sequences
-    included): each in full until the one holding rank |A|**N - 1, which
-    may be cut."""
-    left = params.subset_size
-    for counts, size in shared_ordering(params.target_length, params.alphabet).classes():
-        yield counts, min(size, left)
-        left -= size
-        if left <= 0:
-            return
-
-
 def shaped_subset_stats(params: ShapingParams) -> ShapedSubsetStats:
     """List the classes (with per-class included counts) forming the subset."""
-    census = tuple((Composition(c), included) for c, included in _subset_classes(params))
+    target = shared_ordering(params.target_length, params.alphabet)
+    census = tuple((Composition(c), n) for c, n in target.spans(0, params.subset_size))
     return ShapedSubsetStats(
         params=params,
         max_entropy_in_subset=entropy_of_composition(census[-1][0]).bits_per_symbol,

@@ -13,6 +13,7 @@ smaller symbol, the reference for the loops that sum them first;
 the reference for the tally that measures a slice of classes in one array
 pass.
 """
+import functools
 import itertools
 import math
 import re
@@ -101,6 +102,24 @@ def reference_class_order(n, size):
         math.factorial(n) // math.prod(math.factorial(x) for x in c) for c in classes
     )
     return classes, list(itertools.accumulate(sizes))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_class_order(n, size):
+    classes, cumulative = reference_class_order(n, size)
+    return tuple(classes), (0, *cumulative)
+
+
+def reference_spans(n, size, lo, hi):
+    """The classes of the reference class order that meet ranks [lo, hi),
+    in order, each with how many of its sequences lie in the range."""
+    classes, bounds = _cached_class_order(n, size)
+    spans = []
+    for counts, first, end in zip(classes, bounds, bounds[1:]):
+        included = min(end, hi) - max(first, lo)
+        if included > 0:
+            spans.append((counts, included))
+    return spans
 
 
 def best_prefix_payload(counts):
@@ -239,17 +258,14 @@ def reference_sampled_classes(config, pmf, seed, lo, hi):
     shaped_ordering = shared_ordering(config.length + config.extra_length, alphabet)
     p = np.asarray(pmf, dtype=np.float64)
     p = p / p.sum()
-    plain, shaped = Counter(), Counter()  # class index -> samples
+    plain, shaped = Counter(), Counter()
     for i in range(lo, hi):
         rng = np.random.default_rng([seed, i])
         symbols = tuple(int(s) for s in rng.choice(alphabet.size, size=config.length, p=p))
         r = rank_sequence(Sequence(alphabet, symbols), plain_ordering)
-        plain[plain_ordering.class_of_rank(r)] += 1
-        shaped[shaped_ordering.class_of_rank(r)] += 1
-    return (
-        Counter({plain_ordering.class_counts(j): n for j, n in plain.items()}),
-        Counter({shaped_ordering.class_counts(j): n for j, n in shaped.items()}),
-    )
+        plain[plain_ordering.locate(r)[0]] += 1
+        shaped[shaped_ordering.locate(r)[0]] += 1
+    return plain, shaped
 
 
 def reference_tally_classes(classes, formats):

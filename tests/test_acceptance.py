@@ -15,6 +15,7 @@ import pytest
 
 from setshaping import (
     Alphabet,
+    Composition,
     ExperimentConfig,
     SchemeFormat,
     Sequence,
@@ -33,10 +34,9 @@ from setshaping import (
 )
 from setshaping.cli import compress_sequence, main, restore_sequence
 from setshaping.coding import payload_bit_count
-from setshaping.combinatorics import enumerate_compositions
 from setshaping.shaping import ShapingParams
 
-from oracles import all_tuples, best_prefix_payload
+from oracles import all_tuples, best_prefix_payload, compositions
 
 A3 = Alphabet(3)
 BOTH_FORMATS = (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE)
@@ -202,7 +202,8 @@ def test_criterion_6_coding_correctness(capsys):
         for size in range(1, 5):
             alphabet = Alphabet(size)
             for n in range(1, 9):
-                for comp in enumerate_compositions(n, alphabet):
+                for counts in compositions(n, size):
+                    comp = Composition(counts)
                     if comp.total == 0:
                         continue
                     table = build_code(comp)

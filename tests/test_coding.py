@@ -191,10 +191,9 @@ class TestBuildCode:
         assert build_code(comp) == build_code(comp)
 
     def test_kraft_equality_when_multiple_symbols(self):
-        from setshaping.combinatorics import enumerate_compositions
-
         for n in range(1, 7):
-            for comp in enumerate_compositions(n, Alphabet(4)):
+            for counts in compositions(n, 4):
+                comp = Composition(counts)
                 if comp.total == 0 or sum(1 for c in comp.counts if c) < 2:
                     continue
                 num, denom = build_code(comp).kraft_sum_num_denom()

@@ -1,6 +1,8 @@
+import math
 import random
 import tracemalloc
-from itertools import accumulate
+from bisect import bisect_right
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from setshaping import (
     class_ordering,
     composition_count,
     empirical_entropy,
-    enumerate_compositions,
+    entropy_of_composition,
     multinomial,
     parse_sequence,
     rank_in_class,
@@ -25,12 +27,14 @@ from setshaping.errors import RankOutOfRangeError, TooManyClassesError
 
 from oracles import (
     all_tuples,
+    compositions,
     counts_of,
     entropy_sorted_tuples,
     multiset_permutations,
     reference_class_order,
     reference_lex_rank,
     reference_lex_unrank,
+    reference_spans,
 )
 from setshaping.combinatorics import _lex_rank, _lex_unrank
 
@@ -66,33 +70,8 @@ class TestMultinomial:
 
     def test_total_sequence_count(self):
         for n, size in [(3, 3), (4, 3), (5, 2), (3, 4)]:
-            total = sum(
-                multinomial(c) for c in enumerate_compositions(n, Alphabet(size))
-            )
+            total = sum(multinomial(Composition(c)) for c in compositions(n, size))
             assert total == size**n
-
-
-class TestEnumerateCompositions:
-    def test_count_n3(self):
-        comps = list(enumerate_compositions(3, A3))
-        assert len(comps) == 10 == composition_count(3, A3)
-
-    def test_count_n4(self):
-        assert len(list(enumerate_compositions(4, A3))) == 15
-
-    def test_n0(self):
-        assert [c.counts for c in enumerate_compositions(0, A3)] == [(0, 0, 0)]
-
-    def test_large_alphabet(self):
-        comps = [c.counts for c in enumerate_compositions(1, Alphabet(1200))]
-        assert len(comps) == 1200
-        assert comps == sorted(comps)
-
-    def test_lexicographic_and_complete(self):
-        comps = [c.counts for c in enumerate_compositions(3, A3)]
-        assert comps == sorted(comps)
-        assert len(set(comps)) == len(comps)
-        assert all(sum(c) == 3 for c in comps)
 
 
 class TestClassOrdering:
@@ -103,14 +82,18 @@ class TestClassOrdering:
 
     def test_cumulative_27_at_n4(self):
         ordering = class_ordering(4, A3)
-        assert ordering.class_start(9) == 27
-        for c in ordering.compositions[3:9]:
+        classes = [counts for counts, _ in ordering.classes()]
+        assert ordering.class_span(classes[9])[0] == 27
+        for c in classes[3:9]:
             assert sorted(c) == [0, 1, 3]
 
     def test_length1(self):
         ordering = class_ordering(1, Alphabet(5))
-        assert len(ordering.compositions) == 5
-        assert all(ordering.class_entropy(i) == 0.0 for i in range(5))
+        classes = [counts for counts, _ in ordering.classes()]
+        assert len(ordering.compositions) == len(classes) == 5
+        assert all(
+            entropy_of_composition(Composition(c)).bits_per_symbol == 0.0 for c in classes
+        )
 
     @pytest.mark.parametrize("n, size", [(5, 3), (9, 3), (6, 4), (7, 5), (6, 6)])
     def test_matches_brute_sort(self, n, size):
@@ -120,7 +103,7 @@ class TestClassOrdering:
         alphabet = Alphabet(size)
         ordering = class_ordering(n, alphabet)
         expected = sorted(
-            (c.counts for c in enumerate_compositions(n, alphabet)),
+            compositions(n, size),
             key=lambda c: (brute_entropy_of_counts(c), c),
         )
         assert list(ordering.compositions) == expected
@@ -139,10 +122,11 @@ class TestClassOrdering:
         # distinct count multisets with exactly equal entropy: the order
         # between them must be purely lexicographic
         ordering = class_ordering(sum(first), Alphabet(size))
-        i = ordering.class_index(Composition(first))
-        j = ordering.class_index(Composition(second))
-        assert abs(ordering.class_entropy(i) - ordering.class_entropy(j)) < 1e-15
-        assert i < j
+        entropies = [
+            entropy_of_composition(Composition(c)).bits_per_symbol for c in (first, second)
+        ]
+        assert abs(entropies[0] - entropies[1]) < 1e-15
+        assert ordering.class_span(first)[0] < ordering.class_span(second)[0]
 
     @pytest.mark.parametrize(
         "n, size",
@@ -159,17 +143,14 @@ class TestClassOrdering:
         assert [ordering.compositions[i] for i in range(len(classes))] == classes
         assert list(accumulate(size for _, size in ordering.classes())) == cumulative
         starts = [0] + cumulative[:-1]
-        assert [ordering.class_start(i) for i in range(len(classes))] == starts
         assert ordering.sequence_count == cumulative[-1]
-        assert [ordering.class_index(Composition(c)) for c in classes] == list(
-            range(len(classes))
-        )
-        for i, (first, end) in enumerate(zip(starts, cumulative)):
-            assert ordering.class_of_rank(first) == i == ordering.class_of_rank(end - 1)
+        assert list(ordering.spans(0, ordering.sequence_count)) == list(ordering.classes())
+        for counts, first, end in zip(classes, starts, cumulative):
             size = end - first
-            assert ordering.class_span(classes[i]) == (first, size)
-            assert ordering.locate(first) == (classes[i], size, 0)
-            assert ordering.locate(end - 1) == (classes[i], size, size - 1)
+            assert ordering.class_span(counts) == (first, size)
+            assert ordering.locate(first) == (counts, size, 0)
+            assert ordering.locate(end - 1) == (counts, size, size - 1)
+            assert list(ordering.spans(first, end)) == [(counts, size)]
 
     def test_compositions_view(self):
         ordering = class_ordering(4, A3)
@@ -181,15 +162,18 @@ class TestClassOrdering:
         with pytest.raises(IndexError):
             view[15]
         with pytest.raises(IndexError):
-            ordering.class_start(-1)
-        with pytest.raises(RankOutOfRangeError):
-            ordering.class_of_rank(3**4)
-        with pytest.raises(RankOutOfRangeError):
-            ordering.class_of_rank(-1)
+            view[-16]
+        for r in (3**4, -1):
+            with pytest.raises(RankOutOfRangeError):
+                ordering.locate(r)
+        for lo, hi in ((3**4, 3**4 + 1), (-1, 0)):
+            with pytest.raises(RankOutOfRangeError):
+                next(ordering.spans(lo, hi))
 
     def test_cumulative_strictly_increasing(self):
         ordering = class_ordering(6, A3)
-        starts = [ordering.class_start(i) for i in range(len(ordering.compositions))]
+        starts = [ordering.class_span(counts)[0] for counts, _ in ordering.classes()]
+        assert len(starts) == len(ordering.compositions)
         assert all(a < b for a, b in zip(starts, starts[1:]))
         assert ordering.sequence_count == 3**6
 
@@ -215,6 +199,79 @@ class TestClassOrdering:
         # 720,600 classes of 1,200 counts: refused before anything is built
         with pytest.raises(TooManyClassesError):
             class_ordering(2, Alphabet(1200))
+
+
+def _tie_groups(n, size):
+    """Each group of classes of distinct count multisets with exactly equal
+    entropy, in the reference class order: its rank range [first, end) and
+    its number of multisets."""
+    classes, cumulative = reference_class_order(n, size)
+    rows = zip(classes, [0] + cumulative[:-1], cumulative)
+    groups = []
+    for _, tied in groupby(rows, key=lambda row: math.prod(x**x for x in row[0])):
+        tied = list(tied)
+        multisets = len({tuple(sorted(counts)) for counts, _, _ in tied})
+        if multisets > 1:
+            groups.append((tied[0][1], tied[-1][2], multisets))
+    return groups
+
+
+class TestSpans:
+    """ClassOrdering.spans(lo, hi): each class meeting the ranks [lo, hi),
+    in order, with how many of its sequences lie in the range."""
+
+    def test_empty_range_yields_nothing(self):
+        ordering = class_ordering(4, A3)
+        for r in (0, 5, 27, 3**4):
+            assert list(ordering.spans(r, r)) == []
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-1, 0), (-1, 5), (0, 3**4 + 1), (80, 3**4 + 1), (5, 4), (3**4 + 1, 3**4 + 1)],
+    )
+    def test_out_of_range_raises_before_yielding(self, lo, hi):
+        spans = class_ordering(4, A3).spans(lo, hi)
+        with pytest.raises(RankOutOfRangeError):
+            next(spans)
+
+    def test_every_range_n4_a3(self):
+        ordering = class_ordering(4, A3)
+        total = ordering.sequence_count
+        ranges = [(lo, hi) for lo in range(total) for hi in range(lo + 1, total + 1)]
+        assert len(ranges) == 3321
+        for lo, hi in ranges:
+            assert list(ordering.spans(lo, hi)) == reference_spans(4, 3, lo, hi)
+
+    @pytest.mark.parametrize(
+        "n, size, most_tied",
+        [(8, 5, 2), (10, 4, 2), (22, 5, 3)],
+        ids=["N8-A5", "N10-A4", "N22-A5"],
+    )
+    def test_random_ranges_around_exact_ties(self, n, size, most_tied):
+        ordering = class_ordering(n, Alphabet(size))
+        _, cumulative = reference_class_order(n, size)
+        boundaries = set([0] + cumulative)
+        ties = _tie_groups(n, size)
+        assert max(multisets for _, _, multisets in ties) == most_tied
+        rng = random.Random(1000 * n + size)
+        total = ordering.sequence_count
+        ranges = []
+        for first, end, _ in ties:
+            # starting before or inside the group, ending inside or after it
+            for _ in range(24):
+                lo = rng.randrange(max(0, first - 3 * (end - first)), end)
+                hi = rng.randrange(lo + 1, min(total, end + 3 * (end - first)) + 1)
+                ranges.append((lo, hi))
+        assert any(lo < first and end < hi for first, end, _ in ties for lo, hi in ranges)
+        assert any(first < lo < end for first, end, _ in ties for lo, _ in ranges)
+        for _ in range(20):
+            lo = rng.randrange(total)
+            ranges.append((lo, rng.randrange(lo + 1, total + 1)))
+        assert any(lo not in boundaries and hi not in boundaries for lo, hi in ranges)
+        for lo, hi in ranges:
+            spans = list(ordering.spans(lo, hi))
+            assert spans == reference_spans(n, size, lo, hi)
+            assert sum(included for _, included in spans) == hi - lo
 
 
 class TestRankInClass:
@@ -351,13 +408,17 @@ class TestGlobalRank:
         # every rank of the tied (1,1,2,6) / (3,0,3,4) group and of the
         # five classes on either side of it
         ordering = class_ordering(10, A4)
-        classes, _ = reference_class_order(10, 4)
+        classes, cumulative = reference_class_order(10, 4)
         tied = [i for i, c in enumerate(classes) if sorted(c) in ([1, 1, 2, 6], [0, 3, 3, 4])]
         lo, hi = tied[0] - 5, tied[-1] + 6
-        for r in range(ordering.class_start(lo), ordering.class_start(hi)):
+        first = ordering.class_span(classes[lo])[0]
+        end = ordering.class_span(classes[hi])[0]
+        assert (first, end) == (cumulative[lo - 1], cumulative[hi - 1])
+        for r in range(first, end):
             s = unrank_sequence(10, A4, r, ordering)
             assert rank_sequence(s, ordering) == r
-            assert counts_of(s.symbols, 4) == classes[ordering.class_of_rank(r)]
+            counts = counts_of(s.symbols, 4)
+            assert counts == classes[bisect_right(cumulative, r)] == ordering.locate(r)[0]
 
     def test_entropy_monotone_in_rank(self):
         ordering = class_ordering(5, A3)

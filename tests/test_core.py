@@ -15,7 +15,6 @@ from setshaping import (
     distinct_symbol_count,
     empirical_entropy,
     entropy_of_composition,
-    enumerate_compositions,
     format_sequence,
     parse_sequence,
     weighted_entropy,
@@ -26,7 +25,13 @@ from setshaping.errors import (
     SequenceParseError,
 )
 
-from oracles import all_tuples, brute_entropy, counts_of, reference_parse_sequence
+from oracles import (
+    all_tuples,
+    brute_entropy,
+    compositions,
+    counts_of,
+    reference_parse_sequence,
+)
 
 A3 = Alphabet(3)
 
@@ -107,8 +112,7 @@ class TestEntropy:
     @pytest.mark.parametrize("n, size", [(6, 4), (9, 6)])
     def test_permutations_give_one_float(self, n, size):
         # one float per multiset: the terms are summed in sorted order
-        compositions = enumerate_compositions(n, Alphabet(size))
-        multisets = {tuple(sorted(c.counts)) for c in compositions}
+        multisets = {tuple(sorted(c)) for c in compositions(n, size)}
         for counts in multisets:
             values = {
                 entropy_of_composition(Composition(p)).bits_per_symbol

@@ -20,7 +20,6 @@ from setshaping import (
     SourceSpec,
     build_code,
     encode_message,
-    enumerate_compositions,
     multinomial,
     pack_container,
     reproduce_table,
@@ -974,7 +973,7 @@ class TestCensus:
         # exact-tie groups on the plain side at (8,5), (10,4) and (40,4), and
         # in the shaped subset at (9,4,1) and (40,4,1)
         params = ShapingParams(n, Alphabet(size), k)
-        plain = {c.counts: multinomial(c) for c in enumerate_compositions(n, params.alphabet)}
+        plain = {c: multinomial(Composition(c)) for c in compositions(n, size)}
         shaped = {}
         classes, ends = reference_class_order(n + k, size)
         start = 0
