@@ -265,12 +265,12 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     length, at every position.
 
     The codeword starts are then a pointer chase: the next start is the
-    position plus the length there.  Short messages walk it one codeword
-    per Python step.  Longer ones jump (Hillis & Steele, "Data parallel
-    algorithms", CACM 1986): the next-start table, squared m times, hops
-    2**m codewords, one Python walk visits every 2**m-th start, and
-    2**m - 1 gathers fill in the starts between.  m follows from the
-    symbol count (_jump_depth).
+    position plus the length there.  It jumps (Hillis & Steele, "Data
+    parallel algorithms", CACM 1986): the next-start table, squared m
+    times, hops 2**m codewords, one Python walk visits every 2**m-th
+    start, and 2**m - 1 gathers fill in the starts between.  m follows
+    from the symbol count (_jump_depth); at m = 0, for short messages,
+    the walk visits every start.
     """
     lmax = table.max_length
     used = sorted((l, s) for s, l in enumerate(table.lengths) if l)
@@ -320,36 +320,29 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     # chase has stopped moving
     count = min(max(n, 0), total + 1)
     depth = _jump_depth(count)
-    if depth:
-        # chase[j, b] is the start of codeword b * 2**depth + j
-        chase = np.empty((1 << depth, -(-count >> depth)), np.min_scalar_type(end))
-        hop = np.arange(end, dtype=chase.dtype)
-        hop += steps[:end]
-        for _ in range(depth):
-            # squared in place a block at a time: hop[p] >= p, so a block
-            # reads only itself and later blocks, none of them changed yet
-            for lo in range(0, end, _SQUARE_BLOCK):
-                block = hop[lo : lo + _SQUARE_BLOCK]
-                np.take(hop, block, out=block, mode="clip")
-        anchors, jump = memoryview(chase[0]), memoryview(hop)
-        pos = 0
-        for b in range(len(anchors)):
-            anchors[b] = pos
-            pos = jump[pos]
-        del anchors, jump, hop, block
-        for j in range(1, 1 << depth):
-            np.add(chase[j - 1], steps[chase[j - 1]], out=chase[j])
-        starts = chase.T.reshape(-1)[:count]
-        del chase
+    # chase[j, b] is the start of codeword b * 2**depth + j
+    chase = np.empty((1 << depth, -(-count >> depth)), np.min_scalar_type(end))
+    hop = np.arange(end, dtype=chase.dtype)
+    hop += steps[:end]
+    for _ in range(depth):
+        # squared in place a block at a time: hop[p] >= p, so a block reads
+        # only itself and later blocks, none of them changed yet
+        for lo in range(0, end, _SQUARE_BLOCK):
+            block = hop[lo : lo + _SQUARE_BLOCK]
+            np.take(hop, block, out=block, mode="clip")
+            del block  # a view that would keep the table alive
+    anchors, jump = memoryview(chase[0]), memoryview(hop)
+    pos = 0
+    for b in range(len(anchors)):
+        anchors[b] = pos
+        pos = jump[pos]
+    del anchors, jump, hop
+    for j in range(1, 1 << depth):
+        np.add(chase[j - 1], steps[chase[j - 1]], out=chase[j])
+    starts = chase.T.reshape(-1)[:count]
+    del chase
+    if count:
         pos = int(starts[-1]) + int(steps[starts[-1]])
-    else:
-        starts = np.empty(count, np.intp)
-        chase, step = memoryview(starts), memoryview(steps)
-        pos = 0
-        for i in range(count):
-            chase[i] = pos
-            pos += step[pos]
-        del chase, step
     if count and (pos > total or pos == starts[-1]):
         # the starts rise up to the failing one, then repeat where it stopped
         done = int(starts.searchsorted(pos)) - (pos > total)

@@ -28,10 +28,10 @@ those prefixes by one searchsorted over fixed-width byte keys.  Only a
 sample sharing a shortened prefix is ranked, and only as far as it takes
 to tell which side of each boundary it lies on.
 
-Every report's sub-alphabet census is read off the exhaustive class-weight
-maps, which the two class orderings hold: the ones an exhaustive run
-tallies, or for a sampled run (whose maps hold only the sampled classes)
-the ones ``type_class_census`` reads.
+Every report's sub-alphabet census is counted in one pass over the two
+ordering walks, keeping no map: an exhaustive run counts it off the maps it
+tallies, built once from those walks, and a sampled run (whose maps hold
+only the sampled classes) through ``type_class_census``.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ import json
 import math
 import os
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
@@ -205,7 +206,7 @@ def _dot(weights: list[int], values: np.ndarray) -> int:
 
 
 def _tally_classes(
-    classes: Counter[tuple[int, ...]], formats: tuple[SchemeFormat, ...]
+    classes: Mapping[tuple[int, ...], int], formats: tuple[SchemeFormat, ...]
 ) -> _SideTally:
     """Totals over a population given as {counts vector: message count}.
 
@@ -635,8 +636,8 @@ def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
             f"{size}**{n} messages exceed the exhaustive cap of {cap}; "
             f"use sampled mode"
         )
-    plain, shaped = _population(params)
-    census = _census(params, plain, shaped)
+    plain, shaped = map(dict, _population(params))
+    census = _census(params, plain.items(), shaped.items())
     return _build_report(config, plain, shaped, None, census)
 
 
@@ -703,32 +704,35 @@ class CensusReport:
         return cls(**d)
 
 
-def _population(params: ShapingParams) -> tuple[Counter, Counter]:
-    """Every length-N message and its image as {counts vector: message count}:
-    each plain class in full, and the shaped subset's classes with the
-    included part of the boundary class, read off the two orderings."""
+def _population(params: ShapingParams) -> tuple[Iterator, Iterator]:
+    """Every length-N message and its image as walks of (counts vector,
+    message count): each plain class in full, and the shaped subset's classes
+    with the boundary class's included part.  Both orderings are built here."""
     target = shared_ordering(params.target_length, params.alphabet)
-    shaped = Counter(dict(target.spans(0, params.subset_size)))
-    plain = Counter(dict(shared_ordering(params.length, params.alphabet).classes()))
-    return plain, shaped
+    plain = shared_ordering(params.length, params.alphabet)
+    return plain.classes(), target.spans(0, params.subset_size)
 
 
-def _census(params: ShapingParams, plain: Counter, shaped: Counter) -> CensusReport:
-    """Census read off the two class-weight maps of a whole population."""
-    plain_below = [count for counts, count in plain.items() if 0 in counts]
-    shaped_below = [count for counts, count in shaped.items() if 0 in counts]
+def _census(params: ShapingParams, plain: Iterable, shaped: Iterable) -> CensusReport:
+    """Census counted in one pass over each side's (counts vector, message
+    count) pairs of a whole population; nothing is kept."""
+    fields = {}
+    for side, pairs in (("plain", plain), ("shaped", shaped)):
+        classes = below = sequences = 0
+        for counts, count in pairs:
+            classes += 1
+            if 0 in counts:
+                below += 1
+                sequences += count
+        fields[f"{side}_classes_total"] = classes
+        fields[f"{side}_classes_below_full"] = below
+        fields[f"{side}_sequences_total"] = params.subset_size
+        fields[f"{side}_sequences_below_full"] = sequences
     return CensusReport(
         length=params.length,
         alphabet_size=params.alphabet.size,
         extra_length=params.extra_length,
-        plain_classes_total=len(plain),
-        plain_classes_below_full=len(plain_below),
-        plain_sequences_total=params.subset_size,
-        plain_sequences_below_full=sum(plain_below),
-        shaped_classes_total=len(shaped),
-        shaped_classes_below_full=len(shaped_below),
-        shaped_sequences_total=params.subset_size,
-        shaped_sequences_below_full=sum(shaped_below),
+        **fields,
     )
 
 
@@ -879,8 +883,8 @@ class ExperimentReport:
 
 def _build_report(
     config: ExperimentConfig,
-    plain_classes: Counter,
-    shaped_classes: Counter,
+    plain_classes: Mapping[tuple[int, ...], int],
+    shaped_classes: Mapping[tuple[int, ...], int],
     source: SourceSpec | None,
     census: CensusReport,
 ) -> ExperimentReport:

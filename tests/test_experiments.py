@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -35,7 +36,7 @@ from setshaping import (
 )
 from setshaping import experiments
 from setshaping.experiments import ExperimentReport
-from setshaping.errors import BadDistributionError, TooLargeError
+from setshaping.errors import BadDistributionError, TooLargeError, TooManyClassesError
 
 from oracles import (
     all_tuples,
@@ -829,7 +830,7 @@ class TestTallyClasses:
 
     @pytest.mark.parametrize("n, size, k", TALLY_SHAPES)
     def test_exhaustive_populations(self, n, size, k):
-        for side in experiments._population(ShapingParams(n, Alphabet(size), k)):
+        for side in map(dict, experiments._population(ShapingParams(n, Alphabet(size), k))):
             for formats in (FORMATS, FORMATS[1:]):
                 assert_same_tally(
                     experiments._tally_classes(side, formats),
@@ -854,7 +855,7 @@ class TestTallyClasses:
             )
 
     def test_weights_above_2_pow_63(self):
-        for side in experiments._population(ShapingParams(60, Alphabet(4), 1)):
+        for side in map(dict, experiments._population(ShapingParams(60, Alphabet(4), 1))):
             assert max(side.values()) > 2**63
             assert_same_tally(
                 experiments._tally_classes(side, FORMATS),
@@ -886,7 +887,7 @@ class TestTallyClasses:
         huffman_lengths = experiments._huffman_lengths
         monkeypatch.setattr(experiments, "_TALLY_ROWS", 3)
         monkeypatch.setattr(experiments, "_huffman_lengths", lengths)
-        for side in experiments._population(ShapingParams(6, Alphabet(3), 2)):
+        for side in map(dict, experiments._population(ShapingParams(6, Alphabet(3), 2))):
             del sliced[:]
             assert_same_tally(
                 experiments._tally_classes(side, FORMATS),
@@ -984,7 +985,26 @@ class TestCensus:
                 break
         census = shaped_subset_stats(params).class_census
         assert {c.counts: included for c, included in census} == shaped
-        assert experiments._population(params) == (Counter(plain), Counter(shaped))
+        assert tuple(map(dict, experiments._population(params))) == (plain, shaped)
+
+    def test_counts_without_holding_the_population(self):
+        # the (40,4,1) census walks 12,341 plain and 12,673 shaped classes;
+        # with both orderings built, it holds only its counters
+        shared_ordering(40, Alphabet(4))
+        shared_ordering(41, Alphabet(4))
+        tracemalloc.start()
+        try:
+            census = type_class_census(40, Alphabet(4), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert census.shaped_classes_total == 12673
+        assert peak < 64 * 2**10
+
+    def test_over_cap_population_raises_at_the_call(self):
+        # the walks are lazy, the orderings behind them are not
+        with pytest.raises(TooManyClassesError):
+            experiments._population(ShapingParams(1000, Alphabet(4), 1))
 
     def test_round_trip(self):
         census = type_class_census(4, A3, 1)
