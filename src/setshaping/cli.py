@@ -295,14 +295,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_census(args) -> int:
     census = type_class_census(args.n, Alphabet(args.alphabet), args.k)
-    if args.format == "json":
-        text = json.dumps(census.to_dict(), sort_keys=True, indent=2) + "\n"
-    else:
-        lines = ["metric,value"]
-        lines += [f"{k},{v}" for k, v in census.to_dict().items()]
-        text = "\n".join(lines) + "\n"
-    _write_text(args.output, text)
-    return 0
+    return _emit_report(census, args)
 
 
 # ---------------------------------------------------------------------------

@@ -175,10 +175,6 @@ class _Permutations(NamedTuple):
     classes: int
     class_size: int
 
-    @property
-    def total(self) -> int:
-        return self.classes * self.class_size
-
     def position(self, counts: tuple[int, ...]) -> int:
         symbols = [self.values.index(c) for c in counts]
         return _lex_rank(symbols, list(self.repeats), self.classes)
@@ -215,10 +211,6 @@ class _Tie(NamedTuple):
     @property
     def classes(self) -> int:
         return len(self.members)
-
-    @property
-    def total(self) -> int:
-        return self.offsets[-1]
 
     def position(self, counts: tuple[int, ...]) -> int:
         return bisect_left(self.members, counts)

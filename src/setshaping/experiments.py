@@ -32,12 +32,16 @@ Every report's sub-alphabet census is counted in one pass over the two
 ordering walks, keeping no map: an exhaustive run counts it off the maps it
 tallies, built once from those walks, and a sampled run (whose maps hold
 only the sampled classes) through ``type_class_census``.
+
+Every report (``CensusReport``, ``ExperimentReport``) is a ``_Report``,
+which alone decides how a report is written as JSON or CSV.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -671,8 +675,45 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
     return _build_report(config, plain, shaped, spec, census)
 
 
+class _Report:
+    """The one report format: JSON with sorted keys, or a ``metric,value``
+    CSV whose rows follow the field order, with a nested report or dict as
+    ``name.key`` rows in key order, None as ``not computable``, floats by
+    repr and tuples joined by ``+``."""
+
+    def to_dict(self) -> dict:
+        d = {}
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, _Report):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            d[name] = value
+        return d
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+    def to_csv(self) -> str:
+        lines = ["metric,value"]
+
+        def emit(name, value):
+            if isinstance(value, dict):
+                for k in sorted(value):
+                    emit(f"{name}.{k}", value[k])
+            elif value is None:
+                lines.append(f"{name},not computable")
+            else:
+                lines.append(f"{name},{value!r}" if isinstance(value, float) else f"{name},{value}")
+
+        for name, value in self.to_dict().items():
+            emit(name, "+".join(value) if isinstance(value, list) else value)
+        return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
-class CensusReport:
+class CensusReport(_Report):
     """How many type classes (and sequences) use fewer than |A| symbols,
     for the plain set of length-N sequences vs the shaped subset."""
 
@@ -695,9 +736,6 @@ class CensusReport:
     @property
     def shaped_sequence_fraction(self) -> float:
         return self.shaped_sequences_below_full / self.shaped_sequences_total
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CensusReport":
@@ -783,7 +821,7 @@ def table_to_csv(rows: list[TableRow]) -> str:
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(_Report):
     """Aggregate averages for the plain and shaped message populations.
 
     Exact integer totals are kept alongside the derived float averages so
@@ -830,55 +868,52 @@ class ExperimentReport:
     random_limit_bits: float
     below_random_limit: dict[str, bool]
 
-    census: CensusReport | None
-
-    def to_dict(self) -> dict:
-        d = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, CensusReport):
-                value = value.to_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
-            d[name] = value
-        return d
+    census: CensusReport
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
         d = dict(d)
-        if d.get("census") is not None:
-            d["census"] = CensusReport.from_dict(d["census"])
+        d["census"] = CensusReport.from_dict(d["census"])
         d["scheme_formats"] = tuple(d["scheme_formats"])
         return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
         return cls.from_dict(json.loads(text))
 
-    def to_csv(self) -> str:
-        lines = ["metric,value"]
 
-        def emit(name, value):
-            if isinstance(value, dict):
-                for k in sorted(value):
-                    emit(f"{name}.{k}", value[k])
-            elif value is None:
-                lines.append(f"{name},not computable")
-            else:
-                lines.append(f"{name},{value!r}" if isinstance(value, float) else f"{name},{value}")
-
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, CensusReport):
-                emit("census", value.to_dict())
-            elif isinstance(value, tuple):
-                emit(name, "+".join(value))
-            else:
-                emit(name, value)
-        return "\n".join(lines) + "\n"
+def _side_fields(
+    side: str, tally: _SideTally, config: ExperimentConfig, pop: int
+) -> dict:
+    """One side's ten report fields from its tally, each name ending in
+    the side ("plain" or "shaped"), as ``_census`` names its fields by side."""
+    scheme = {f.value: tally.scheme_bits[f] for f in config.scheme_formats}
+    framing = {f.value: tally.framing_bits[f] for f in config.scheme_formats}
+    avg_scheme = {name: bits / pop for name, bits in scheme.items()}
+    avg_payload = tally.payload_bits / pop
+    avg_framing = {name: bits / pop for name, bits in framing.items()}
+    # total built from the per-part floats so that
+    # avg_total == avg_scheme + avg_payload holds exactly
+    avg_total = {}
+    for name in scheme:
+        avg_total[name] = avg_scheme[name] + avg_payload
+        if config.charge_framing:
+            avg_total[name] += avg_framing[name]
+    fields = {
+        "distinct_total": tally.distinct,
+        "payload_bits_total": tally.payload_bits,
+        "scheme_bits_total": scheme,
+        "framing_bits_total": framing,
+        "avg_weighted_entropy": tally.entropy.value(config.base) / pop,
+        "avg_distinct_symbols": tally.distinct / pop,
+        "avg_payload_bits": avg_payload,
+        "avg_scheme_bits": avg_scheme,
+        "avg_framing_bits": avg_framing,
+        "avg_total_bits": avg_total,
+    }
+    # interned, so that the report's constructor matches each keyword by
+    # identity rather than comparing it with every field name
+    return {sys.intern(f"{name}_{side}"): value for name, value in fields.items()}
 
 
 def _build_report(
@@ -890,44 +925,13 @@ def _build_report(
 ) -> ExperimentReport:
     sampled = source is not None
     pop = sum(plain_classes.values())
-    plain = _tally_classes(plain_classes, config.scheme_formats)
-    shaped = _tally_classes(shaped_classes, config.scheme_formats)
+    sides = {}
+    for side, classes in (("plain", plain_classes), ("shaped", shaped_classes)):
+        tally = _tally_classes(classes, config.scheme_formats)
+        sides.update(_side_fields(side, tally, config, pop))
     fmt_names = tuple(f.value for f in config.scheme_formats)
-
-    def per_fmt(d: dict[SchemeFormat, int]) -> dict[str, int]:
-        return {f.value: d[f] for f in config.scheme_formats}
-
-    scheme_plain = per_fmt(plain.scheme_bits)
-    scheme_shaped = per_fmt(shaped.scheme_bits)
-    framing_plain = per_fmt(plain.framing_bits)
-    framing_shaped = per_fmt(shaped.framing_bits)
-
-    def averages(scheme: dict[str, int], payload: int, framing: dict[str, int]):
-        avg_scheme = {name: scheme[name] / pop for name in fmt_names}
-        avg_payload = payload / pop
-        avg_framing = {name: framing[name] / pop for name in fmt_names}
-        # total built from the per-part floats so that
-        # avg_total == avg_scheme + avg_payload holds exactly
-        avg_total = {}
-        for name in fmt_names:
-            avg_total[name] = avg_scheme[name] + avg_payload
-            if config.charge_framing:
-                avg_total[name] += avg_framing[name]
-        return avg_scheme, avg_payload, avg_framing, avg_total
-
-    (
-        avg_scheme_plain,
-        avg_payload_plain,
-        avg_framing_plain,
-        avg_total_plain,
-    ) = averages(scheme_plain, plain.payload_bits, framing_plain)
-    (
-        avg_scheme_shaped,
-        avg_payload_shaped,
-        avg_framing_shaped,
-        avg_total_shaped,
-    ) = averages(scheme_shaped, shaped.payload_bits, framing_shaped)
-
+    total_plain = sides["avg_total_bits_plain"]
+    total_shaped = sides["avg_total_bits_shaped"]
     random_limit_bits = config.length * math.log2(config.alphabet_size)
 
     return ExperimentReport(
@@ -941,28 +945,9 @@ def _build_report(
         sample_count=config.sample_count if sampled else None,
         charge_framing=config.charge_framing,
         scheme_formats=fmt_names,
-        distinct_total_plain=plain.distinct,
-        distinct_total_shaped=shaped.distinct,
-        payload_bits_total_plain=plain.payload_bits,
-        payload_bits_total_shaped=shaped.payload_bits,
-        scheme_bits_total_plain=scheme_plain,
-        scheme_bits_total_shaped=scheme_shaped,
-        framing_bits_total_plain=framing_plain,
-        framing_bits_total_shaped=framing_shaped,
-        avg_weighted_entropy_plain=plain.entropy.value(config.base) / pop,
-        avg_weighted_entropy_shaped=shaped.entropy.value(config.base) / pop,
-        avg_distinct_symbols_plain=plain.distinct / pop,
-        avg_distinct_symbols_shaped=shaped.distinct / pop,
-        avg_payload_bits_plain=avg_payload_plain,
-        avg_payload_bits_shaped=avg_payload_shaped,
-        avg_scheme_bits_plain=avg_scheme_plain,
-        avg_scheme_bits_shaped=avg_scheme_shaped,
-        avg_framing_bits_plain=avg_framing_plain,
-        avg_framing_bits_shaped=avg_framing_shaped,
-        avg_total_bits_plain=avg_total_plain,
-        avg_total_bits_shaped=avg_total_shaped,
+        **sides,
         total_bits_delta={
-            name: avg_total_shaped[name] - avg_total_plain[name] for name in fmt_names
+            name: total_shaped[name] - total_plain[name] for name in fmt_names
         },
         source_entropy_reference=(
             config.length * source_entropy(source, config.base) if sampled else None
@@ -970,7 +955,7 @@ def _build_report(
         random_limit_symbols=float(config.length),
         random_limit_bits=random_limit_bits,
         below_random_limit={
-            name: avg_total_shaped[name] < random_limit_bits for name in fmt_names
+            name: total_shaped[name] < random_limit_bits for name in fmt_names
         },
         census=census,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -359,6 +360,46 @@ class TestReports:
         code, out, err = run_cli(["census", "-n", "3", "-a", "3", "--format", "csv"], capsys)
         assert code == 0
         assert "plain_classes_total,10" in out
+
+    # first 16 hex digits of sha256(stdout), recorded before the reports
+    # shared one serializer
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("exhaustive -n 3 -a 3", "d89b503a5a9856de"),
+            ("exhaustive -n 3 -a 3 --format csv", "eab71e8696ae1b09"),
+            ("census -n 4 -a 3 -k 2", "f874f3bbda64bb07"),
+            ("census -n 4 -a 3 -k 2 --format csv", "ff387c30cb7dd3dc"),
+            (
+                "sample -n 4 -a 3 --samples 200 --seed 3 --format csv",
+                "949d5e4c718d0006",
+            ),
+        ],
+    )
+    def test_report_bytes(self, capsys, argv, digest):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_census_csv_rows_in_field_order(self, capsys):
+        code, out, err = run_cli(
+            ["census", "-n", "4", "-a", "3", "-k", "2", "--format", "csv"], capsys
+        )
+        assert code == 0
+        assert out == (
+            "metric,value\n"
+            "length,4\n"
+            "alphabet_size,3\n"
+            "extra_length,2\n"
+            "plain_classes_total,15\n"
+            "plain_classes_below_full,12\n"
+            "plain_sequences_total,81\n"
+            "plain_sequences_below_full,45\n"
+            "shaped_classes_total,12\n"
+            "shaped_classes_below_full,12\n"
+            "shaped_sequences_total,81\n"
+            "shaped_sequences_below_full,81\n"
+        )
 
     @pytest.mark.parametrize("base", ["nan", "inf", "1"])
     @pytest.mark.parametrize(
