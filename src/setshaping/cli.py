@@ -32,7 +32,6 @@ from .coding import (
 from .core import Alphabet, Sequence, format_sequence, parse_sequence
 from .errors import BadLengthError, MalformedPayloadError, SetShapingError
 from .experiments import (
-    DEFAULT_EXHAUSTIVE_CAP,
     ExperimentConfig,
     SourceSpec,
     reproduce_table,
@@ -283,7 +282,7 @@ def _emit_report(report, args) -> int:
 
 
 def _cmd_exhaustive(args) -> int:
-    report = run_exhaustive(_experiment_config(args, exhaustive_cap=args.cap))
+    report = run_exhaustive(_experiment_config(args))
     return _emit_report(report, args)
 
 
@@ -391,12 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exhaustive", help="measure every length-N message")
     _add_experiment_flags(p)
-    p.add_argument(
-        "--cap",
-        type=_count(1),
-        default=DEFAULT_EXHAUSTIVE_CAP,
-        help="exhaustive population cap (default %(default)s)",
-    )
     _add_common(p)
     p.set_defaults(func=_cmd_exhaustive)
 

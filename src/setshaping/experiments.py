@@ -1,9 +1,9 @@
 """Exhaustive and sampled measurement of plain vs shaped compression cost.
 
 Every reported quantity of a message depends only on its composition (its
-type class), so a population is tallied as a map from counts vector to
-message count, and each class is measured once.  The classes are measured
-together in array passes over slices of the map: one pass gives every
+type class), so a population is tallied as (counts vector, message count)
+pairs, and each class is measured once.  The classes are measured
+together in array passes over slices of the pairs: one pass gives every
 class its Huffman code lengths (``coding._huffman_lengths``, the lengths
 ``build_code`` gives), and payload, scheme and framing bits are array
 expressions over them.  Totals are exact: each figure is multiplied by its
@@ -28,10 +28,13 @@ those prefixes by one searchsorted over fixed-width byte keys.  Only a
 sample sharing a shortened prefix is ranked, and only as far as it takes
 to tell which side of each boundary it lies on.
 
-Every report's sub-alphabet census is counted in one pass over the two
-ordering walks, keeping no map: an exhaustive run counts it off the maps it
-tallies, built once from those walks, and a sampled run (whose maps hold
-only the sampled classes) through ``type_class_census``.
+The tally reads those pairs a slice at a time and keeps no map of them:
+an exhaustive run tallies the two ordering walks as they are yielded, so
+it walks each ordering once per report and is bounded by the orderings'
+class cap, not by its message count.  Every report's sub-alphabet census is counted by
+one function as the walks pass: an exhaustive run counts it in its tally's
+slices, and a sampled run (whose Counters hold only the sampled classes)
+through ``type_class_census``, over the bare walks.
 
 Every report (``CensusReport``, ``ExperimentReport``) is a ``_Report``,
 which alone decides how a report is written as JSON or CSV.
@@ -43,10 +46,9 @@ import math
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -58,7 +60,7 @@ from .core import (
     format_sequence,
     weighted_entropy,
 )
-from .errors import BadDistributionError, TooLargeError
+from .errors import BadDistributionError
 from .shaping import (
     ShapingParams,
     shared_ordering,
@@ -78,8 +80,6 @@ __all__ = [
     "type_class_census",
     "table_to_csv",
 ]
-
-DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ class ExperimentConfig:
     )
     sample_count: int = 100_000
     charge_framing: bool = False
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
     jobs: int = 1
 
     def __post_init__(self):
@@ -160,7 +159,7 @@ class _LogSum:
     """Exact sum of integer-weighted ln(v) terms.
 
     add takes the terms v*ln(v) of many classes at once, each times its
-    weight; value() converts to float (in the requested log base) only once,
+    weight; mean() converts to float (in the requested log base) only once,
     iterating terms in sorted order.
     """
 
@@ -182,15 +181,45 @@ class _LogSum:
         for v, weight in zip(values[firsts].tolist(), sums.tolist()):
             self.coef[v] += v * weight
 
-    def value(self, base: float) -> float:
-        terms = [a * math.log(v) for v, a in sorted(self.coef.items()) if a]
-        return math.fsum(terms) / math.log(base)
+    def mean(self, base: float, count: int) -> float:
+        """The sum divided by ``count``.  Coefficients and count past 2**1000
+        are all divided by one power of two first (int true division, each
+        correctly rounded), which cancels in the quotient and keeps every
+        float finite; below that the division is by 1, an exact conversion."""
+        coef = sorted(self.coef.items())
+        top = max([count.bit_length()] + [abs(a).bit_length() for _, a in coef])
+        scale = 1 << max(0, top - 1000)
+        terms = [a / scale * math.log(v) for v, a in coef if a]
+        return math.fsum(terms) / math.log(base) / (count / scale)
+
+
+@dataclass
+class _CensusCounts:
+    """One side's census: its classes, and the classes and messages that use
+    fewer than all |A| symbols (a zero count)."""
+
+    classes: int = 0
+    below_classes: int = 0
+    below_messages: int = 0
+
+    def count(self, rows: Iterable) -> None:
+        """Add (counts vector, message count) rows, one class at a time."""
+        classes = below = messages = 0
+        for counts, n in rows:
+            classes += 1
+            if 0 in counts:
+                below += 1
+                messages += n
+        self.classes += classes
+        self.below_classes += below
+        self.below_messages += messages
 
 
 @dataclass
 class _SideTally:
     """Exact totals over one side (plain or shaped) of a message population."""
 
+    census: _CensusCounts = field(default_factory=_CensusCounts)
     entropy: _LogSum = field(default_factory=_LogSum)
     distinct: int = 0
     payload_bits: int = 0
@@ -210,20 +239,23 @@ def _dot(weights: list[int], values: np.ndarray) -> int:
 
 
 def _tally_classes(
-    classes: Mapping[tuple[int, ...], int], formats: tuple[SchemeFormat, ...]
+    classes: Iterable[tuple[tuple[int, ...], int]], formats: tuple[SchemeFormat, ...]
 ) -> _SideTally:
-    """Totals over a population given as {counts vector: message count}.
+    """Totals over a population given as (counts vector, message count)
+    pairs, one per class, read ``_TALLY_ROWS`` at a time.
 
     Each class's Huffman lengths, payload, distinct symbols, scheme and
     framing bits come from array expressions over a slice of classes; each
     figure is then multiplied by its class's message count exactly.  The
-    weighted entropy N*ln N - sum n*ln n keeps integer coefficients.
+    weighted entropy N*ln N - sum n*ln n keeps integer coefficients.  Each
+    slice's rows are counted into the census as well.
     """
     tally = _SideTally()
-    vectors, weights = list(classes), list(classes.values())
-    for lo in range(0, len(weights), _TALLY_ROWS):
-        counts = np.array(vectors[lo : lo + _TALLY_ROWS], np.int64)
-        w = weights[lo : lo + _TALLY_ROWS]
+    classes = iter(classes)
+    while rows := list(islice(classes, _TALLY_ROWS)):
+        tally.census.count(rows)
+        vectors, w = zip(*rows)
+        counts = np.array(vectors, np.int64)
         size = counts.shape[1]
         lengths = _huffman_lengths(counts)
         total = counts.sum(1)
@@ -629,20 +661,12 @@ def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
 
     The plain side holds every class of the length-N ordering in full; the
     shaped side holds the classes of the |A|**N lowest-ranked length-(N+K)
-    sequences, the last of them possibly in part.  Cost grows with the
-    number of classes, not messages; ``jobs`` does not apply.
+    sequences, the last of them possibly in part.  Both are tallied as the
+    orderings walk them, each walked once and nothing kept, so cost and
+    memory grow with the number of classes, not messages: an ordering over
+    its class cap raises TooManyClassesError.  ``jobs`` does not apply.
     """
-    params = config.shaping  # validate alphabet/length/extra_length up front
-    size, n, cap = config.alphabet_size, config.length, config.exhaustive_cap
-    # |A| > 2, so n >= cap.bit_length() puts |A|**n over the cap unbuilt
-    if n >= cap.bit_length() or size**n > cap:
-        raise TooLargeError(
-            f"{size}**{n} messages exceed the exhaustive cap of {cap}; "
-            f"use sampled mode"
-        )
-    plain, shaped = map(dict, _population(params))
-    census = _census(params, plain.items(), shaped.items())
-    return _build_report(config, plain, shaped, None, census)
+    return _build_report(config, *_population(config.shaping), None)
 
 
 def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport":
@@ -665,14 +689,16 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
         spans = {}  # shared by this report's chunks, and by no other report
         results = [_sampled_chunk(t, spans) for t in tasks]
     else:
+        # imported here: it loads multiprocessing, which no other path uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sampled_chunk, tasks))
     plain, shaped = Counter(), Counter()
     for chunk_plain, chunk_shaped in results:
         plain.update(chunk_plain)
         shaped.update(chunk_shaped)
-    census = type_class_census(config.length, config.alphabet, config.extra_length)
-    return _build_report(config, plain, shaped, spec, census)
+    return _build_report(config, plain.items(), shaped.items(), spec)
 
 
 class _Report:
@@ -751,21 +777,16 @@ def _population(params: ShapingParams) -> tuple[Iterator, Iterator]:
     return plain.classes(), target.spans(0, params.subset_size)
 
 
-def _census(params: ShapingParams, plain: Iterable, shaped: Iterable) -> CensusReport:
-    """Census counted in one pass over each side's (counts vector, message
-    count) pairs of a whole population; nothing is kept."""
+def _census(
+    params: ShapingParams, plain: _CensusCounts, shaped: _CensusCounts
+) -> CensusReport:
+    """The census report of a whole population's two sides' counts."""
     fields = {}
-    for side, pairs in (("plain", plain), ("shaped", shaped)):
-        classes = below = sequences = 0
-        for counts, count in pairs:
-            classes += 1
-            if 0 in counts:
-                below += 1
-                sequences += count
-        fields[f"{side}_classes_total"] = classes
-        fields[f"{side}_classes_below_full"] = below
+    for side, counts in (("plain", plain), ("shaped", shaped)):
+        fields[f"{side}_classes_total"] = counts.classes
+        fields[f"{side}_classes_below_full"] = counts.below_classes
         fields[f"{side}_sequences_total"] = params.subset_size
-        fields[f"{side}_sequences_below_full"] = sequences
+        fields[f"{side}_sequences_below_full"] = counts.below_messages
     return CensusReport(
         length=params.length,
         alphabet_size=params.alphabet.size,
@@ -778,7 +799,10 @@ def type_class_census(n: int, alphabet: Alphabet, extra_length: int = 1) -> Cens
     """Census of sub-alphabet type classes, plain set vs shaped subset; an
     ordering over its class cap raises TooManyClassesError."""
     params = ShapingParams(n, alphabet, extra_length)
-    return _census(params, *_population(params))
+    plain, shaped = _CensusCounts(), _CensusCounts()
+    for counts, walk in zip((plain, shaped), _population(params)):
+        counts.count(walk)
+    return _census(params, plain, shaped)
 
 
 @dataclass(frozen=True)
@@ -904,7 +928,7 @@ def _side_fields(
         "payload_bits_total": tally.payload_bits,
         "scheme_bits_total": scheme,
         "framing_bits_total": framing,
-        "avg_weighted_entropy": tally.entropy.value(config.base) / pop,
+        "avg_weighted_entropy": tally.entropy.mean(config.base, pop),
         "avg_distinct_symbols": tally.distinct / pop,
         "avg_payload_bits": avg_payload,
         "avg_scheme_bits": avg_scheme,
@@ -918,17 +942,26 @@ def _side_fields(
 
 def _build_report(
     config: ExperimentConfig,
-    plain_classes: Mapping[tuple[int, ...], int],
-    shaped_classes: Mapping[tuple[int, ...], int],
+    plain_classes: Iterable[tuple[tuple[int, ...], int]],
+    shaped_classes: Iterable[tuple[tuple[int, ...], int]],
     source: SourceSpec | None,
-    census: CensusReport,
 ) -> ExperimentReport:
+    """The report of a population given as each side's (counts vector,
+    message count) pairs: every message (source None), or a source's
+    samples.  An exhaustive report's census is counted in its tallies; a
+    sampled one, whose pairs hold only the sampled classes, takes it from
+    ``type_class_census``."""
     sampled = source is not None
-    pop = sum(plain_classes.values())
+    pop = config.sample_count if sampled else config.shaping.subset_size
     sides = {}
+    tallies = []
     for side, classes in (("plain", plain_classes), ("shaped", shaped_classes)):
-        tally = _tally_classes(classes, config.scheme_formats)
-        sides.update(_side_fields(side, tally, config, pop))
+        tallies.append(_tally_classes(classes, config.scheme_formats))
+        sides.update(_side_fields(side, tallies[-1], config, pop))
+    if sampled:
+        census = type_class_census(config.length, config.alphabet, config.extra_length)
+    else:
+        census = _census(config.shaping, *(t.census for t in tallies))
     fmt_names = tuple(f.value for f in config.scheme_formats)
     total_plain = sides["avg_total_bits_plain"]
     total_shaped = sides["avg_total_bits_shaped"]

@@ -115,8 +115,9 @@ class TestTransformCommands:
             ["transform", "-a", "3", "--base", "2"],
             ["encode", "-a", "3", "--base", "2"],
             ["sample", "-n", "3", "-a", "3", "--cap", "5"],
+            ["exhaustive", "-n", "3", "-a", "3", "--cap", "5"],
         ],
-        ids=["transform-base", "encode-base", "sample-cap"],
+        ids=["transform-base", "encode-base", "sample-cap", "exhaustive-cap"],
     )
     def test_removed_flag_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
@@ -141,6 +142,7 @@ class TestUsageErrors:
         "cap-0": (["exhaustive", "-n", "3", "-a", "3", "--cap", "0"], None),
         "config-no-equals": (["exhaustive", "-n", "3", "-a", "3"], "k 2\n"),
         "config-unknown-key": (["exhaustive", "-n", "3", "-a", "3"], "kk = 2\n"),
+        "config-cap": (["exhaustive", "-n", "3", "-a", "3"], "cap = 1000\n"),
         "base-1": (["exhaustive", "-n", "3", "-a", "3", "--base", "1"], None),
     }
 
@@ -160,7 +162,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["exhaustive", "--help"])
         assert exc.value.code == 0
-        assert "--cap" in capsys.readouterr().out
+        assert "--charge-framing" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv, stdin, code",
@@ -287,22 +289,13 @@ class TestReports:
         ) == 0
         assert out.read_text().startswith("metric,value\n")
 
-    def test_exhaustive_cap_guidance(self, capsys):
-        code, out, err = run_cli(
-            ["exhaustive", "-n", "40", "-a", "3", "--cap", "100"], capsys
-        )
-        assert code == 3
-        payload = stderr_json(err)
-        assert payload["error"] == "TooLarge"
-        assert "sampled" in payload["detail"]
-
     def test_exhaustive_cap_huge_length(self, capsys):
-        # 3**100000 has 47,713 digits: the cap check never builds it
+        # the class cap stops the run before any ordering, or 3**100000, is built
         code, out, err = run_cli(["exhaustive", "-n", "100000", "-a", "3"], capsys)
-        assert code == 3
+        assert (code, out) == (3, "")
         payload = stderr_json(err)
-        assert payload["error"] == "TooLarge"
-        assert "sampled" in payload["detail"]
+        assert payload["error"] == "TooManyClasses"
+        assert "length 100001" in payload["detail"]
 
     def test_charge_framing_toggle(self, tmp_path):
         plain = tmp_path / "a.json"
@@ -489,7 +482,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "n = 3\nalphabet = 3\nbase = 2\nsamples = 40\nseed = 4\n"
-            "pmf = 0.5,0.25,0.25\ncap = 1000\n"
+            "pmf = 0.5,0.25,0.25\n"
         )
         out = tmp_path / "r.json"
         assert main([command, "--config", str(cfg), "-o", str(out)]) == 0
@@ -555,7 +548,7 @@ class TestConfigFile:
             None,
             {
                 "n": "4", "alphabet": "3", "k": "2", "base": "3", "scheme": "lengths",
-                "format": "csv", "jobs": "1", "cap": "1000", "charge-framing": "",
+                "format": "csv", "jobs": "1", "charge-framing": "",
             },
         ),
         (

@@ -36,7 +36,7 @@ from setshaping import (
 )
 from setshaping import experiments
 from setshaping.experiments import ExperimentReport
-from setshaping.errors import BadDistributionError, TooLargeError, TooManyClassesError
+from setshaping.errors import BadDistributionError, TooManyClassesError
 
 from oracles import (
     all_tuples,
@@ -206,18 +206,13 @@ class TestExhaustive:
         assert report.census.shaped_sequences_below_full == 27
 
     def test_cap(self):
-        with pytest.raises(TooLargeError):
-            run_exhaustive(
-                ExperimentConfig(length=30, alphabet_size=3, exhaustive_cap=1000)
-            )
-        with pytest.raises(TooLargeError, match=r"3\*\*1000000 messages"):
+        # the orderings' class cap bounds a run, raised before |A|**N is built
+        with pytest.raises(TooManyClassesError, match="length 1000001 exceed"):
             run_exhaustive(ExperimentConfig(length=10**6, alphabet_size=3))
-        # 3**3 == 27: a population equal to the cap runs, one over it does not
-        assert run_exhaustive(
-            ExperimentConfig(length=3, alphabet_size=3, exhaustive_cap=27)
-        ).population == 27
-        with pytest.raises(TooLargeError):
-            run_exhaustive(ExperimentConfig(length=3, alphabet_size=3, exhaustive_cap=26))
+        # no message cap: 3**15 is 14,348,907 messages in 136 plain classes
+        report = run_exhaustive(ExperimentConfig(length=15, alphabet_size=3))
+        assert report.population == 3**15 > 10**7
+        assert report.census == type_class_census(15, A3, 1)
 
     def test_jobs_do_not_change_results(self, report):
         parallel = run_exhaustive(
@@ -276,7 +271,8 @@ class TestSampled:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        # run_sampled imports the pool class only when it starts workers
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         spec = SourceSpec(A3, seed=4)
         config = ExperimentConfig(length=3, alphabet_size=3, sample_count=2)
@@ -303,7 +299,8 @@ class TestSampled:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        # run_sampled imports the pool class only when it starts workers
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         spec = SourceSpec(A3, seed=4)
         config = ExperimentConfig(length=3, alphabet_size=3, sample_count=40)
@@ -641,8 +638,7 @@ class TestStraddlingKeys:
         for config, pmf in cases:
             spec = SourceSpec(Alphabet(4), pmf, seed=5)
             plain, shaped = reference_sampled_classes(config, pmf, 5, 0, config.sample_count)
-            census = type_class_census(config.length, spec.alphabet, config.extra_length)
-            expected = experiments._build_report(config, plain, shaped, spec, census)
+            expected = experiments._build_report(config, plain.items(), shaped.items(), spec)
             assert run_sampled(config, spec) == expected
         assert len(memos) == 12
         reports = [memos[i : i + 4] for i in range(0, 12, 4)]
@@ -794,8 +790,7 @@ def test_sampled_report_matches_reference_classes(case):
     plain, shaped = reference_sampled_classes(
         config, spec.pmf, spec.seed, 0, config.sample_count
     )
-    census = type_class_census(config.length, spec.alphabet, config.extra_length)
-    expected = experiments._build_report(config, plain, shaped, spec, census)
+    expected = experiments._build_report(config, plain.items(), shaped.items(), spec)
     assert run_sampled(config, spec) == expected
 
 
@@ -833,7 +828,7 @@ class TestTallyClasses:
         for side in map(dict, experiments._population(ShapingParams(n, Alphabet(size), k))):
             for formats in (FORMATS, FORMATS[1:]):
                 assert_same_tally(
-                    experiments._tally_classes(side, formats),
+                    experiments._tally_classes(side.items(), formats),
                     reference_tally_classes(side, formats),
                 )
 
@@ -850,7 +845,7 @@ class TestTallyClasses:
         pmf = pmf or (1 / size,) * size
         for side in experiments._sampled_chunk((config, pmf, 5, 0, samples)):
             assert_same_tally(
-                experiments._tally_classes(side, FORMATS),
+                experiments._tally_classes(side.items(), FORMATS),
                 reference_tally_classes(side, FORMATS),
             )
 
@@ -858,13 +853,13 @@ class TestTallyClasses:
         for side in map(dict, experiments._population(ShapingParams(60, Alphabet(4), 1))):
             assert max(side.values()) > 2**63
             assert_same_tally(
-                experiments._tally_classes(side, FORMATS),
+                experiments._tally_classes(side.items(), FORMATS),
                 reference_tally_classes(side, FORMATS),
             )
 
     @pytest.mark.parametrize("classes", [Counter({(0, 5, 0): 1}), Counter({(7,): 3})])
     def test_one_class_one_symbol(self, classes):
-        tally = experiments._tally_classes(classes, FORMATS)
+        tally = experiments._tally_classes(classes.items(), FORMATS)
         assert_same_tally(tally, reference_tally_classes(classes, FORMATS))
         # a 1-bit codeword per symbol
         (counts, weight), = classes.items()
@@ -890,10 +885,50 @@ class TestTallyClasses:
         for side in map(dict, experiments._population(ShapingParams(6, Alphabet(3), 2))):
             del sliced[:]
             assert_same_tally(
-                experiments._tally_classes(side, FORMATS),
+                experiments._tally_classes(side.items(), FORMATS),
                 reference_tally_classes(side, FORMATS),
             )
             assert sliced == list(side)
+
+    def test_report_holds_no_population(self, monkeypatch):
+        # the (40,4,1) report tallies 12,341 plain and 12,673 shaped classes
+        # as the orderings walk them, 256 at a time: with both orderings
+        # built, it holds one slice and its totals, no map of the classes
+        shared_ordering(40, Alphabet(4))
+        shared_ordering(41, Alphabet(4))
+        monkeypatch.setattr(experiments, "_TALLY_ROWS", 256)
+        tracemalloc.start()
+        try:
+            report = run_exhaustive(ExperimentConfig(length=40, alphabet_size=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.census.shaped_classes_total == 12673
+        assert peak < 2**20
+
+
+class TestLogSum:
+    """Weighted-entropy means whose coefficients and count overflow a float."""
+
+    def test_mean_against_fractions(self):
+        total = experiments._LogSum()
+        total.coef.update({2: 3 * 2**1100 + 1, 5: -(2**1101) - 7, 9: 2**1150 + 11})
+        count = 2**1140 + 3
+        exact = sum(Fraction(a) * Fraction(math.log(v)) for v, a in total.coef.items())
+        for base in (2.0, math.e, 3.0):
+            want = exact / Fraction(math.log(base)) / count
+            assert total.mean(base, count) == pytest.approx(float(want), rel=1e-13)
+
+    def test_side_fields_past_2_pow_1024(self):
+        # an exhaustive report over 3**647 messages or more has such weights
+        classes = [((2, 1, 0), 2**1100), ((1, 1, 1), 2**1101)]
+        config = ExperimentConfig(length=3, alphabet_size=3)
+        tally = experiments._tally_classes(classes, FORMATS)
+        fields = experiments._side_fields("plain", tally, config, 3 * 2**1100)
+        # N*H0 of each class, weighted 1:2 over 3 units: H0(2,1) + 2*H0(1,1,1)
+        want = brute_entropy((0, 0, 1)) + 2 * brute_entropy((0, 1, 2))
+        assert fields["avg_weighted_entropy_plain"] == pytest.approx(want, rel=1e-13)
+        assert fields["avg_distinct_symbols_plain"] == 8 / 3
 
 
 class TestReportSerialization:
