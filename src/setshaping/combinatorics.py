@@ -198,6 +198,10 @@ class _Permutations(NamedTuple):
             start = [v for v, k in zip(self.values, self.repeats) for _ in range(k)]
         return zip(_permutations(start), repeat(self.class_size))
 
+    def multisets(self, left: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        ranks = min(left, self.classes * self.class_size)
+        yield self.values, -(-ranks // self.class_size), ranks
+
 
 class _Tie(NamedTuple):
     """Group of the classes of distinct count multisets with exactly equal
@@ -231,6 +235,13 @@ class _Tie(NamedTuple):
     def walk(self, j: int = 0) -> Iterator[tuple[tuple[int, ...], int]]:
         return zip(self.members[j:], map(sub, self.offsets[j + 1 :], self.offsets[j:]))
 
+    def multisets(self, left: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        for counts, size in self.walk():
+            yield tuple(sorted(set(counts))), 1, min(size, left)
+            left -= size
+            if left <= 0:
+                return
+
 
 class _Classes(collections.abc.Sequence):
     """Read-only view of an ordering's counts vectors by class index; each
@@ -258,9 +269,10 @@ class ClassOrdering:
     """All compositions of (length, alphabet) in the entropy order, kept as
     one group per count multiset (or per exact tie between multisets).
 
-    `classes()` walks (counts, class size) in order, and `spans(lo, hi)`
-    walks the classes that meet a rank range, each with its sequences
-    inside the range; `class_span` and `locate` find one class by its
+    `classes()` walks (counts, class size) in order, `spans(lo, hi)` walks
+    the classes that meet a rank range, each with its sequences inside the
+    range, and `multiset_spans(hi)` walks those below rank hi a count
+    multiset at a time; `class_span` and `locate` find one class by its
     counts vector or by a rank.  `compositions`, a lazy view of the counts
     vectors by class index, is kept for the benchmark's tracer, which
     counts the classes of each ordering it sees.  No per-class table is
@@ -317,6 +329,21 @@ class ClassOrdering:
                     return
                 offset = 0
             g, j = g + 1, 0
+
+    def multiset_spans(self, hi: RankIndex) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """The classes that meet the ranks [0, hi), one count multiset at a
+        time, in order: the multiset's distinct counts (ascending), how many
+        of its classes meet the range and how many of the range's ranks they
+        hold.  Only the multiset holding rank hi - 1 is cut; a group of
+        exactly tied multisets gives each of its classes in turn.  Nothing
+        for hi == 0; RankOutOfRangeError, before anything is yielded, unless
+        0 <= hi <= sequence_count."""
+        if not 0 <= hi <= self.sequence_count:
+            raise RankOutOfRangeError(f"ranks [0, {hi}) outside 0..{self.sequence_count}")
+        for group, start in zip(self._groups, self._starts):
+            if start >= hi:
+                return
+            yield from group.multisets(hi - start)
 
     def _find(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """Group of a counts vector and its class's position in the group."""

@@ -31,10 +31,10 @@ to tell which side of each boundary it lies on.
 The tally reads those pairs a slice at a time and keeps no map of them:
 an exhaustive run tallies the two ordering walks as they are yielded, so
 it walks each ordering once per report and is bounded by the orderings'
-class cap, not by its message count.  Every report's sub-alphabet census is counted by
-one function as the walks pass: an exhaustive run counts it in its tally's
-slices, and a sampled run (whose Counters hold only the sampled classes)
-through ``type_class_census``, over the bare walks.
+class cap, not by its message count.  Every report's sub-alphabet census,
+exhaustive or sampled, is ``type_class_census``'s: whether a class uses
+fewer than |A| symbols depends only on its count multiset, so it counts
+each ordering one multiset at a time, not one class at a time.
 
 Every report (``CensusReport``, ``ExperimentReport``) is a ``_Report``,
 which alone decides how a report is written as JSON or CSV.
@@ -194,32 +194,9 @@ class _LogSum:
 
 
 @dataclass
-class _CensusCounts:
-    """One side's census: its classes, and the classes and messages that use
-    fewer than all |A| symbols (a zero count)."""
-
-    classes: int = 0
-    below_classes: int = 0
-    below_messages: int = 0
-
-    def count(self, rows: Iterable) -> None:
-        """Add (counts vector, message count) rows, one class at a time."""
-        classes = below = messages = 0
-        for counts, n in rows:
-            classes += 1
-            if 0 in counts:
-                below += 1
-                messages += n
-        self.classes += classes
-        self.below_classes += below
-        self.below_messages += messages
-
-
-@dataclass
 class _SideTally:
     """Exact totals over one side (plain or shaped) of a message population."""
 
-    census: _CensusCounts = field(default_factory=_CensusCounts)
     entropy: _LogSum = field(default_factory=_LogSum)
     distinct: int = 0
     payload_bits: int = 0
@@ -247,13 +224,11 @@ def _tally_classes(
     Each class's Huffman lengths, payload, distinct symbols, scheme and
     framing bits come from array expressions over a slice of classes; each
     figure is then multiplied by its class's message count exactly.  The
-    weighted entropy N*ln N - sum n*ln n keeps integer coefficients.  Each
-    slice's rows are counted into the census as well.
+    weighted entropy N*ln N - sum n*ln n keeps integer coefficients.
     """
     tally = _SideTally()
     classes = iter(classes)
     while rows := list(islice(classes, _TALLY_ROWS)):
-        tally.census.count(rows)
         vectors, w = zip(*rows)
         counts = np.array(vectors, np.int64)
         size = counts.shape[1]
@@ -771,38 +746,38 @@ class CensusReport(_Report):
 def _population(params: ShapingParams) -> tuple[Iterator, Iterator]:
     """Every length-N message and its image as walks of (counts vector,
     message count): each plain class in full, and the shaped subset's classes
-    with the boundary class's included part.  Both orderings are built here."""
-    target = shared_ordering(params.target_length, params.alphabet)
+    with the boundary class's included part.  Both orderings are built here,
+    the plain one first."""
     plain = shared_ordering(params.length, params.alphabet)
+    target = shared_ordering(params.target_length, params.alphabet)
     return plain.classes(), target.spans(0, params.subset_size)
 
 
-def _census(
-    params: ShapingParams, plain: _CensusCounts, shaped: _CensusCounts
-) -> CensusReport:
-    """The census report of a whole population's two sides' counts."""
-    fields = {}
-    for side, counts in (("plain", plain), ("shaped", shaped)):
-        fields[f"{side}_classes_total"] = counts.classes
-        fields[f"{side}_classes_below_full"] = counts.below_classes
-        fields[f"{side}_sequences_total"] = params.subset_size
-        fields[f"{side}_sequences_below_full"] = counts.below_messages
-    return CensusReport(
-        length=params.length,
-        alphabet_size=params.alphabet.size,
-        extra_length=params.extra_length,
-        **fields,
-    )
-
-
 def type_class_census(n: int, alphabet: Alphabet, extra_length: int = 1) -> CensusReport:
-    """Census of sub-alphabet type classes, plain set vs shaped subset; an
-    ordering over its class cap raises TooManyClassesError."""
+    """Census of sub-alphabet type classes, plain set vs shaped subset.
+
+    Whether a class uses fewer than |A| symbols depends only on its count
+    multiset, so each side is counted one multiset at a time over the ranks
+    [0, |A|**N) of its ordering (``ClassOrdering.multiset_spans``), the plain
+    ordering first; an ordering over its class cap raises
+    TooManyClassesError."""
     params = ShapingParams(n, alphabet, extra_length)
-    plain, shaped = _CensusCounts(), _CensusCounts()
-    for counts, walk in zip((plain, shaped), _population(params)):
-        counts.count(walk)
-    return _census(params, plain, shaped)
+    fields = {}
+    for side, length in (("plain", n), ("shaped", params.target_length)):
+        classes = below_classes = below_messages = 0
+        ordering = shared_ordering(length, alphabet)
+        for values, met, ranks in ordering.multiset_spans(params.subset_size):
+            classes += met
+            if values[0] == 0:  # a zero count: fewer than |A| symbols
+                below_classes += met
+                below_messages += ranks
+        fields[f"{side}_classes_total"] = classes
+        fields[f"{side}_classes_below_full"] = below_classes
+        fields[f"{side}_sequences_total"] = params.subset_size
+        fields[f"{side}_sequences_below_full"] = below_messages
+    return CensusReport(
+        length=n, alphabet_size=alphabet.size, extra_length=extra_length, **fields
+    )
 
 
 @dataclass(frozen=True)
@@ -910,7 +885,7 @@ def _side_fields(
     side: str, tally: _SideTally, config: ExperimentConfig, pop: int
 ) -> dict:
     """One side's ten report fields from its tally, each name ending in
-    the side ("plain" or "shaped"), as ``_census`` names its fields by side."""
+    the side ("plain" or "shaped")."""
     scheme = {f.value: tally.scheme_bits[f] for f in config.scheme_formats}
     framing = {f.value: tally.framing_bits[f] for f in config.scheme_formats}
     avg_scheme = {name: bits / pop for name, bits in scheme.items()}
@@ -948,20 +923,14 @@ def _build_report(
 ) -> ExperimentReport:
     """The report of a population given as each side's (counts vector,
     message count) pairs: every message (source None), or a source's
-    samples.  An exhaustive report's census is counted in its tallies; a
-    sampled one, whose pairs hold only the sampled classes, takes it from
-    ``type_class_census``."""
+    samples.  The census, of every message whatever the population, is
+    ``type_class_census``'s."""
     sampled = source is not None
     pop = config.sample_count if sampled else config.shaping.subset_size
     sides = {}
-    tallies = []
     for side, classes in (("plain", plain_classes), ("shaped", shaped_classes)):
-        tallies.append(_tally_classes(classes, config.scheme_formats))
-        sides.update(_side_fields(side, tallies[-1], config, pop))
-    if sampled:
-        census = type_class_census(config.length, config.alphabet, config.extra_length)
-    else:
-        census = _census(config.shaping, *(t.census for t in tallies))
+        tally = _tally_classes(classes, config.scheme_formats)
+        sides.update(_side_fields(side, tally, config, pop))
     fmt_names = tuple(f.value for f in config.scheme_formats)
     total_plain = sides["avg_total_bits_plain"]
     total_shaped = sides["avg_total_bits_shaped"]
@@ -990,5 +959,5 @@ def _build_report(
         below_random_limit={
             name: total_shaped[name] < random_limit_bits for name in fmt_names
         },
-        census=census,
+        census=type_class_census(config.length, config.alphabet, config.extra_length),
     )

@@ -290,12 +290,20 @@ class TestReports:
         assert out.read_text().startswith("metric,value\n")
 
     def test_exhaustive_cap_huge_length(self, capsys):
-        # the class cap stops the run before any ordering, or 3**100000, is built
+        # the class cap stops the run before any ordering, or 3**100000, is
+        # built, and names the length asked for: the plain ordering's
         code, out, err = run_cli(["exhaustive", "-n", "100000", "-a", "3"], capsys)
         assert (code, out) == (3, "")
         payload = stderr_json(err)
         assert payload["error"] == "TooManyClasses"
-        assert "length 100001" in payload["detail"]
+        assert "length 100000" in payload["detail"]
+
+    def test_census_cap_huge_length(self, capsys):
+        code, out, err = run_cli(["census", "-n", "100000", "-a", "3"], capsys)
+        assert (code, out) == (3, "")
+        payload = stderr_json(err)
+        assert payload["error"] == "TooManyClasses"
+        assert "5000150001 compositions of 3 counts for length 100000" in payload["detail"]
 
     def test_charge_framing_toggle(self, tmp_path):
         plain = tmp_path / "a.json"

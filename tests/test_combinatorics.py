@@ -1,8 +1,8 @@
 import math
 import random
 import tracemalloc
-from bisect import bisect_right
-from itertools import accumulate, groupby, permutations
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, groupby, permutations, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -334,6 +334,91 @@ class TestSpans:
             spans = list(ordering.spans(lo, hi))
             assert spans == reference_spans(n, size, lo, hi)
             assert sum(included for _, included in spans) == hi - lo
+
+
+def _merge_runs(rows):
+    """(distinct counts, classes, ranks) rows with consecutive equal distinct
+    counts summed into one."""
+    merged = []
+    for key, run in groupby(rows, key=lambda row: row[0]):
+        run = list(run)
+        merged.append((key, sum(row[1] for row in run), sum(row[2] for row in run)))
+    return merged
+
+
+def _by_multiset(spans):
+    """ClassOrdering.spans rows grouped by each class's distinct counts."""
+    return _merge_runs((tuple(sorted(set(counts))), 1, included) for counts, included in spans)
+
+
+class TestMultisetSpans:
+    """ClassOrdering.multiset_spans(hi): the classes meeting the ranks
+    [0, hi) one count multiset at a time, which is spans(0, hi) grouped by
+    distinct counts."""
+
+    @pytest.mark.parametrize(
+        "n, size", [(8, 5), (10, 4), (12, 6), (22, 5)], ids=["N8-A5", "N10-A4", "N12-A6", "N22-A5"]
+    )
+    def test_spans_grouped_by_multiset(self, n, size):
+        ordering = class_ordering(n, Alphabet(size))
+        total = ordering.sequence_count
+        assert _tie_groups(n, size)
+        # every class of spans(0, total), with its first rank, and the runs of
+        # consecutive classes sharing their distinct counts, each with its
+        # first class and first rank: spans(0, hi) grouped is the runs before
+        # the one holding rank hi - 1, then that run cut at hi
+        keys, sizes = zip(
+            *((tuple(sorted(set(counts))), size) for counts, size in ordering.spans(0, total))
+        )
+        starts = list(accumulate(sizes, initial=0))
+        run_firsts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+        runs = _merge_runs(zip(keys, repeat(1), sizes))
+        assert len(runs) == len(run_firsts)
+
+        def grouped(hi):
+            if hi == 0:
+                return []
+            met = bisect_left(starts, hi)  # classes starting below hi
+            r = bisect_right(run_firsts, met - 1) - 1
+            first = run_firsts[r]
+            return runs[:r] + [(keys[first], met - first, hi - starts[first])]
+
+        # the first rank of each row of the whole walk: every group's, and
+        # every tied class's
+        rows = ordering.multiset_spans(total)
+        firsts = list(accumulate((ranks for _, _, ranks in rows), initial=0))
+        rng = random.Random(100 * n + size)
+        random_his = [rng.randrange(1, total) for _ in range(12)]
+        his = {0, 1, total, *random_his}
+        his.update(first + d for first in firsts for d in (-1, 0, 1) if 0 <= first + d <= total)
+        for hi in sorted(his):
+            walk = list(ordering.multiset_spans(hi))
+            assert _merge_runs(walk) == grouped(hi)
+            assert sum(ranks for _, _, ranks in walk) == hi
+        for hi in (0, 1, total, *random_his):
+            assert _merge_runs(ordering.multiset_spans(hi)) == _by_multiset(ordering.spans(0, hi))
+
+    def test_one_row_per_multiset_outside_ties(self):
+        # (22,5): each multiset outside an exact tie is one row, and each
+        # class inside one is a row of its own
+        ordering = class_ordering(22, Alphabet(5))
+        walk = list(ordering.multiset_spans(ordering.sequence_count))
+        classes, cumulative = reference_class_order(22, 5)
+        ties = _tie_groups(22, 5)
+        tied = [
+            counts
+            for counts, start in zip(classes, [0] + cumulative[:-1])
+            if any(first <= start < end for first, end, _ in ties)
+        ]
+        untied = {tuple(sorted(c)) for c in classes} - {tuple(sorted(c)) for c in tied}
+        assert len(walk) == len(untied) + len(tied) < len(classes)
+        assert sum(met for _, met, _ in walk) == ordering.class_count
+
+    @pytest.mark.parametrize("hi", [-1, 3**4 + 1])
+    def test_out_of_range_raises_before_yielding(self, hi):
+        walk = class_ordering(4, A3).multiset_spans(hi)
+        with pytest.raises(RankOutOfRangeError):
+            next(walk)
 
 
 class TestRankInClass:

@@ -34,7 +34,7 @@ from setshaping import (
     transform,
     type_class_census,
 )
-from setshaping import experiments
+from setshaping import combinatorics, experiments
 from setshaping.experiments import ExperimentReport
 from setshaping.errors import BadDistributionError, TooManyClassesError
 
@@ -52,6 +52,10 @@ from oracles import (
 
 A3 = Alphabet(3)
 FORMATS = (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE)
+
+
+def _no_walk(*args):
+    raise AssertionError("a count multiset's classes walked one by one")
 
 
 def per_message_totals(sequences, fmt):
@@ -206,8 +210,9 @@ class TestExhaustive:
         assert report.census.shaped_sequences_below_full == 27
 
     def test_cap(self):
-        # the orderings' class cap bounds a run, raised before |A|**N is built
-        with pytest.raises(TooManyClassesError, match="length 1000001 exceed"):
+        # the orderings' class cap bounds a run, raised before |A|**N is
+        # built, for the plain ordering, which is built first
+        with pytest.raises(TooManyClassesError, match="length 1000000 exceed"):
             run_exhaustive(ExperimentConfig(length=10**6, alphabet_size=3))
         # no message cap: 3**15 is 14,348,907 messages in 136 plain classes
         report = run_exhaustive(ExperimentConfig(length=15, alphabet_size=3))
@@ -1035,6 +1040,51 @@ class TestCensus:
             tracemalloc.stop()
         assert census.shaped_classes_total == 12673
         assert peak < 64 * 2**10
+
+    # the shaped side's census at three points, recorded when the census
+    # still walked every class; the plain side is counted by
+    # inclusion-exclusion in the test
+    SHAPED_CENSUS = {
+        (60, 5, 1): (665461, 189405, 26584558643963569224648465868910835005),
+        (22, 5, 2): (15962, 11555, 1274271658852465),
+        (100, 4, 1): (
+            179895,
+            20404,
+            6184530248784135957225726354448702454464851799504,
+        ),
+    }
+
+    @pytest.mark.parametrize("n, size, k", list(SHAPED_CENSUS))
+    def test_walks_no_class_outside_an_exact_tie(self, n, size, k, monkeypatch):
+        # with both orderings built, a multiset's classes are counted in one
+        # step: walking any of them one by one fails the census
+        alphabet = Alphabet(size)
+        shared_ordering(n, alphabet)
+        shared_ordering(n + k, alphabet)
+        monkeypatch.setattr(combinatorics._Permutations, "walk", _no_walk)
+        census = type_class_census(n, alphabet, k)
+        full = sum((-1) ** j * math.comb(size, j) * (size - j) ** n for j in range(size + 1))
+        assert census.plain_classes_total == math.comb(n + size - 1, size - 1)
+        assert census.plain_classes_below_full == (
+            math.comb(n + size - 1, size - 1) - math.comb(n - 1, size - 1)
+        )
+        assert census.plain_sequences_below_full == size**n - full
+        assert (
+            census.shaped_classes_total,
+            census.shaped_classes_below_full,
+            census.shaped_sequences_below_full,
+        ) == self.SHAPED_CENSUS[n, size, k]
+        assert census.plain_sequences_total == census.shaped_sequences_total == size**n
+
+    def test_sampled_report_census_walks_no_class(self, monkeypatch):
+        config = ExperimentConfig(length=20, alphabet_size=4, sample_count=3000)
+        spec = SourceSpec(Alphabet(4), (0.6, 0.2, 0.1, 0.1), seed=3)
+        plain, shaped = experiments._sampled_chunk((config, spec.pmf, spec.seed, 0, 3000))
+        want = run_sampled(config, spec)
+        monkeypatch.setattr(combinatorics._Permutations, "walk", _no_walk)
+        got = experiments._build_report(config, plain.items(), shaped.items(), spec)
+        assert got == want
+        assert got.census == type_class_census(20, Alphabet(4), 1)
 
     def test_over_cap_population_raises_at_the_call(self):
         # the walks are lazy, the orderings behind them are not
