@@ -274,6 +274,15 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     """
     lmax = table.max_length
     used = sorted((l, s) for s, l in enumerate(table.lengths) if l)
+    size = table.alphabet.size
+    # every decoded symbol has a codeword, so this is the decoded
+    # sequence's range check (only a hand-built table can fail it)
+    stray = [s for _, s in used if s >= size]
+    if stray:
+        raise ValueError(
+            f"symbol {min(stray)} has a codeword but is out of range for "
+            f"alphabet of size {size}"
+        )
     total = payload.bit_length
     # a code without codewords has max_length 0 and still reads one bit
     width = max(lmax, 1)
@@ -363,7 +372,7 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     # them before the list and the tuple are built keeps them out of the
     # peak
     del starts, steps, found
-    return Sequence(table.alphabet, tuple(symbols.tolist()))
+    return Sequence._in_range(table.alphabet, tuple(symbols.tolist()))
 
 
 def serialize_scheme(source: CodeTable | Composition, fmt: SchemeFormat) -> Bits:

@@ -455,22 +455,25 @@ def class_ordering(
         packed.view(f"V{packed.shape[1]}").reshape(-1), return_index=True, return_inverse=True
     )
     factorial = list(accumulate(range(1, max(n, size) + 1), mul, initial=1))
-    repeats_of, classes_of = [], []
-    values = [None] * len(rows)
-    for p, pattern in enumerate(run_starts[first_row]):
-        run_lengths = tuple(np.diff(np.flatnonzero(pattern), append=size).tolist())
-        repeats_of.append(run_lengths)
-        classes_of.append(factorial[size] // math.prod([factorial[k] for k in run_lengths]))
-        chosen = np.flatnonzero(pattern_of == p)
-        for i, v in zip(chosen.tolist(), zip(*rows[chosen][:, pattern].T.tolist())):
-            values[i] = v
-    pattern_of = pattern_of.tolist()
-    repeats = list(map(repeats_of.__getitem__, pattern_of))
-    classes = list(map(classes_of.__getitem__, pattern_of))
     # a class's size: n! / prod c!
     factorials = np.array(factorial[: n + 1], dtype=object)
     sizes = (factorial[n] // np.multiply.reduce(factorials[rows], axis=1)).tolist()
     multisets = list(zip(*rows.T.tolist()))
+    # a row of distinct counts is its own values; the others keep the ints
+    # of their multiset key (above 256 a second tolist() would make its own)
+    values = multisets.copy()
+    repeats_of, classes_of = [], []
+    for p, pattern in enumerate(run_starts[first_row]):
+        run_lengths = tuple(np.diff(np.flatnonzero(pattern), append=size).tolist())
+        repeats_of.append(run_lengths)
+        classes_of.append(factorial[size] // math.prod([factorial[k] for k in run_lengths]))
+        if len(run_lengths) < size:
+            keep = pattern.tolist()
+            for i in np.flatnonzero(pattern_of == p).tolist():
+                values[i] = tuple(compress(multisets[i], keep))
+    pattern_of = pattern_of.tolist()
+    repeats = list(map(repeats_of.__getitem__, pattern_of))
+    classes = list(map(classes_of.__getitem__, pattern_of))
     # drop the arrays before the groups are built: it keeps the build's peak down
     del keys, order, rows, run_starts, packed, factorials
 
@@ -510,7 +513,7 @@ def unrank_in_class(comp: Composition, r: RankIndex) -> Sequence:
             f"rank {r} outside class of size {remaining} for counts {comp.counts}"
         )
     symbols = _lex_unrank(comp.counts, remaining, r)
-    return Sequence(Alphabet(len(comp.counts)), tuple(symbols))
+    return Sequence._in_range(Alphabet(len(comp.counts)), tuple(symbols))
 
 
 def rank_sequence(seq: Sequence, ordering: ClassOrdering) -> RankIndex:
@@ -539,4 +542,4 @@ def unrank_sequence(
         )
     counts, size, offset = ordering.locate(r)
     # unrank_in_class, with the class size the ordering already holds
-    return Sequence(alphabet, tuple(_lex_unrank(counts, size, offset)))
+    return Sequence._in_range(alphabet, tuple(_lex_unrank(counts, size, offset)))

@@ -58,6 +58,14 @@ class Sequence:
             bad = next(s for s in self.symbols if not 0 <= s < size)
             raise ValueError(f"symbol {bad} out of range for alphabet of size {size}")
 
+    @classmethod
+    def _in_range(cls, alphabet: Alphabet, symbols: tuple[int, ...]) -> "Sequence":
+        """A Sequence whose symbols the caller has checked, or made, in
+        range: skips __post_init__'s pass over them."""
+        seq = object.__new__(cls)
+        seq.__dict__.update(alphabet=alphabet, symbols=symbols)
+        return seq
+
     @property
     def length(self) -> int:
         return len(self.symbols)
@@ -145,39 +153,46 @@ def distinct_symbol_count(seq: Sequence) -> int:
     return sum(1 for c in composition_of(seq).counts if c)
 
 
+class _Memo(dict):
+    """Maps each key through `convert`, called once per distinct key, the
+    first time that key is looked up."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        self[key] = value = self.convert(key)
+        return value
+
+
 def parse_sequence(text: str, alphabet: Alphabet) -> Sequence:
     """Parse whitespace- or comma-separated one-based symbols ("2 1 1").
 
     ``str.split`` breaks at the same whitespace as re's ``\\s`` (both ask
     ``Py_UNICODE_ISSPACE``) and drops empty tokens.  ``int`` judges each
-    distinct token once, so "+1" and "01" read as 1.
+    distinct token once, so "+1" and "01" read as 1, and the range is
+    checked once per distinct symbol.
     """
     tokens = text.replace(",", " ").split()
+    symbol_of = _Memo(lambda token: int(token) - 1)
     try:
-        symbol_of = {token: int(token) - 1 for token in set(tokens)}
+        symbols = tuple(map(symbol_of.__getitem__, tokens))
     except ValueError:
-        bad = next(token for token in tokens if not _is_integer(token))
+        # tokens are read in order, so the first one not read is the bad one
+        bad = next(token for token in tokens if token not in symbol_of)
         raise SequenceParseError(f"not an integer symbol: {bad!r}") from None
-    symbols = tuple(map(symbol_of.__getitem__, tokens))
-    try:
-        # Sequence checks the range, once for the whole message
-        return Sequence(alphabet, symbols)
-    except ValueError:
-        bad = next(s for s in symbols if not 0 <= s < alphabet.size)
-        raise SequenceParseError(
-            f"symbol {bad + 1} outside 1..{alphabet.size}"
-        ) from None
-
-
-def _is_integer(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+    size = alphabet.size
+    distinct = symbol_of.values()
+    if distinct and not (0 <= min(distinct) and max(distinct) < size):
+        bad = next(s for s in symbols if not 0 <= s < size)
+        raise SequenceParseError(f"symbol {bad + 1} outside 1..{size}")
+    return Sequence._in_range(alphabet, symbols)
 
 
 def format_sequence(seq: Sequence) -> str:
     """Render a sequence as space-separated one-based symbols."""
-    names = {s: str(s + 1) for s in set(seq.symbols)}
+    names = _Memo(lambda s: str(s + 1))
     return " ".join(map(names.__getitem__, seq.symbols))

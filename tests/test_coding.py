@@ -374,6 +374,16 @@ class TestDecode:
             decode(Bits(b"\x80", 1), table, 1)
         assert decode(Bits.empty(), table, 0).symbols == ()
 
+    def test_table_with_more_lengths_than_its_alphabet(self):
+        # decode's one check of the table's symbols is the decoded
+        # sequence's range check: it fails even when the message uses only
+        # symbols inside the alphabet
+        wide = CodeTable.from_lengths(A3, (1, 2, 2))
+        table = CodeTable(Alphabet(2), wide.lengths, wide.codewords)
+        payload = encode(Sequence(A3, (0, 1, 0)), wide)
+        with pytest.raises(ValueError, match="^symbol 2 has a codeword"):
+            decode(payload, table, 3)
+
     @pytest.mark.parametrize("depth", [8, 9, 16, 17, 32, 33, 40, 64, 70])
     def test_deep_code_round_trip(self, depth, monkeypatch):
         # lengths (1, 2, ..., depth, depth): a complete code whose longest

@@ -36,7 +36,7 @@ from oracles import (
     reference_lex_unrank,
     reference_spans,
 )
-from setshaping.combinatorics import _lex_rank, _lex_unrank
+from setshaping.combinatorics import _Permutations, _lex_rank, _lex_unrank
 
 A3 = Alphabet(3)
 A4 = Alphabet(4)
@@ -240,10 +240,12 @@ class TestClassOrdering:
 
     def test_build_peak_memory(self):
         # what the build holds at its peak, its array passes' temporaries
-        # included: 4.1 MiB (3.4 MiB retained) with CPython 3.11 and numpy
-        # 2.4, against 5.3 MiB when each partition carried an exact
+        # included: 3.6 MiB (3.0 MiB retained) with CPython 3.11 and numpy
+        # 2.4, against 4.1 MiB when each group's values were a copy of its
+        # multiset key and 5.3 MiB when each partition carried an exact
         # prod c**c key and a multinomial computed in Python.  The bound
-        # adds a sixth for other interpreter and numpy versions
+        # adds a sixth to the 4.1 MiB for other interpreter and numpy
+        # versions
         tracemalloc.start()
         try:
             class_ordering(100, A4)
@@ -251,6 +253,20 @@ class TestClassOrdering:
         finally:
             tracemalloc.stop()
         assert peak < 4.75 * 2**20
+
+    def test_values_share_the_key_ints(self):
+        # above 256 every int is an object of its own: a group's values
+        # hold the ints of its multiset key, not copies (a (1000,3) build
+        # retains 55.2 MiB, 64.5 MiB when they were copies)
+        ordering = class_ordering(300, A3)
+        shared = 0
+        for multiset, g in ordering._group_of.items():
+            group = ordering._groups[g]
+            if isinstance(group, _Permutations):
+                for v in group.values:
+                    assert any(v is c for c in multiset)
+                    shared += v > 256
+        assert shared == 506
 
     def test_class_cap(self):
         with pytest.raises(TooManyClassesError):

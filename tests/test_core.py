@@ -4,21 +4,28 @@ import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from setshaping import (
     Alphabet,
     Composition,
     Sequence,
+    build_code,
     composition_of,
+    decode,
     distinct_symbol_count,
     empirical_entropy,
+    encode,
     entropy_of_composition,
     format_sequence,
+    inverse_transform,
     parse_sequence,
+    transform,
+    unrank_in_class,
     weighted_entropy,
 )
+from setshaping.shaping import ShapingParams
 from setshaping.errors import (
     EmptyCompositionError,
     EmptySequenceError,
@@ -193,6 +200,15 @@ class TestInvariants:
         ).bits_per_symbol == pytest.approx(base_val.bits_per_symbol, abs=1e-12)
 
 
+@st.composite
+def long_name_sequences(draw):
+    """Up to 60 symbols over an alphabet of 1 to 1,200, so names run to
+    four digits."""
+    size = draw(st.integers(1, 1200))
+    symbols = draw(st.lists(st.integers(0, size - 1), max_size=60))
+    return Sequence(Alphabet(size), tuple(symbols))
+
+
 class TestTextFormat:
     def test_round_trip(self):
         s = seq("2 1 1")
@@ -223,6 +239,56 @@ class TestTextFormat:
             Sequence(A3, (0, 3))
         with pytest.raises(ValueError):
             Alphabet(0)
+
+    @given(long_name_sequences())
+    @example(Sequence(Alphabet(65535), (65534, 0, 9999, 65534)))
+    def test_multi_digit_names_round_trip(self, s):
+        text = format_sequence(s)
+        assert text == " ".join(str(x + 1) for x in s.symbols)
+        assert parse_sequence(text, s.alphabet) == s
+
+
+def _refuse_range_checks(monkeypatch):
+    """Make Sequence's own range check fail the test if anything runs it."""
+
+    def refuse(self):
+        raise AssertionError("symbols range-checked a second time")
+
+    monkeypatch.setattr(Sequence, "__post_init__", refuse)
+
+
+class TestSymbolsCheckedWhereTheyEnter:
+    """parse_sequence, decode and the unrank paths make sequences whose
+    symbols are in range by construction, without Sequence's own pass."""
+
+    def test_parse(self, monkeypatch):
+        _refuse_range_checks(monkeypatch)
+        assert parse_sequence("2 1 3 1", A3).symbols == (1, 0, 2, 0)
+        with pytest.raises(SequenceParseError, match=r"^symbol 4 outside 1\.\.3$"):
+            parse_sequence("2 4 1", A3)
+
+    def test_decode(self, monkeypatch):
+        seq = Sequence(A3, (2, 0, 0, 1, 0))
+        table = build_code(composition_of(seq))
+        payload = encode(seq, table)
+        _refuse_range_checks(monkeypatch)
+        assert decode(payload, table, seq.length) == seq
+
+    def test_unrank_in_class(self, monkeypatch):
+        comp = Composition((2, 1, 0, 1))
+        want = sorted(t for t in all_tuples(4, 4) if counts_of(t, 4) == comp.counts)
+        _refuse_range_checks(monkeypatch)
+        got = [unrank_in_class(comp, r) for r in range(len(want))]
+        assert [s.symbols for s in got] == want
+        assert {s.alphabet for s in got} == {Alphabet(4)}
+
+    def test_transform_and_inverse(self, monkeypatch):
+        params = ShapingParams(length=3, alphabet=A3, extra_length=1)
+        seqs = [Sequence(A3, t) for t in all_tuples(3, 3)]
+        shaped = [transform(s, params) for s in seqs]
+        _refuse_range_checks(monkeypatch)
+        assert [transform(s, params) for s in seqs] == shaped
+        assert [inverse_transform(f, params) for f in shaped] == seqs
 
 
 # separators: commas, ASCII whitespace, the information separators
