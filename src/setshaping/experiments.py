@@ -11,22 +11,15 @@ class's message count in Python integers, bit counts and distinct-symbol
 counts are integer sums, and weighted-entropy sums are kept as integer
 coefficients of ln(v) terms (N*H0 = N*ln N - sum n*ln n, all
 integer-weighted), evaluated to float once at the end in a fixed order.
-Sampled runs split the samples into chunks (optionally over ``jobs``
-processes, at most one per CPU) whose class counts add up exactly, so
-results are bit-identical regardless of worker count or chunking.
-Sample i draws the uniform stream of ``np.random.default_rng([seed, i])``,
-computed for a block of indices at once in numpy integer arrays rather
-than by one generator per sample; the symbols and counts of a block come
-from whole-array operations too.  A sample is classified with no Sequence
-and no full rank: its plain class is its counts vector, and where that
-class maps inside one shaped class that is its shaped class.  Where the
-class straddles shaped boundaries, the sequence at each boundary is read
-only as deep as at least one report sample is expected to share its
-prefix (given its counts, an i.i.d. sample is uniform over its type
-class), and a block's samples of straddling classes are placed against
-those prefixes by one searchsorted over fixed-width byte keys.  Only a
-sample sharing a shortened prefix is ranked, and only as far as it takes
-to tell which side of each boundary it lies on.
+Sampled runs give each of ``jobs`` processes (at most one per CPU) one
+chunk of samples, and their class counts add up exactly, whatever the
+worker count.  Sample i's symbols are those of
+``np.random.default_rng([seed, i]).choice``, a block at a time: each raw
+PCG64 output is compared with integer cuts from the pmf's cdf, and the
+same pass counts each sample's symbols, a byte per draw.  A sample's
+plain class is its counts vector; the samples of a class that straddles
+shaped boundaries are placed against the boundary sequences' prefixes
+(``_sampled_chunk``).
 
 The tally reads those pairs a slice at a time and keeps no map of them:
 an exhaustive run tallies the two ordering walks as they are yielded, so
@@ -328,7 +321,8 @@ def _row_keys(tags, symbols, tag_dtype, symbol_dtype) -> np.ndarray:
     rows = len(tags)
     parts = [
         tags.astype(tag_dtype).view(np.uint8).reshape(rows, -1),
-        (symbols + 1).astype(symbol_dtype).view(np.uint8).reshape(rows, -1),
+        # symbols narrower than the key widen before the + 1
+        (symbols + symbol_dtype.type(1)).astype(symbol_dtype).view(np.uint8).reshape(rows, -1),
     ]
     keys = np.concatenate(parts, axis=1)
     return keys.view(f"S{keys.shape[1]}").ravel()
@@ -368,12 +362,12 @@ def _span_entry(counts, orderings, log_samples: float, log_p, symbol_dtype):
     return shaped, bounds, tuple(keys)
 
 
-# Sample i's draws are np.random.default_rng([seed, i]).random(N): numpy's
-# SeedSequence hashes the entropy words (the seed's uint32 words, then the
-# index's) into a pool of four, PCG64 is seeded from four uint64 words of
-# that pool, and each draw is one 128-bit LCG step, its XSL-RR output and
-# (x >> 11) * 2**-53.  _uniform_block runs that chain over a block of
-# indices at once, in uint32 and uint64 arrays; the constants are numpy's.
+# Sample i's draws are np.random.default_rng([seed, i]).choice(|A|, N, p):
+# numpy's SeedSequence hashes the entropy words (the seed's uint32 words,
+# then the index's) into a pool of four, PCG64 is seeded from four uint64
+# words of that pool, and each draw is one 128-bit LCG step and its XSL-RR
+# output.  _pcg64_outputs runs that chain over a block of indices at once,
+# in uint32 and uint64 arrays; the constants are numpy's.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
@@ -387,8 +381,9 @@ _PCG_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _PCG_MULT_LIMBS = (np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32))
 _SHIFT16, _SHIFT32 = np.uint32(16), np.uint64(32)
 _LOW32 = np.uint64(_MASK32)
-# uniform draws per block: bounds a block's floats and symbols at 8 MiB each
-_BLOCK_DRAWS = 1 << 20
+# a block's one-byte draws, a sample's generator state and counts taking
+# about _ROW_DRAWS bytes more: about 4 MiB, however big a worker's chunk
+_BLOCK_DRAWS, _ROW_DRAWS = 1 << 22, 128
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -417,15 +412,26 @@ def _mul_high(a, limbs):
     """High 64 bits of the 128-bit products a * b, with b given by its
     32-bit limbs (low first)."""
     b0, b1 = limbs
-    a0, a1 = a & _LOW32, a >> _SHIFT32
-    low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
-    carry = (low >> _SHIFT32) + (cross0 & _LOW32) + (cross1 & _LOW32)
-    return a1 * b1 + (cross0 >> _SHIFT32) + (cross1 >> _SHIFT32) + (carry >> _SHIFT32)
+    low, high = a & _LOW32, a >> _SHIFT32
+    cross0, cross1 = low * b1, high * b0
+    low *= b0
+    high *= b1
+    low >>= _SHIFT32
+    for cross in (cross0, cross1):  # high halves on, low halves to the carry
+        high += cross >> _SHIFT32
+        cross &= _LOW32
+        low += cross
+    low >>= _SHIFT32
+    high += low
+    return high
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
+    """a + b, mod 2**128, in place of a."""
+    a_lo += b_lo
+    a_hi += b_hi
+    a_hi += a_lo < b_lo
+    return a_hi, a_lo
 
 
 def _pcg64_step(state, inc):
@@ -439,9 +445,9 @@ def _pcg64_step(state, inc):
 def _pcg64_seeded(seed: int, lo: int, hi: int):
     """The PCG64 (state, inc) that ``np.random.default_rng([seed, i])``
     starts from, for i in lo..hi-1, each as (high, low) uint64 arrays."""
-    count = hi - lo
     index = np.arange(lo, hi, dtype=np.uint64)
-    entropy = [np.full(count, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    # the seed's words, the same for every index, broadcast
+    entropy = [np.full(1, w, dtype=np.uint32) for w in _uint32_words(seed)]
     entropy.append((index & _LOW32).astype(np.uint32))
     if hi - 1 > _MASK32:
         entropy.append((index >> _SHIFT32).astype(np.uint32))
@@ -462,8 +468,7 @@ def _pcg64_seeded(seed: int, lo: int, hi: int):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> _SHIFT16)
 
-    zero = np.zeros(count, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    pool = [hashmix(w) for w in (entropy + [np.zeros(1, np.uint32)] * _POOL_SIZE)[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -472,39 +477,58 @@ def _pcg64_seeded(seed: int, lo: int, hi: int):
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
     # generate_state(4, uint64): eight hashed uint32 words, paired low first
-    state = []
+    words = []
     for k, (xor, mult) in enumerate(_hash_constants(8, _HASH_INIT_B, _HASH_MULT_B)):
         value = (pool[k % _POOL_SIZE] ^ xor) * mult
-        state.append((value ^ (value >> _SHIFT16)).astype(np.uint64))
-    words = [state[k] | (state[k + 1] << _SHIFT32) for k in range(0, 8, 2)]
+        value = (value ^ (value >> _SHIFT16)).astype(np.uint64)
+        if k % 2:
+            words[-1] |= value << _SHIFT32
+        else:
+            words.append(value)
     # PCG64 srandom_r: inc = seq << 1 | 1, then step, add the state, step
     inc = (
         (words[2] << np.uint64(1)) | (words[3] >> np.uint64(63)),
         (words[3] << np.uint64(1)) | np.uint64(1),
     )
-    return _pcg64_step(_add128(*inc, words[0], words[1]), inc), inc
+    state = _add128(words[0], words[1], *inc)
+    del words
+    return _pcg64_step(state, inc), inc
 
 
-def _uniform_block(seed: int, lo: int, hi: int, length: int):
-    """Row i - lo is ``np.random.default_rng([seed, i]).random(length)``,
-    for i in lo..hi-1; every index of a block has the same number of uint32
-    words (so none crosses 2**32), and all are below 2**64."""
+def _pcg64_outputs(seed: int, lo: int, hi: int, length: int):
+    """Each draw's raw outputs of ``default_rng([seed, i])``, i in lo..hi-1,
+    as a uint64 array; no index crosses 2**32."""
     state, inc = _pcg64_seeded(seed, lo, hi)
-    draws = np.empty((hi - lo, length))
-    for k in range(length):
+    for _ in range(length):
         state = _pcg64_step(state, inc)
         # XSL-RR: (high ^ low) rotated right by the state's top six bits
         s_hi, s_lo = state
         x, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        draws[:, k] = (x >> np.uint64(11)) * 2.0**-53
-    return draws
+        left = x << ((np.uint64(64) - rot) & np.uint64(63))
+        x >>= rot
+        x |= left
+        yield x
+
+
+def _symbol_block(seed: int, lo: int, hi: int, length: int, cuts: list, size: int):
+    """Samples lo..hi-1's symbols (rows, in the narrowest dtype holding
+    len(cuts)) and counts (columns): each cut an output reaches adds one to
+    its symbol and to its sample's draws at or past that cut."""
+    symbols = np.zeros((hi - lo, length), np.min_scalar_type(len(cuts)), order="F")
+    reached = np.zeros((size + 1, hi - lo), np.min_scalar_type(length))
+    reached[0] = length
+    for column, x in zip(symbols.T, _pcg64_outputs(seed, lo, hi, length)):
+        for j, cut in enumerate(cuts, 1):
+            past = x >= cut
+            column += past
+            reached[j] += past
+    return symbols, reached[:-1] - reached[1:]
 
 
 def _blocks(lo: int, hi: int, length: int):
-    """lo..hi-1 cut into ranges of at most _BLOCK_DRAWS draws (one sample at
-    least), and cut at 2**32, where an index takes a second uint32 word."""
-    step = max(1, _BLOCK_DRAWS // length)
+    """lo..hi-1 cut into blocks of at most _BLOCK_DRAWS bytes (one sample at
+    least), and at 2**32, where an index takes a second uint32 word."""
+    step = max(1, _BLOCK_DRAWS // (length + _ROW_DRAWS))
     while lo < hi:
         end = min(lo + step, hi)
         if lo <= _MASK32 < end - 1:
@@ -530,21 +554,17 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _sampled_chunk(args, spans: dict | None = None) -> tuple[Counter, Counter]:
     """Plain and shaped type-class counts of samples lo..hi-1, keyed by
-    counts vector.  Sample i's symbols come from the stream of
-    ``np.random.default_rng([seed, i])``, so chunking cannot change what any
-    sample draws; ``_uniform_block`` computes those streams a block of
-    samples at a time.  A sample's plain class is its counts vector, and
-    ``spans`` (counts vector -> ``_span_entry``, filled as classes are
-    first seen; one report's chunks in a process may share it) gives the
-    shaped class of every sample of a class inside one shaped class.
+    counts vector, from ``_symbol_block`` a block at a time.  ``spans``
+    (counts vector -> ``_span_entry``, filled as classes are first seen,
+    shared by one report's chunks in one process) gives the shaped class
+    of every sample of a class inside one shaped class.
 
-    The samples of straddling classes are classified together, once per
-    block: each row becomes a ``_row_keys`` key (its class's tag in the
-    block, then its symbols), and one searchsorted against the sorted
-    table of the block's straddling classes (each class's bare tag, then
-    its boundary keys) reads off how many bounds it lies past.  Only rows
-    inside a bracket, whose prefix is that of a boundary read to less than
-    full depth, are ranked, by ``_bounds_below``."""
+    A block's samples of straddling classes are classified together: one
+    searchsorted places each row's ``_row_keys`` key (its class's tag in
+    the block, then its symbols) in the sorted table of those classes'
+    bare tags and boundary keys, which tells how many bounds it lies past.
+    Only rows inside a bracket, a boundary prefix read to less than full
+    depth, are ranked, by ``_bounds_below``."""
     config, pmf, seed, lo, hi = args
     size, length = config.alphabet_size, config.length
     orderings = (
@@ -556,24 +576,21 @@ def _sampled_chunk(args, spans: dict | None = None) -> tuple[Counter, Counter]:
     log_samples = math.log(config.sample_count)
     log_p = [math.log(x) if x > 0 else -math.inf for x in p.tolist()]
     symbol_dtype = _key_dtype(size + 1)
-    # Generator.choice(size, length, p=p) draws through this cdf: one
-    # uniform per symbol, mapped by searchsorted(side="right")
+    # choice(|A|, N, p=p) draws the number of cdf entries c <= its uniform
+    # (x >> 11) * 2**-53, which holds exactly when the raw output x reaches
+    # ceil(c * 2**53) << 11; no uniform reaches 1.0
     cdf = p.cumsum()
     cdf /= cdf[-1]
+    cuts = [np.uint64(math.ceil(c * 2**53) << 11) for c in cdf.tolist() if c < 1.0]
     plain, shaped = Counter(), Counter()
     if spans is None:
         spans = {}
     for start, end in _blocks(lo, hi, length):
-        symbols = cdf.searchsorted(_uniform_block(seed, start, end, length), side="right")
+        symbols, counts = _symbol_block(seed, start, end, length, cuts, size)
         top = symbols.max()
         if top >= size:
             raise ValueError(f"symbol {top} out of range for alphabet of size {size}")
-        rows = end - start
-        # every row's counts from one bincount over row * |A| + symbol
-        counts = np.bincount(
-            (symbols + size * np.arange(rows)[:, None]).ravel(), minlength=rows * size
-        ).reshape(rows, size)
-        classes, samples, order = _group_rows(counts)
+        classes, samples, order = _group_rows(counts.T)
         tags = np.full(len(classes), -1)  # straddling classes' tags in the block
         straddling = []  # per tag: counts, bounds, first label, boundary keys
         labels = []  # the straddling classes' shaped counts vectors, in turn
@@ -657,7 +674,7 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
     pmf = spec.probabilities()
     tasks = [
         (config, pmf, spec.seed, lo, hi)
-        for lo, hi in _split_ranges(config.sample_count, config.jobs * 4)
+        for lo, hi in _split_ranges(config.sample_count, config.jobs)
     ]
     workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:

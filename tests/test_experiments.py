@@ -1,9 +1,10 @@
+import functools
 import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from setshaping import combinatorics, experiments
 from setshaping.experiments import ExperimentReport
 from setshaping.errors import BadDistributionError, TooManyClassesError
 
+import oracles
 from oracles import (
     all_tuples,
     brute_entropy,
@@ -395,9 +397,9 @@ class _FixedDraws(np.random.Generator):
         return np.full(size, self.u)
 
 
-def _fixed_block(u):
-    """A stand-in for experiments._uniform_block whose every draw is u."""
-    return lambda seed, lo, hi, length: np.full((hi - lo, length), u)
+def _fixed_outputs(x):
+    """A stand-in for experiments._pcg64_outputs whose every raw output is x."""
+    return lambda seed, lo, hi, length: repeat(np.full(hi - lo, x, np.uint64), length)
 
 
 class TestSampledClasses:
@@ -484,29 +486,35 @@ class TestSampledClasses:
         "weights", [(0, 2, 1, 1), (2, 0, 1, 1), (2, 1, 1, 0), (5, 0, 17, 1, 2)]
     )
     def test_draws_on_cdf_breakpoints_match_choice(self, monkeypatch, weights):
-        # a draw of 0, of a cdf value or just below 1 is where side="right"
-        # and dividing the cdf by its end decide the symbol
+        # the raw outputs 0 and 2**64 - 1, and for each cdf value u below 1
+        # the first output whose draw reaches u and the one before it: there
+        # side="right", dividing the cdf by its end and the cuts decide the
+        # symbol
         pmf = tuple(w / sum(weights) for w in weights)
         p = np.asarray(pmf)
         cdf = (p / p.sum()).cumsum()
         cdf /= cdf[-1]
         config = ExperimentConfig(length=3, alphabet_size=len(weights))
         args = (config, pmf, 0, 0, 2)
-        for u in {0.0, np.nextafter(1.0, 0.0), *cdf[cdf < 1.0]}:
+        cuts = [math.ceil(u * 2**53) << 11 for u in cdf[cdf < 1.0].tolist()]
+        for x in {0, 2**64 - 1, *cuts, *(c - 1 for c in cuts if c)}:
+            u = (x >> 11) * 2.0**-53
             monkeypatch.setattr(np.random, "default_rng", lambda seed, u=u: _FixedDraws(u))
-            monkeypatch.setattr(experiments, "_uniform_block", _fixed_block(u))
+            monkeypatch.setattr(experiments, "_pcg64_outputs", _fixed_outputs(x))
             assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
 
     def test_symbol_outside_alphabet_raises(self, monkeypatch):
-        # no generator draws 1.0; a draw that did would map past the last
-        # symbol, and must fail rather than be counted
+        # no output reaches the cdf's last entry, 1.0, so only a pmf longer
+        # than the alphabet maps the top output past the last symbol, and
+        # only a draw of 1.0, which no generator makes, maps choice's draw
+        # there; either must fail rather than be counted
+        monkeypatch.setattr(experiments, "_pcg64_outputs", _fixed_outputs(2**64 - 1))
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(1.0))
-        monkeypatch.setattr(experiments, "_uniform_block", _fixed_block(1.0))
-        args = (ExperimentConfig(length=4, alphabet_size=3), (0.5, 0.25, 0.25), 0, 0, 1)
+        config = ExperimentConfig(length=4, alphabet_size=3)
         with pytest.raises(ValueError, match="out of range"):
-            experiments._sampled_chunk(args)
+            experiments._sampled_chunk((config, (0.4, 0.2, 0.2, 0.2), 0, 0, 1))
         with pytest.raises(ValueError, match="out of range"):
-            reference_sampled_classes(*args)
+            reference_sampled_classes(config, (0.5, 0.25, 0.25), 0, 0, 1)
 
 
 class _CountingBoundsBelow:
@@ -594,11 +602,13 @@ class TestStraddlingKeys:
                 shared += below - before > 1 and len(key.rstrip(b"\xff")) > 0
         assert shared > 0
 
-    @pytest.mark.parametrize("size, tags", [(4, 300), (3, 5), (300, 70000)])
+    @pytest.mark.parametrize("size, tags", [(4, 300), (3, 5), (256, 5), (300, 70000)])
     def test_row_keys_sort_like_tuples(self, size, tags):
-        # one- and two-byte symbols, one-, two- and four-byte tags
+        # one- and two-byte symbols, one-, two- and four-byte tags; symbols
+        # in the block's dtype, so that at |A| = 256 symbol 255 takes one
+        # byte in the block and two in the key
         rng = np.random.default_rng([size, tags])
-        symbols = rng.integers(0, size, (2000, 5))
+        symbols = rng.integers(0, size, (2000, 5)).astype(np.min_scalar_type(size - 1))
         symbols[:500] = symbols[500:1000]  # equal rows under other tags
         symbols[:, 4][rng.random(2000) < 0.3] = size - 1
         tag = rng.integers(0, tags, 2000)
@@ -622,8 +632,9 @@ class TestStraddlingKeys:
             assert (keys < high.astype(keys.dtype)).all()
 
     def test_memo_lives_for_one_report(self, monkeypatch):
-        # the in-process chunks of one report share a memo; the next report
-        # (other pmf, sample count and K) starts a new one
+        # a report runs one chunk per job, and the chunks it runs in this
+        # process (the last report's two jobs, on one CPU) share one memo;
+        # the next report (other pmf, sample count and K) starts a new one
         memos = []
         chunk = experiments._sampled_chunk
 
@@ -632,11 +643,14 @@ class TestStraddlingKeys:
             return chunk(args, spans)
 
         monkeypatch.setattr(experiments, "_sampled_chunk", recording)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
         cases = [
             (ExperimentConfig(length=8, alphabet_size=4, sample_count=900), (0.6, 0.2, 0.1, 0.1)),
             (ExperimentConfig(length=8, alphabet_size=4, sample_count=400), (0.1, 0.2, 0.3, 0.4)),
             (
-                ExperimentConfig(length=8, alphabet_size=4, extra_length=2, sample_count=400),
+                ExperimentConfig(
+                    length=8, alphabet_size=4, extra_length=2, sample_count=400, jobs=2
+                ),
                 (0.1, 0.2, 0.3, 0.4),
             ),
         ]
@@ -645,10 +659,9 @@ class TestStraddlingKeys:
             plain, shaped = reference_sampled_classes(config, pmf, 5, 0, config.sample_count)
             expected = experiments._build_report(config, plain.items(), shaped.items(), spec)
             assert run_sampled(config, spec) == expected
-        assert len(memos) == 12
-        reports = [memos[i : i + 4] for i in range(0, 12, 4)]
-        assert all(all(m is memo[0] for m in memo) for memo in reports)
-        assert len({id(memo[0]) for memo in reports}) == 3
+        assert len(memos) == 4
+        assert all(memo is not None for memo in memos) and memos[2] is memos[3]
+        assert len({id(memo) for memo in memos}) == 3
 
 
 class TestGroupRows:
@@ -680,11 +693,15 @@ class TestGroupRows:
         assert by_class.tolist() == want_order.tolist()
 
 
-def default_rng_rows(seed, lo, hi, length):
-    """Samples lo..hi-1's uniform draws from numpy's own generator."""
-    return np.array(
-        [np.random.default_rng([seed, i]).random(length) for i in range(lo, hi)]
-    )
+def default_rng_rows(seed, lo, hi, length, pmf):
+    """Samples lo..hi-1's raw outputs and symbols from numpy's own
+    generator, as the reference draws them."""
+    p = np.asarray(pmf) / sum(pmf)
+    raw, symbols = [], []
+    for i in range(lo, hi):
+        raw.append(np.random.default_rng([seed, i]).bit_generator.random_raw(length))
+        symbols.append(np.random.default_rng([seed, i]).choice(len(pmf), length, p=p))
+    return np.array(raw), np.array(symbols)
 
 
 def blocks(lo, hi, length):
@@ -693,52 +710,67 @@ def blocks(lo, hi, length):
     return list(islice(experiments._blocks(lo, hi, length), hi - lo + 1))
 
 
-def block_rows(seed, lo, hi, length):
-    """The same draws as the sampler computes them, block by block."""
-    return np.concatenate(
-        [
-            experiments._uniform_block(seed, start, end, length)
-            for start, end in blocks(lo, hi, length)
-        ]
-    )
+def block_rows(seed, lo, hi, length, pmf):
+    """The same outputs and symbols as the sampler computes them, block by
+    block; each block's counts are checked against its symbols."""
+    cdf = (np.asarray(pmf) / sum(pmf)).cumsum()
+    cuts = [np.uint64(math.ceil(u * 2**53) << 11) for u in cdf / cdf[-1] if u < 1.0]
+    raw, symbols = [], []
+    for start, end in blocks(lo, hi, length):
+        raw.append(np.array(list(experiments._pcg64_outputs(seed, start, end, length))).T)
+        block, counts = experiments._symbol_block(seed, start, end, length, cuts, len(pmf))
+        want = [np.bincount(row, minlength=len(pmf)).tolist() for row in block]
+        assert counts.T.tolist() == want
+        symbols.append(block)
+    return np.concatenate(raw), np.concatenate(symbols)
+
+
+def assert_rows_match(seed, lo, hi, length):
+    for pmf in STREAM_PMFS:
+        got = block_rows(seed, lo, hi, length, pmf)
+        want = default_rng_rows(seed, lo, hi, length, pmf)
+        assert all(map(np.array_equal, got, want)), pmf
 
 
 # one to five uint32 words; with the index word, the last two seeds give
 # five and six entropy words, past SeedSequence's pool of four
 STREAM_SEEDS = [0, 2**32 - 1, 2**32, 2**70 + 3, 2**100 + 17, 2**128 + 1]
+# skewed with a zero inside and one at the end, and (1, 0, 0), whose cdf is
+# all 1.0 and leaves no cut
+STREAM_PMFS = [(0.5, 0.2, 0, 0.25, 0.05, 0), (1, 0, 0)]
 
 
 class TestUniformStream:
-    """The block generator against np.random.default_rng([seed, i]) itself:
-    a numpy release that changed the stream fails here."""
+    """The block generator against np.random.default_rng([seed, i]) itself,
+    its raw outputs and the symbols choice(|A|, N, p=pmf) maps them to: a
+    numpy release that changed the stream fails here."""
 
     @pytest.mark.parametrize("length", [1, 20, 101])
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_matches_default_rng(self, seed, length):
-        assert np.array_equal(
-            block_rows(seed, 0, 30, length), default_rng_rows(seed, 0, 30, length)
-        )
+        assert_rows_match(seed, 0, 30, length)
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_index_crossing_2_pow_32(self, seed):
         # index 2**32 is the first with two uint32 words
         lo, hi = 2**32 - 3, 2**32 + 3
         assert blocks(lo, hi, 20) == [(lo, 2**32), (2**32, hi)]
-        assert np.array_equal(block_rows(seed, lo, hi, 20), default_rng_rows(seed, lo, hi, 20))
+        assert_rows_match(seed, lo, hi, 20)
 
     @pytest.mark.parametrize("length, count", [(20, 5), (101, 9)])
     def test_crossing_block_edges(self, monkeypatch, length, count):
         # two samples of 20 draws per block, and one sample of 101 draws
         monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 50)
+        monkeypatch.setattr(experiments, "_ROW_DRAWS", 0)
         spans = blocks(3, 12, length)
         assert len(spans) == count
         assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
         assert (spans[0][0], spans[-1][1]) == (3, 12)
-        assert np.array_equal(block_rows(7, 3, 12, length), default_rng_rows(7, 3, 12, length))
+        assert_rows_match(7, 3, 12, length)
 
     def test_block_draws_bounded(self):
-        assert blocks(0, 3, 2**21) == [(0, 1), (1, 2), (2, 3)]
-        step = experiments._BLOCK_DRAWS // 1000
+        assert blocks(0, 3, 2**23) == [(0, 1), (1, 2), (2, 3)]
+        step = experiments._BLOCK_DRAWS // (1000 + experiments._ROW_DRAWS)
         assert blocks(0, 2 * step + 1, 1000) == [
             (0, step), (step, 2 * step), (2 * step, 2 * step + 1)
         ]
@@ -751,10 +783,7 @@ class TestUniformStream:
         length=st.sampled_from([1, 20, 101]),
     )
     def test_hypothesis_seeds_and_indices(self, seed, lo, count, length):
-        hi = lo + count
-        assert np.array_equal(
-            block_rows(seed, lo, hi, length), default_rng_rows(seed, lo, hi, length)
-        )
+        assert_rows_match(seed, lo, lo + count, length)
 
     @pytest.mark.parametrize("seed", [9, 2**100 + 17])
     def test_chunk_crossing_2_pow_32_matches_reference(self, seed):
@@ -766,9 +795,29 @@ class TestUniformStream:
     def test_chunk_over_small_blocks_matches_reference(self, monkeypatch, n, size, k):
         # classes seen again in later blocks, straddling ones included
         monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 7 * n)
+        monkeypatch.setattr(experiments, "_ROW_DRAWS", 0)
         config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
         args = (config, grid_pmf(size, "uniform"), 17, 100, 300)
         assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
+
+    def test_two_byte_symbols_match_reference(self, monkeypatch):
+        # |A| = 300: symbols past 255 take two bytes, in the block and in
+        # the keys.  At N = 1 no class straddles and no symbol is read past
+        # its counts, so only N >= 2 catches a block that wraps them.  The
+        # (3, 300) ordering holds 3 groups, but the class cap counts its
+        # 4,545,100 classes times 300.
+        ordering = functools.lru_cache(maxsize=None)(
+            lambda n, alphabet: combinatorics.class_ordering(n, alphabet, max_classes=10**9)
+        )
+        monkeypatch.setattr(experiments, "shared_ordering", ordering)
+        monkeypatch.setattr(oracles, "shared_ordering", ordering)
+        config = ExperimentConfig(length=2, alphabet_size=300, sample_count=400)
+        for kind in ("uniform", "zero last"):
+            args = (config, grid_pmf(300, kind), 17, 0, 400)
+            spans = {}
+            got = experiments._sampled_chunk(args, spans)
+            assert got == reference_sampled_classes(*args)
+            assert straddling_rows(got[0], spans) > 0
 
 
 @st.composite
