@@ -11,15 +11,15 @@ class's message count in Python integers, bit counts and distinct-symbol
 counts are integer sums, and weighted-entropy sums are kept as integer
 coefficients of ln(v) terms (N*H0 = N*ln N - sum n*ln n, all
 integer-weighted), evaluated to float once at the end in a fixed order.
-Sampled runs give each of ``jobs`` processes (at most one per CPU) one
-chunk of samples, and their class counts add up exactly, whatever the
-worker count.  Sample i's symbols are those of
+Sampled runs give each of ``jobs`` processes (at most one per CPU and
+per sample) one chunk of samples, and their class counts add up exactly,
+whatever the worker count.  Sample i's symbols are those of
 ``np.random.default_rng([seed, i]).choice``, a block at a time: each raw
 PCG64 output is compared with integer cuts from the pmf's cdf, and the
 same pass counts each sample's symbols, a byte per draw.  A sample's
 plain class is its counts vector; the samples of a class that straddles
-shaped boundaries are placed against the boundary sequences' prefixes
-(``_sampled_chunk``).
+shaped boundaries are sorted by their symbols, and each boundary
+sequence is placed among them by bisection (``_sampled_chunk``).
 
 The tally reads those pairs a slice at a time and keeps no map of them:
 an exhaustive run tallies the two ordering walks as they are yielded, so
@@ -38,10 +38,11 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -253,61 +254,6 @@ def _shaped_span(counts, plain_ordering, shaped_ordering):
     return shaped, list(accumulate(included))
 
 
-def _bounds_below(symbols, counts, bounds) -> int:
-    """How many of ``bounds`` are <= the in-class rank of ``symbols`` (its
-    position in the lexicographic order of its counts' orderings).  The
-    bounds ascend and end with the class size, which no rank reaches.
-
-    The prefix-count method of ``_lex_rank``, stopped as soon as the prefix
-    read puts the rank in a range [low, low + remaining) that no bound
-    splits: few symbols are read, where a full rank reads them all.
-    """
-    counts = list(counts)
-    total = len(symbols)
-    low, remaining = 0, bounds[-1]
-    k = 0  # bounds <= low
-    for sym in symbols:
-        if bounds[k] >= low + remaining:
-            break
-        if sym:
-            low += remaining * sum(counts[:sym]) // total
-        remaining = remaining * counts[sym] // total
-        counts[sym] -= 1
-        total -= 1
-        while bounds[k] <= low:
-            k += 1
-    return k
-
-
-def _boundary_prefix(counts, size: int, offset: int, log_each: float):
-    """The first symbols of the sequence at in-class rank ``offset`` of the
-    class with these counts (``size`` sequences), read as ``_lex_unrank``
-    reads them, but only until fewer than one report sample is expected to
-    share them: ``log_each`` is ln of the samples expected per sequence of
-    the class, and the walk stops once that plus ln of the sequences
-    sharing the prefix is below 0.  Returns the prefix and whether it is
-    the whole sequence."""
-    counts = list(counts)
-    total = sum(counts)
-    symbols = []
-    while size > 1:
-        if log_each + math.log(size) < 0:
-            return symbols, False
-        sym = 0
-        here = size * counts[0] // total
-        while offset >= here:
-            offset -= here
-            sym += 1
-            here = size * counts[sym] // total
-        symbols.append(sym)
-        size = here
-        counts[sym] -= 1
-        total -= 1
-    for sym, c in enumerate(counts):
-        symbols.extend(repeat(sym, c))
-    return symbols, True
-
-
 def _key_dtype(top: int) -> np.dtype:
     """The narrowest big-endian unsigned integer holding 0..top."""
     return np.dtype(next(f">u{w}" for w in (1, 2, 4, 8) if top < 1 << 8 * w))
@@ -328,38 +274,41 @@ def _row_keys(tags, symbols, tag_dtype, symbol_dtype) -> np.ndarray:
     return keys.view(f"S{keys.shape[1]}").ravel()
 
 
-def _span_entry(counts, orderings, log_samples: float, log_p, symbol_dtype):
-    """What a report keeps of the plain class with these counts: its
-    ``_shaped_span`` and, for a straddling class, the keys (past the class
-    tag) that split its rows at the shaped boundaries.
+def _rows_below(
+    rows, lo: int, hi: int, key: bytes, counts, size: int, offset: int, width: int
+) -> int:
+    """Where the sequence at in-class rank ``offset`` of the class with
+    these counts (``size`` sequences) falls among the sorted ``_row_keys``
+    keys ``rows[lo:hi]``, each ``key`` (the class's tag) followed by a
+    sequence of that class in ``width``-byte codes: the index of the first
+    row at or past it.
 
-    Each boundary's sequence is read by ``_boundary_prefix`` (the samples
-    of a class are uniform over it).  Read in full, it gives one key: rows
-    at or above it lie past the boundary.  Otherwise its prefix gives two,
-    the prefix and the prefix followed by a code above every symbol, which
-    bracket the rows sharing the prefix; boundaries with the same prefix
-    share one bracket.  Each key comes with the number of bounds that rows
-    from it up to the next key lie past, or -1 for a bracket, whose rows
-    ``_bounds_below`` ranks."""
-    shaped, bounds = _shaped_span(counts, *orderings)
-    if len(shaped) == 1:
-        return shaped, bounds, ()
-    log_each = log_samples + sum(n * log_p[s] for s, n in enumerate(counts) if n)
-    width = symbol_dtype.itemsize
+    The sequence is read as ``_lex_unrank`` reads it, and after each symbol
+    [lo, hi) narrows to the rows that share the prefix read: at or above
+    the prefix, below the prefix followed by an all-ones code.  The walk
+    stops once no row shares the prefix, or once one ordering of the rest
+    is left: the rows that share the prefix then equal the sequence, and
+    lie past it.  An element of a numpy ``S`` array drops its trailing zero
+    bytes (symbol 255 is coded 0x0100 at |A| >= 255), but no probe reaches
+    a row's last code, which holds a nonzero byte, so each row still
+    compares as its whole key."""
+    counts = list(counts)
+    total = sum(counts)
     above = b"\xff" * width
-    keys = []
-    last = None
-    for below, offset in enumerate(bounds[:-1], 1):
-        prefix, whole = _boundary_prefix(counts, bounds[-1], offset, log_each)
-        key = b"".join([(s + 1).to_bytes(width, "big") for s in prefix])
-        if whole:
-            keys.append((key, below))
-        elif key == last:
-            keys[-1] = (key + above, below)
-        else:
-            keys += [(key, -1), (key + above, below)]
-        last = key
-    return shaped, bounds, tuple(keys)
+    while size > 1 and lo < hi:
+        sym = 0
+        here = size * counts[0] // total
+        while offset >= here:
+            offset -= here
+            sym += 1
+            here = size * counts[sym] // total
+        size = here
+        counts[sym] -= 1
+        total -= 1
+        key += (sym + 1).to_bytes(width, "big")
+        lo = bisect_left(rows, key, lo, hi)
+        hi = bisect_left(rows, key + above, lo, hi)
+    return lo
 
 
 # Sample i's draws are np.random.default_rng([seed, i]).choice(|A|, N, p):
@@ -552,19 +501,18 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[starts], np.diff(starts, append=len(rows)), order
 
 
-def _sampled_chunk(args, spans: dict | None = None) -> tuple[Counter, Counter]:
+def _sampled_chunk(args) -> tuple[Counter, Counter]:
     """Plain and shaped type-class counts of samples lo..hi-1, keyed by
-    counts vector, from ``_symbol_block`` a block at a time.  ``spans``
-    (counts vector -> ``_span_entry``, filled as classes are first seen,
-    shared by one report's chunks in one process) gives the shaped class
-    of every sample of a class inside one shaped class.
+    counts vector, from ``_symbol_block`` a block at a time.  A memo
+    (counts vector -> ``_shaped_span``, filled as classes are first seen)
+    gives the shaped class of every sample of a class inside one shaped
+    class.
 
-    A block's samples of straddling classes are classified together: one
-    searchsorted places each row's ``_row_keys`` key (its class's tag in
-    the block, then its symbols) in the sorted table of those classes'
-    bare tags and boundary keys, which tells how many bounds it lies past.
-    Only rows inside a bracket, a boundary prefix read to less than full
-    depth, are ranked, by ``_bounds_below``."""
+    A block's samples of straddling classes become ``_row_keys`` keys (the
+    class's tag in the block, then the symbols), sorted once, so each
+    class's rows are one sorted range.  ``_rows_below`` places each of the
+    class's shaped boundaries in that range, and each shaped class gets
+    the rows between its boundary and the next."""
     config, pmf, seed, lo, hi = args
     size, length = config.alphabet_size, config.length
     orderings = (
@@ -573,9 +521,8 @@ def _sampled_chunk(args, spans: dict | None = None) -> tuple[Counter, Counter]:
     )
     p = np.asarray(pmf, dtype=np.float64)
     p = p / p.sum()
-    log_samples = math.log(config.sample_count)
-    log_p = [math.log(x) if x > 0 else -math.inf for x in p.tolist()]
     symbol_dtype = _key_dtype(size + 1)
+    width = symbol_dtype.itemsize
     # choice(|A|, N, p=p) draws the number of cdf entries c <= its uniform
     # (x >> 11) * 2**-53, which holds exactly when the raw output x reaches
     # ceil(c * 2**53) << 11; no uniform reaches 1.0
@@ -583,8 +530,7 @@ def _sampled_chunk(args, spans: dict | None = None) -> tuple[Counter, Counter]:
     cdf /= cdf[-1]
     cuts = [np.uint64(math.ceil(c * 2**53) << 11) for c in cdf.tolist() if c < 1.0]
     plain, shaped = Counter(), Counter()
-    if spans is None:
-        spans = {}
+    spans = {}
     for start, end in _blocks(lo, hi, length):
         symbols, counts = _symbol_block(seed, start, end, length, cuts, size)
         top = symbols.max()
@@ -592,60 +538,44 @@ def _sampled_chunk(args, spans: dict | None = None) -> tuple[Counter, Counter]:
             raise ValueError(f"symbol {top} out of range for alphabet of size {size}")
         classes, samples, order = _group_rows(counts.T)
         tags = np.full(len(classes), -1)  # straddling classes' tags in the block
-        straddling = []  # per tag: counts, bounds, first label, boundary keys
-        labels = []  # the straddling classes' shaped counts vectors, in turn
+        straddling = []  # per tag: counts, samples, shaped classes, bounds
         for i, (class_counts, n) in enumerate(zip(classes.tolist(), samples.tolist())):
             class_counts = tuple(class_counts)
             plain[class_counts] += n
             span = spans.get(class_counts)
             if span is None:
-                span = spans[class_counts] = _span_entry(
-                    class_counts, orderings, log_samples, log_p, symbol_dtype
-                )
-            shaped_classes, bounds, keys = span
+                span = spans[class_counts] = _shaped_span(class_counts, *orderings)
+            shaped_classes, bounds = span
             if len(shaped_classes) == 1:
                 shaped[shaped_classes[0]] += n
                 continue
             tags[i] = len(straddling)
-            straddling.append((class_counts, bounds, len(labels), keys))
-            labels += shaped_classes
+            straddling.append((class_counts, n, shaped_classes, bounds))
         if not straddling:
             continue
-        # the table: each class's bare tag (no bound passed), then its keys
         tag_dtype = _key_dtype(len(straddling) - 1)
-        table, passed = [], []
-        for t, (_, _, first, keys) in enumerate(straddling):
-            tag = t.to_bytes(tag_dtype.itemsize, "big")
-            table.append(tag)
-            passed.append(first)
-            for key, below in keys:
-                table.append(tag + key)
-                passed.append(first + below if below >= 0 else -1)
-        width = tag_dtype.itemsize + length * symbol_dtype.itemsize
         row_tags = np.repeat(tags, samples)  # in the order of `order`
         keep = row_tags >= 0
-        strad_rows, row_tags = order[keep], row_tags[keep]
-        row_keys = _row_keys(row_tags, symbols[strad_rows], tag_dtype, symbol_dtype)
-        # a row key equal to a table key lies past it; of equal table keys
-        # (an empty prefix and its bare tag) the later one holds
-        at = np.array(table, f"S{width}").searchsorted(row_keys, side="right") - 1
-        label = np.array(passed)[at]
-        decided = label >= 0
-        tally = np.bincount(label[decided], minlength=len(labels))
-        for shaped_counts, n in zip(labels, tally.tolist()):
-            if n:
-                shaped[shaped_counts] += n
-        for row, tag in zip(strad_rows[~decided].tolist(), row_tags[~decided].tolist()):
-            class_counts, bounds, first, _ = straddling[tag]
-            below = _bounds_below(symbols[row].tolist(), class_counts, bounds)
-            shaped[labels[first + below]] += 1
+        rows = _row_keys(row_tags[keep], symbols[order[keep]], tag_dtype, symbol_dtype)
+        rows.sort()
+        stop = 0
+        for t, (class_counts, n, shaped_classes, bounds) in enumerate(straddling):
+            first, stop = stop, stop + n
+            tag = t.to_bytes(tag_dtype.itemsize, "big")
+            for shaped_counts, bound in zip(shaped_classes, bounds[:-1]):
+                below = _rows_below(rows, first, stop, tag, class_counts, bounds[-1], bound, width)
+                if below > first:
+                    shaped[shaped_counts] += below - first
+                first = below
+            if stop > first:
+                shaped[shaped_classes[-1]] += stop - first
     return plain, shaped
 
 
 def _split_ranges(total: int, chunks: int):
-    chunks = max(1, min(chunks, total))
-    step = (total + chunks - 1) // chunks
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    """0..total-1 cut into ``chunks`` ranges whose sizes differ by at most
+    one, none empty while chunks <= total."""
+    return [(total * i // chunks, total * (i + 1) // chunks) for i in range(chunks)]
 
 
 def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
@@ -672,14 +602,14 @@ def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport
         raise ValueError(f"sample_count must be >= 1, got {config.sample_count}")
     config.shaping
     pmf = spec.probabilities()
+    # one chunk per worker, and at most one worker per sample and per CPU
+    workers = min(config.jobs, config.sample_count, os.cpu_count() or 1)
     tasks = [
         (config, pmf, spec.seed, lo, hi)
-        for lo, hi in _split_ranges(config.sample_count, config.jobs)
+        for lo, hi in _split_ranges(config.sample_count, workers)
     ]
-    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        spans = {}  # shared by this report's chunks, and by no other report
-        results = [_sampled_chunk(t, spans) for t in tasks]
+    if workers == 1:
+        results = [_sampled_chunk(tasks[0])]
     else:
         # imported here: it loads multiprocessing, which no other path uses
         from concurrent.futures import ProcessPoolExecutor

@@ -467,19 +467,53 @@ class TestSampledClasses:
         assert kinds == Counter({False: inside, True: straddling})
 
     @pytest.mark.parametrize("n, size, k", [(6, 4, 1), (4, 3, 3), (5, 3, 2)])
-    def test_bounds_below_counts_bounds_at_or_below_rank(self, n, size, k):
-        # every sequence of every class, those that sit exactly on a shaped
-        # class's first rank included
+    def test_rows_below_counts_rows_below_each_offset(self, n, size, k):
+        # every class, and every in-class offset (each shaped boundary among
+        # them), among the keys of all the class's sequences and of random
+        # multisets of them, rows equal to the offset's sequence included;
+        # rows of the tags before and after the class's surround its range
+        rng = np.random.default_rng([n, size, k])
         alphabet = Alphabet(size)
         plain_ordering = shared_ordering(n, alphabet)
         shaped_ordering = shared_ordering(n + k, alphabet)
+        tag_dtype, symbol_dtype = experiments._key_dtype(2), experiments._key_dtype(size + 1)
         for counts in compositions(n, size):
-            classes, bounds = experiments._shaped_span(
-                counts, plain_ordering, shaped_ordering
-            )
-            for rank, seq in enumerate(multiset_permutations(counts)):
-                below = sum(1 for b in bounds if b <= rank)
-                assert experiments._bounds_below(list(seq), counts, bounds) == below
+            _, bounds = experiments._shaped_span(counts, plain_ordering, shaped_ordering)
+            seqs = multiset_permutations(counts)
+            assert bounds[-1] == len(seqs)
+            rank_sets = [np.arange(len(seqs))] + [
+                rng.integers(0, len(seqs), rng.integers(0, 2 * len(seqs) + 1))
+                for _ in range(3)
+            ]
+            for ranks in rank_sets:
+                outside = rng.integers(0, len(seqs), 4)
+                tags = np.repeat([0, 1, 2], [2, len(ranks), 2])
+                symbols = np.array(
+                    [seqs[r] for r in [*outside[:2], *ranks, *outside[2:]]], np.uint8
+                ).reshape(-1, n)
+                rows = experiments._row_keys(tags, symbols, tag_dtype, symbol_dtype)
+                rows.sort()
+                lo, hi = 2, 2 + len(ranks)
+                for offset in range(len(seqs)):
+                    got = experiments._rows_below(
+                        rows, lo, hi, b"\x01", counts, len(seqs), offset, symbol_dtype.itemsize
+                    )
+                    assert got == lo + int((ranks < offset).sum())
+
+    def test_rows_below_two_byte_code_ending_in_zero(self):
+        # at |A| = 300 symbol 255 is coded 0x0100, and a key read back from
+        # the sorted array has lost that zero byte: a probe of the whole
+        # boundary (1, 0, 255) at offset 2 would then pass the row equal to it
+        counts = [0] * 300
+        counts[0] = counts[1] = counts[255] = 1
+        seqs = multiset_permutations(counts)
+        symbol_dtype = experiments._key_dtype(301)
+        tag_dtype = experiments._key_dtype(0)
+        symbols = np.array(seqs, np.uint16)
+        rows = experiments._row_keys(np.zeros(6, np.int64), symbols, tag_dtype, symbol_dtype)
+        rows.sort()
+        for offset in range(6):
+            assert experiments._rows_below(rows, 0, 6, b"\x00", counts, 6, offset, 2) == offset
 
     # the normalised pmf's cumsum ends an ulp below 1 for (5, 0, 17, 1, 2)
     @pytest.mark.parametrize(
@@ -517,29 +551,22 @@ class TestSampledClasses:
             reference_sampled_classes(config, (0.5, 0.25, 0.25), 0, 0, 1)
 
 
-class _CountingBoundsBelow:
-    """Stands in for experiments._bounds_below and counts its calls: the
-    rows that fell inside a boundary bracket."""
-
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        self._inner = experiments._bounds_below
-        monkeypatch.setattr(experiments, "_bounds_below", self)
-
-    def __call__(self, *args):
-        self.calls += 1
-        return self._inner(*args)
-
-
-def straddling_rows(plain, spans):
-    """Samples of the plain classes that straddle a shaped boundary."""
-    return sum(n for counts, n in plain.items() if len(spans[counts][0]) > 1)
+def straddling_rows(config, plain):
+    """Samples of the plain classes that straddle a shaped boundary, from
+    the orderings the sampler uses."""
+    orderings = (
+        experiments.shared_ordering(config.length, config.alphabet),
+        experiments.shared_ordering(config.length + config.extra_length, config.alphabet),
+    )
+    return sum(
+        n for counts, n in plain.items()
+        if len(experiments._shaped_span(counts, *orderings)[0]) > 1
+    )
 
 
 class TestStraddlingKeys:
-    """Straddling rows classified by one searchsorted against the boundary
-    keys, with rows inside a bracket ranked by _bounds_below, against the
-    per-sample reference path."""
+    """Straddling rows placed by bisecting their sorted keys at each shaped
+    boundary, against the per-sample reference path."""
 
     @pytest.mark.parametrize(
         "n, size, k, pmf, samples",
@@ -551,55 +578,52 @@ class TestStraddlingKeys:
             (8, 5, 3, (0.4, 0.3, 0, 0.2, 0.1), 5000),
         ],
     )
-    def test_keys_and_fallback_both_classify(self, monkeypatch, n, size, k, pmf, samples):
-        # the prefix depth follows the report's sample count, not the chunk's
-        counter = _CountingBoundsBelow(monkeypatch)
+    def test_keys_and_fallback_both_classify(self, n, size, k, pmf, samples):
+        # skewed pmfs, zero probabilities and K = 3: every straddling row of
+        # 1,000 samples placed by its sorted key
         config = ExperimentConfig(
             length=n, alphabet_size=size, extra_length=k, sample_count=samples
         )
         args = (config, pmf, 17, 0, 1000)
-        spans = {}
-        got = experiments._sampled_chunk(args, spans)
+        got = experiments._sampled_chunk(args)
         assert got == reference_sampled_classes(*args)
-        assert 0 < counter.calls < straddling_rows(got[0], spans)
+        assert straddling_rows(config, got[0]) > 0
 
-    def test_full_depth_keys_need_no_ranking(self, monkeypatch):
-        # few classes and many samples: every boundary is read in full
-        counter = _CountingBoundsBelow(monkeypatch)
+    def test_full_depth_keys_need_no_ranking(self):
+        # few classes and many samples: rows share each boundary's whole
+        # sequence, and rows equal to it lie past it
         config = ExperimentConfig(length=6, alphabet_size=3, extra_length=2, sample_count=50000)
         args = (config, grid_pmf(3, "uniform"), 17, 0, 1000)
-        spans = {}
-        got = experiments._sampled_chunk(args, spans)
+        got = experiments._sampled_chunk(args)
         assert got == reference_sampled_classes(*args)
-        assert counter.calls == 0 and straddling_rows(got[0], spans) > 0
-        for _, bounds, keys in spans.values():
-            assert len(keys) == len(bounds) - 1
-            assert all(len(key) == 6 and below > 0 for key, below in keys)
+        assert straddling_rows(config, got[0]) > 0
 
-    def test_more_than_256_straddling_classes_in_one_block(self, monkeypatch):
+    def test_more_than_256_straddling_classes_in_one_block(self):
         # two-byte tags, among them 256, which ends in a zero byte
-        counter = _CountingBoundsBelow(monkeypatch)
         config = ExperimentConfig(length=100, alphabet_size=4, sample_count=20000)
         args = (config, grid_pmf(4, "uniform"), 17, 0, 600)
-        spans = {}
-        got = experiments._sampled_chunk(args, spans)
+        got = experiments._sampled_chunk(args)
         assert got == reference_sampled_classes(*args)
-        straddling = sum(1 for shaped, _, _ in spans.values() if len(shaped) > 1)
+        alphabet = Alphabet(4)
+        orderings = (shared_ordering(100, alphabet), shared_ordering(101, alphabet))
+        straddling = sum(
+            1 for counts in got[0] if len(experiments._shaped_span(counts, *orderings)[0]) > 1
+        )
         assert straddling > 256
-        assert 0 < counter.calls < straddling_rows(got[0], spans)
 
     def test_boundaries_sharing_a_prefix(self):
-        # a bracket past which a row lies beyond two bounds at once
+        # classes whose neighbouring boundary sequences begin alike, so that
+        # the second boundary is placed among rows the first one narrowed to
         config = ExperimentConfig(length=12, alphabet_size=3, extra_length=2, sample_count=400)
         args = (config, grid_pmf(3, "uniform"), 17, 0, 400)
-        spans = {}
-        got = experiments._sampled_chunk(args, spans)
+        got = experiments._sampled_chunk(args)
         assert got == reference_sampled_classes(*args)
+        orderings = (shared_ordering(12, A3), shared_ordering(14, A3))
         shared = 0
-        for _, _, keys in spans.values():
-            passed = [(key, below) for key, below in keys if below >= 0]
-            for (_, before), (key, below) in zip([(b"", 0)] + passed, passed):
-                shared += below - before > 1 and len(key.rstrip(b"\xff")) > 0
+        for counts in got[0]:
+            _, bounds = experiments._shaped_span(counts, *orderings)
+            firsts = [combinatorics._lex_unrank(counts, bounds[-1], b)[0] for b in bounds[:-1]]
+            shared += any(a == b for a, b in zip(firsts, firsts[1:]))
         assert shared > 0
 
     @pytest.mark.parametrize("size, tags", [(4, 300), (3, 5), (256, 5), (300, 70000)])
@@ -620,8 +644,9 @@ class TestStraddlingKeys:
         assert keys.dtype.itemsize == tag_dtype.itemsize + 5 * symbol_dtype.itemsize
         want = sorted(range(2000), key=lambda i: (tag[i], tuple(symbols[i])))
         assert np.argsort(keys, kind="stable").tolist() == want
-        # a row lies in the bracket of each of its prefixes: at or above the
-        # prefix (zero-padded), below the prefix followed by an all-ones code
+        # a row lies between _rows_below's two probes of each of its
+        # prefixes: at or above the prefix (zero-padded), below the prefix
+        # followed by an all-ones code
         above = np.full((2000, 1), (1 << 8 * symbol_dtype.itemsize) - 2)
         for depth in (0, 2, 4):
             low = experiments._row_keys(tag, symbols[:, :depth], tag_dtype, symbol_dtype)
@@ -632,20 +657,42 @@ class TestStraddlingKeys:
             assert (keys < high.astype(keys.dtype)).all()
 
     def test_memo_lives_for_one_report(self, monkeypatch):
-        # a report runs one chunk per job, and the chunks it runs in this
-        # process (the last report's two jobs, on one CPU) share one memo;
-        # the next report (other pmf, sample count and K) starts a new one
-        memos = []
-        chunk = experiments._sampled_chunk
+        # a chunk asks for each class's span once, however many of its
+        # blocks see the class; each chunk has its own memo (the third
+        # report's two chunks, run by an in-process pool stand-in, both ask
+        # for the classes they share), and no report reuses another's (the
+        # first report, run again, asks for every class again)
+        calls = []
+        span = experiments._shaped_span
 
-        def recording(args, spans=None):
-            memos.append(spans)
-            return chunk(args, spans)
+        def recording(counts, *orderings):
+            calls.append(counts)
+            return span(counts, *orderings)
 
-        monkeypatch.setattr(experiments, "_sampled_chunk", recording)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "_shaped_span", recording)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 8 * 50)
+        monkeypatch.setattr(experiments, "_ROW_DRAWS", 0)
+        first = (
+            ExperimentConfig(length=8, alphabet_size=4, sample_count=900),
+            (0.6, 0.2, 0.1, 0.1),
+        )
         cases = [
-            (ExperimentConfig(length=8, alphabet_size=4, sample_count=900), (0.6, 0.2, 0.1, 0.1)),
+            first,
             (ExperimentConfig(length=8, alphabet_size=4, sample_count=400), (0.1, 0.2, 0.3, 0.4)),
             (
                 ExperimentConfig(
@@ -653,15 +700,21 @@ class TestStraddlingKeys:
                 ),
                 (0.1, 0.2, 0.3, 0.4),
             ),
+            first,
         ]
         for config, pmf in cases:
             spec = SourceSpec(Alphabet(4), pmf, seed=5)
+            chunks = [
+                reference_sampled_classes(config, pmf, 5, lo, hi)
+                for lo, hi in experiments._split_ranges(config.sample_count, config.jobs)
+            ]
             plain, shaped = reference_sampled_classes(config, pmf, 5, 0, config.sample_count)
             expected = experiments._build_report(config, plain.items(), shaped.items(), spec)
+            calls.clear()
             assert run_sampled(config, spec) == expected
-        assert len(memos) == 4
-        assert all(memo is not None for memo in memos) and memos[2] is memos[3]
-        assert len({id(memo) for memo in memos}) == 3
+            assert sorted(calls) == sorted(c for chunk_plain, _ in chunks for c in chunk_plain)
+            if config.jobs > 1:
+                assert len(calls) > len(plain)
 
 
 class TestGroupRows:
@@ -814,10 +867,9 @@ class TestUniformStream:
         config = ExperimentConfig(length=2, alphabet_size=300, sample_count=400)
         for kind in ("uniform", "zero last"):
             args = (config, grid_pmf(300, kind), 17, 0, 400)
-            spans = {}
-            got = experiments._sampled_chunk(args, spans)
+            got = experiments._sampled_chunk(args)
             assert got == reference_sampled_classes(*args)
-            assert straddling_rows(got[0], spans) > 0
+            assert straddling_rows(config, got[0]) > 0
 
 
 @st.composite
