@@ -30,7 +30,15 @@ from .bitio import (
     _bits_from_string,
     _string_from_bits,
 )
-from .core import Alphabet, Composition, Sequence, composition_of
+from .core import (
+    Alphabet,
+    Composition,
+    Sequence,
+    _composition,
+    _join_words,
+    _symbol_array,
+    composition_of,
+)
 from .errors import (
     EmptyCompositionError,
     EmptySequenceError,
@@ -198,13 +206,25 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
 def encode(seq: Sequence, table: CodeTable) -> Bits:
     """Replace each symbol by its codeword; the payload bit string."""
     uncodable = {s for s, l in enumerate(table.lengths) if not l}
+    # symbols past the table's alphabet have no codeword either
+    uncodable.update(range(len(table.lengths), seq.alphabet.size))
     # the scan reads every symbol, so it runs only if some symbol has no
     # codeword
     if uncodable and not uncodable.isdisjoint(seq.symbols):
         first = next(s for s in seq.symbols if s in uncodable)
         raise UncodableSymbolError(f"symbol {first + 1} has no codeword")
+    return _payload(seq, table)
+
+
+def _payload(seq: Sequence, table: CodeTable, symbols: np.ndarray | None = None) -> Bits:
+    """encode's payload for a sequence whose symbols all have codewords;
+    `symbols` as _symbol_array gives them, if the caller has them."""
     words = [format(c, f"0{l}b") for c, l in zip(table.codewords, table.lengths)]
-    return _bits_from_string("".join(map(words.__getitem__, seq.symbols)))
+    if len(words) < seq.alphabet.size:
+        # symbols past the table never occur, but the group table takes a
+        # word for each
+        words += [""] * (seq.alphabet.size - len(words))
+    return _bits_from_string(_join_words(seq, words, "", symbols))
 
 
 # the integer window types, narrowest first, each with its big-endian form
@@ -300,7 +320,7 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     # len(used) + 1 ("no codeword") take symbol 0 and length 0.  Symbols
     # and lengths are kept per bit position, so in the narrowest types
     symbol_of = np.array(
-        [0, *(s for _, s in used), 0], np.min_scalar_type(len(table.lengths))
+        [0, *(s for _, s in used), 0], np.min_scalar_type(len(table.lengths) - 1)
     )
     length_of = np.array([0, *(l for l, _ in used), 0], np.min_scalar_type(lmax))
     # windows reach total + width, past the end of any codeword that starts
@@ -369,10 +389,11 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
         )
     symbols = found[starts]
     # the per-bit arrays are dead once the symbols are gathered; freeing
-    # them before the list and the tuple are built keeps them out of the
-    # peak
+    # them before the tuple is built keeps them out of the peak
     del starts, steps, found
-    return Sequence._in_range(table.alphabet, tuple(symbols.tolist()))
+    # the tuple reads the narrow symbols through a memoryview, with no
+    # list or bytes copy between
+    return Sequence._in_range(table.alphabet, tuple(memoryview(symbols)))
 
 
 def serialize_scheme(source: CodeTable | Composition, fmt: SchemeFormat) -> Bits:
@@ -493,10 +514,15 @@ def encode_message(seq: Sequence, fmt: SchemeFormat) -> EncodedMessage:
     """Build the code from the sequence's own composition and encode."""
     if seq.length == 0:
         raise EmptySequenceError("nothing to encode")
-    comp = composition_of(seq)
+    # one array of the symbols gives the counts and then the payload; the
+    # code covers every symbol the counts saw
+    symbols = _symbol_array(seq)
+    comp = _composition(symbols, seq.alphabet.size)
     table = build_code(comp)
     source = comp if fmt is SchemeFormat.COUNT_TABLE else table
-    return EncodedMessage(serialize_scheme(source, fmt), encode(seq, table))
+    return EncodedMessage(
+        serialize_scheme(source, fmt), _payload(seq, table, symbols)
+    )
 
 
 def total_compressed_length(seq: Sequence, fmt: SchemeFormat) -> CompressedLength:

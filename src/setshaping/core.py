@@ -42,6 +42,11 @@ class Alphabet:
             raise ValueError(f"alphabet size must be >= 1, got {self.size}")
 
 
+# the symbol types a Sequence accepts: int (bool included) and numpy's
+# integers, each read by its __index__
+_INTEGERS = (int, np.integer)
+
+
 @dataclass(frozen=True)
 class Sequence:
     """An ordered string of symbol indices over an alphabet."""
@@ -51,8 +56,12 @@ class Sequence:
 
     def __post_init__(self):
         size = self.alphabet.size
-        # one pass in C builds the set; min and max then see each distinct
-        # symbol once, where a comparison loop runs per symbol in Python
+        # one pass in C builds each set; the checks then see each distinct
+        # type and symbol once, where a loop runs per symbol in Python.
+        # Types, not values: {1, 1.0} is {1}
+        if not all(issubclass(t, _INTEGERS) for t in set(map(type, self.symbols))):
+            bad = next(s for s in self.symbols if not isinstance(s, _INTEGERS))
+            raise ValueError(f"symbol {bad!r} is not an integer")
         distinct = set(self.symbols)
         if distinct and not (0 <= min(distinct) and max(distinct) < size):
             bad = next(s for s in self.symbols if not 0 <= s < size)
@@ -103,9 +112,22 @@ class EntropyValue:
 
 def composition_of(seq: Sequence) -> Composition:
     """Count symbol occurrences, yielding the sequence's type class."""
-    symbols = np.fromiter(seq.symbols, np.int64, seq.length)
-    counts = np.bincount(symbols, minlength=seq.alphabet.size)
-    return Composition(tuple(counts.tolist()))
+    return _composition(_symbol_array(seq), seq.alphabet.size)
+
+
+def _symbol_array(seq: Sequence) -> np.ndarray:
+    """The symbols in the narrowest unsigned numpy type: a byte each,
+    converted in one call of bytearray(), when the alphabet has at most
+    256 symbols."""
+    size = seq.alphabet.size
+    if size <= 256:
+        return np.frombuffer(bytearray(seq.symbols), np.uint8)
+    return np.fromiter(seq.symbols, np.min_scalar_type(size - 1), seq.length)
+
+
+def _composition(symbols: np.ndarray, size: int) -> Composition:
+    """The composition of the symbols _symbol_array gives."""
+    return Composition(tuple(np.bincount(symbols, minlength=size).tolist()))
 
 
 def _check_base(base: float) -> None:
@@ -194,5 +216,48 @@ def parse_sequence(text: str, alphabet: Alphabet) -> Sequence:
 
 def format_sequence(seq: Sequence) -> str:
     """Render a sequence as space-separated one-based symbols."""
-    names = _Memo(lambda s: str(s + 1))
-    return " ".join(map(names.__getitem__, seq.symbols))
+    return _join_words(seq, _Memo(lambda s: str(s + 1)), " ")
+
+
+def _group_length(n: int, size: int) -> int:
+    """The g for which _join_words looks up g symbols at a time in a
+    message of n symbols over |A| = size: the largest whose table of
+    |A|**g entries holds at most one entry per 128 symbols of the message
+    and at most 256 entries, else 1.  A one-symbol alphabet counts as two,
+    so that g stays bounded."""
+    base = size if size > 1 else 2
+    g, entries = 1, base * base
+    while entries <= n >> 7 and entries <= 256:
+        g += 1
+        entries *= base
+    return g
+
+
+def _join_words(seq: Sequence, word, sep: str, symbols: np.ndarray | None = None) -> str:
+    """sep.join(word[s] for s in seq.symbols), with g = _group_length(n, |A|)
+    symbols a lookup: a table holds the joined words of every g-symbol
+    group, indexed by its symbols read as base-|A| digits, and the last
+    n mod g symbols take one word each.  At g = 1, for short messages,
+    the words are joined one per symbol with no table.  `symbols` are
+    seq's symbols as _symbol_array gives them, if the caller has them."""
+    n, size = len(seq.symbols), seq.alphabet.size
+    g = _group_length(n, size)
+    if g == 1:
+        return sep.join(map(word.__getitem__, seq.symbols))
+    if symbols is None:
+        symbols = _symbol_array(seq)
+    words = [word[s] for s in range(size)]
+    groups = words
+    for _ in range(g - 1):
+        groups = [f"{head}{sep}{last}" for head in groups for last in words]
+    whole = n - n % g
+    digits = symbols[:whole].reshape(-1, g)
+    # |A|**g <= 256, so the symbols are bytes and so is every step of
+    # Horner's rule: no temporary wider than a byte per group
+    index = digits[:, 0].copy()
+    for j in range(1, g):
+        index *= size
+        index += digits[:, j]
+    parts = np.array(groups, object).take(index).tolist()
+    parts += map(word.__getitem__, seq.symbols[whole:])
+    return sep.join(parts)

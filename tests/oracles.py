@@ -151,6 +151,22 @@ def reference_encode(symbols, lengths, codewords):
     return (acc << pad).to_bytes((bit_length + pad) // 8, "big"), bit_length
 
 
+def reference_codeword_join(symbols, lengths, codewords):
+    """Payload (data, bit_length) by joining each symbol's codeword as
+    '0'/'1' text, one symbol at a time, then packing the text MSB-first
+    and zero-padding it to whole bytes."""
+    text = "".join(format(codewords[s], "b").zfill(lengths[s]) for s in symbols)
+    if not text:
+        return b"", 0
+    pad = -len(text) % 8
+    return int(text + "0" * pad, 2).to_bytes((len(text) + pad) // 8, "big"), len(text)
+
+
+def reference_format(symbols):
+    """The one-based name of each symbol, joined by single spaces."""
+    return " ".join(str(s + 1) for s in symbols)
+
+
 def reference_decode(data, bit_length, lengths, codewords, n):
     """The per-bit canonical decoder: grow a key (a leading 1, then the bits
     read) one bit at a time until it names a codeword.  Returns the symbol

@@ -24,16 +24,18 @@ from setshaping import (
     empirical_entropy,
     encode,
     encode_message,
+    format_sequence,
     pack_container,
     parse_sequence,
     serialize_scheme,
     total_compressed_length,
     unpack_container,
 )
-from setshaping import coding
+from setshaping import coding, core
 from setshaping.bitio import BitReader, BitWriter, _string_from_bits as _text
 from setshaping.coding import (
     CONTAINER_HEADER_BYTES,
+    EncodedMessage,
     _huffman_lengths,
     _jump_depth,
     payload_bit_count,
@@ -53,8 +55,10 @@ from oracles import (
     best_prefix_payload,
     compositions,
     counts_of,
+    reference_codeword_join,
     reference_decode,
     reference_encode,
+    reference_format,
 )
 
 A3 = Alphabet(3)
@@ -280,6 +284,20 @@ class TestEncode:
         with pytest.raises(UncodableSymbolError):
             encode(parse_sequence("3 1", A3), table)
 
+    def test_symbol_past_the_table_is_uncodable(self):
+        # a table over a smaller alphabet has no codeword for the symbols
+        # past it; those before it encode as usual, a group at a time in a
+        # long message
+        table = CodeTable.from_lengths(A3, (1, 2, 2))
+        alphabet = Alphabet(5)
+        with pytest.raises(UncodableSymbolError, match="^symbol 5 has no codeword$"):
+            encode(Sequence(alphabet, (0, 4, 1)), table)
+        symbols = tuple(random.Random(5).choices(range(3), k=20000))
+        assert core._group_length(len(symbols), alphabet.size) > 1
+        assert encode(Sequence(alphabet, symbols), table) == Bits(
+            *reference_codeword_join(symbols, table.lengths, table.codewords)
+        )
+
     def test_payload_counts_match_bits(self):
         rng = random.Random(99)
         for _ in range(50):
@@ -414,6 +432,72 @@ class TestDecode:
         with pytest.raises(MalformedPayloadError, match="exhausted"):
             decode(Bits(b"\x00", 8), table, 10**18)
         assert time.perf_counter() - start < 1.0
+
+
+# alphabet sizes on both sides of each dtype of the symbol array (a byte
+# up to 256 symbols) and of the largest grouped alphabets
+GRID_SIZES = (1, 2, 3, 4, 5, 16, 17, 64, 65, 255, 256, 257, 1000)
+
+
+def _grid_lengths(size):
+    """0, 1, and the message lengths on both sides of every step of
+    _group_length, with every tail n mod g on each side."""
+    lengths = {0, 1}
+    g = 1
+    for n in range(2, 1 << 16):
+        step = core._group_length(n, size)
+        if step != g:
+            lengths.update(range(n - g, n + step))
+            g = step
+    # the steps above are all there are: g stops growing, also at |A| = 1,
+    # where |A|**g never outgrows a table
+    assert core._group_length(1 << 60, size) == g
+    return sorted(lengths)
+
+
+class TestGroupedJoinsAgainstReference:
+    """encode and format_sequence look up a group of symbols at a time in
+    long messages; every output must equal the one-symbol-at-a-time join."""
+
+    @pytest.mark.parametrize("size", GRID_SIZES)
+    def test_grid(self, size):
+        alphabet = Alphabet(size)
+        rng = random.Random(size)
+        lengths = _grid_lengths(size)
+        weights = [1 / (s + 1) for s in range(size)]
+        message = rng.choices(range(size), weights=weights, k=lengths[-1])
+        for n in lengths:
+            symbols = tuple(message[:n])
+            seq = Sequence(alphabet, symbols)
+            counts = counts_of(symbols, size)
+            assert composition_of(seq).counts == counts
+            assert format_sequence(seq) == reference_format(symbols)
+            if not n:
+                continue
+            table = build_code(Composition(counts))
+            payload = Bits(
+                *reference_codeword_join(symbols, table.lengths, table.codewords)
+            )
+            assert encode(seq, table) == payload
+            for fmt in SchemeFormat:
+                source = Composition(counts) if fmt is SchemeFormat.COUNT_TABLE else table
+                assert encode_message(seq, fmt) == EncodedMessage(
+                    serialize_scheme(source, fmt), payload
+                )
+
+    def test_code_deeper_than_64_bits(self):
+        # test_deep_code_round_trip's 70-bit code; a code that deep needs 71
+        # symbols, more than any grouped alphabet has
+        depth = 70
+        alphabet = Alphabet(depth + 1)
+        table = CodeTable.from_lengths(alphabet, tuple(range(1, depth + 1)) + (depth,))
+        rng = random.Random(depth)
+        message = [rng.randrange(depth + 1) for _ in range(40000)]
+        for n in [*_grid_lengths(depth + 1), len(message)]:
+            symbols = tuple(message[:n])
+            assert encode(Sequence(alphabet, symbols), table) == Bits(
+                *reference_codeword_join(symbols, table.lengths, table.codewords)
+            )
 
 
 def _pack(text):

@@ -2,7 +2,10 @@ import itertools
 import math
 import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -11,16 +14,19 @@ from setshaping import (
     Alphabet,
     Composition,
     Sequence,
+    SchemeFormat,
     build_code,
     composition_of,
     decode,
     distinct_symbol_count,
     empirical_entropy,
     encode,
+    encode_message,
     entropy_of_composition,
     format_sequence,
     inverse_transform,
     parse_sequence,
+    rank_in_class,
     transform,
     unrank_in_class,
     weighted_entropy,
@@ -239,6 +245,50 @@ class TestTextFormat:
             Sequence(A3, (0, 3))
         with pytest.raises(ValueError):
             Alphabet(0)
+
+    @pytest.mark.parametrize(
+        "symbols",
+        [
+            (0.5, 1, True, np.int64(2)),
+            # a value check would see {1, 1.0} as {1}
+            (1, 1.0),
+            (2, np.float64(1.0)),
+            (0, Fraction(1)),
+            (Decimal(2),),
+            (0, "1"),
+            (None,),
+            (np.bool_(True),),
+        ],
+    )
+    def test_symbols_must_be_integers(self, symbols):
+        bad = next(s for s in symbols if type(s) not in (int, bool, np.int64))
+        with pytest.raises(ValueError, match=rf"^symbol {re.escape(repr(bad))} is not an integer$"):
+            Sequence(A3, symbols)
+
+    def test_bool_symbols_accepted(self):
+        # bool is an int subclass: True and False read as 1 and 0
+        s = Sequence(A3, (True, False, True, 2))
+        assert s == Sequence(A3, (1, 0, 1, 2))
+        assert composition_of(s).counts == (1, 2, 1)
+        assert format_sequence(s) == "2 1 2 3"
+        assert rank_in_class(s) == rank_in_class(Sequence(A3, (1, 0, 1, 2)))
+        for fmt in SchemeFormat:
+            assert encode_message(s, fmt) == encode_message(Sequence(A3, (1, 0, 1, 2)), fmt)
+
+    @pytest.mark.parametrize("size", [3, 300])
+    def test_numpy_integer_symbols_accepted(self, size):
+        # every numpy integer type reads by its __index__, in the byte array
+        # of small alphabets and the wider ones of larger alphabets alike
+        plain = (1, 0, 1, 2) * 300
+        types = itertools.cycle((np.int64, np.uint8, np.int16, np.uint32))
+        s = Sequence(Alphabet(size), tuple(t(v) for v, t in zip(plain, types)))
+        assert s == Sequence(Alphabet(size), plain)
+        assert composition_of(s) == composition_of(Sequence(Alphabet(size), plain))
+        assert format_sequence(s) == " ".join(str(v + 1) for v in plain)
+        for fmt in SchemeFormat:
+            assert encode_message(s, fmt) == encode_message(Sequence(Alphabet(size), plain), fmt)
+        with pytest.raises(ValueError, match="out of range"):
+            Sequence(Alphabet(size), (np.int64(size),))
 
     @given(long_name_sequences())
     @example(Sequence(Alphabet(65535), (65534, 0, 9999, 65534)))
