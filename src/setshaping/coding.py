@@ -34,9 +34,9 @@ from .core import (
     Alphabet,
     Composition,
     Sequence,
-    _composition,
     _join_words,
-    _symbol_array,
+    _pack_array,
+    _symbol_type,
     composition_of,
 )
 from .errors import (
@@ -210,21 +210,20 @@ def encode(seq: Sequence, table: CodeTable) -> Bits:
     uncodable.update(range(len(table.lengths), seq.alphabet.size))
     # the scan reads every symbol, so it runs only if some symbol has no
     # codeword
-    if uncodable and not uncodable.isdisjoint(seq.symbols):
-        first = next(s for s in seq.symbols if s in uncodable)
+    if uncodable and not uncodable.isdisjoint(seq._symbols):
+        first = next(s for s in seq._symbols if s in uncodable)
         raise UncodableSymbolError(f"symbol {first + 1} has no codeword")
     return _payload(seq, table)
 
 
-def _payload(seq: Sequence, table: CodeTable, symbols: np.ndarray | None = None) -> Bits:
-    """encode's payload for a sequence whose symbols all have codewords;
-    `symbols` as _symbol_array gives them, if the caller has them."""
+def _payload(seq: Sequence, table: CodeTable) -> Bits:
+    """encode's payload for a sequence whose symbols all have codewords."""
     words = [format(c, f"0{l}b") for c, l in zip(table.codewords, table.lengths)]
     if len(words) < seq.alphabet.size:
         # symbols past the table never occur, but the group table takes a
         # word for each
         words += [""] * (seq.alphabet.size - len(words))
-    return _bits_from_string(_join_words(seq, words, "", symbols))
+    return _bits_from_string(_join_words(seq, words, ""))
 
 
 # the integer window types, narrowest first, each with its big-endian form
@@ -319,9 +318,7 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     # searchsorted gives codeword j as row j + 1; rows 0 (never given) and
     # len(used) + 1 ("no codeword") take symbol 0 and length 0.  Symbols
     # and lengths are kept per bit position, so in the narrowest types
-    symbol_of = np.array(
-        [0, *(s for _, s in used), 0], np.min_scalar_type(len(table.lengths) - 1)
-    )
+    symbol_of = np.array([0, *(s for _, s in used), 0], _symbol_type(size))
     length_of = np.array([0, *(l for l, _ in used), 0], np.min_scalar_type(lmax))
     # windows reach total + width, past the end of any codeword that starts
     # in the payload
@@ -389,11 +386,9 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
         )
     symbols = found[starts]
     # the per-bit arrays are dead once the symbols are gathered; freeing
-    # them before the tuple is built keeps them out of the peak
+    # them before the symbols are packed keeps them out of the peak
     del starts, steps, found
-    # the tuple reads the narrow symbols through a memoryview, with no
-    # list or bytes copy between
-    return Sequence._in_range(table.alphabet, tuple(memoryview(symbols)))
+    return Sequence._from_buffer(table.alphabet, _pack_array(symbols))
 
 
 def serialize_scheme(source: CodeTable | Composition, fmt: SchemeFormat) -> Bits:
@@ -514,15 +509,11 @@ def encode_message(seq: Sequence, fmt: SchemeFormat) -> EncodedMessage:
     """Build the code from the sequence's own composition and encode."""
     if seq.length == 0:
         raise EmptySequenceError("nothing to encode")
-    # one array of the symbols gives the counts and then the payload; the
-    # code covers every symbol the counts saw
-    symbols = _symbol_array(seq)
-    comp = _composition(symbols, seq.alphabet.size)
+    # the code covers every symbol the counts saw
+    comp = composition_of(seq)
     table = build_code(comp)
     source = comp if fmt is SchemeFormat.COUNT_TABLE else table
-    return EncodedMessage(
-        serialize_scheme(source, fmt), _payload(seq, table, symbols)
-    )
+    return EncodedMessage(serialize_scheme(source, fmt), _payload(seq, table))
 
 
 def total_compressed_length(seq: Sequence, fmt: SchemeFormat) -> CompressedLength:

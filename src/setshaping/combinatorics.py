@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Alphabet, Composition, Sequence
+from .core import Alphabet, Composition, Sequence, _counts, _pack
 from .errors import RankOutOfRangeError, TooManyClassesError
 
 __all__ = [
@@ -499,10 +499,8 @@ def class_ordering(
 
 def rank_in_class(seq: Sequence) -> RankIndex:
     """Position of seq in the lexicographic order of its type class."""
-    counts = [0] * seq.alphabet.size
-    for s in seq.symbols:
-        counts[s] += 1
-    return _lex_rank(seq.symbols, counts, multinomial(Composition(tuple(counts))))
+    counts = _counts(seq)
+    return _lex_rank(seq._symbols, counts, multinomial(Composition(tuple(counts))))
 
 
 def unrank_in_class(comp: Composition, r: RankIndex) -> Sequence:
@@ -512,8 +510,9 @@ def unrank_in_class(comp: Composition, r: RankIndex) -> Sequence:
         raise RankOutOfRangeError(
             f"rank {r} outside class of size {remaining} for counts {comp.counts}"
         )
-    symbols = _lex_unrank(comp.counts, remaining, r)
-    return Sequence._in_range(Alphabet(len(comp.counts)), tuple(symbols))
+    size = len(comp.counts)
+    symbols = _pack(_lex_unrank(comp.counts, remaining, r), size)
+    return Sequence._from_buffer(Alphabet(size), symbols)
 
 
 def rank_sequence(seq: Sequence, ordering: ClassOrdering) -> RankIndex:
@@ -523,12 +522,10 @@ def rank_sequence(seq: Sequence, ordering: ClassOrdering) -> RankIndex:
             f"sequence of length {seq.length} over alphabet {seq.alphabet.size} "
             f"does not match ordering ({ordering.length}, {ordering.alphabet.size})"
         )
-    counts = [0] * seq.alphabet.size
-    for s in seq.symbols:
-        counts[s] += 1
+    counts = _counts(seq)
     start, size = ordering.class_span(tuple(counts))
     # rank_in_class, with the class size the ordering already holds
-    return start + _lex_rank(seq.symbols, counts, size)
+    return start + _lex_rank(seq._symbols, counts, size)
 
 
 def unrank_sequence(
@@ -542,4 +539,5 @@ def unrank_sequence(
         )
     counts, size, offset = ordering.locate(r)
     # unrank_in_class, with the class size the ordering already holds
-    return Sequence._in_range(alphabet, tuple(_lex_unrank(counts, size, offset)))
+    symbols = _pack(_lex_unrank(counts, size, offset), alphabet.size)
+    return Sequence._from_buffer(alphabet, symbols)

@@ -6,7 +6,7 @@ Symbols are stored zero-based; all textual I/O renders them one-based
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from .errors import (
     EmptyCompositionError,
     EmptySequenceError,
     SequenceParseError,
+    TooLargeError,
 )
 
 __all__ = [
@@ -47,40 +48,118 @@ class Alphabet:
 _INTEGERS = (int, np.integer)
 
 
-@dataclass(frozen=True)
 class Sequence:
-    """An ordered string of symbol indices over an alphabet."""
+    """An ordered string of symbol indices over an alphabet.
 
-    alphabet: Alphabet
-    symbols: tuple[int, ...]
+    The symbols are held packed, in the narrowest unsigned type that holds
+    |A| - 1: bytes up to |A| = 256, above that a memoryview of 2, 4 or 8
+    bytes a symbol.  Either reads as a sequence of ints, and numpy reads it
+    as an array with no copy (_symbol_array); ``symbols`` unpacks it into a
+    tuple.  Immutable: equality and hash compare the alphabet and the
+    packed symbols.
+    """
 
-    def __post_init__(self):
-        size = self.alphabet.size
+    # __setattr__ refuses every assignment, so the constructors fill the
+    # slots through their descriptors: two C calls a sequence
+    __slots__ = ("alphabet", "_symbols")
+
+    def __init__(self, alphabet: Alphabet, symbols) -> None:
+        # a tuple is read as it is; any other iterable is read once, here
+        symbols = tuple(symbols)
+        self._check(alphabet, symbols)
+        _set_alphabet(self, alphabet)
+        _set_symbols(self, _pack(symbols, alphabet.size))
+
+    @staticmethod
+    def _check(alphabet: Alphabet, symbols: tuple) -> None:
+        """Refuse a symbol that is not an integer or is outside the alphabet."""
+        size = alphabet.size
         # one pass in C builds each set; the checks then see each distinct
         # type and symbol once, where a loop runs per symbol in Python.
         # Types, not values: {1, 1.0} is {1}
-        if not all(issubclass(t, _INTEGERS) for t in set(map(type, self.symbols))):
-            bad = next(s for s in self.symbols if not isinstance(s, _INTEGERS))
+        if not all(issubclass(t, _INTEGERS) for t in set(map(type, symbols))):
+            bad = next(s for s in symbols if not isinstance(s, _INTEGERS))
             raise ValueError(f"symbol {bad!r} is not an integer")
-        distinct = set(self.symbols)
+        distinct = set(symbols)
         if distinct and not (0 <= min(distinct) and max(distinct) < size):
-            bad = next(s for s in self.symbols if not 0 <= s < size)
+            bad = next(s for s in symbols if not 0 <= s < size)
             raise ValueError(f"symbol {bad} out of range for alphabet of size {size}")
 
     @classmethod
-    def _in_range(cls, alphabet: Alphabet, symbols: tuple[int, ...]) -> "Sequence":
-        """A Sequence whose symbols the caller has checked, or made, in
-        range: skips __post_init__'s pass over them."""
+    def _from_buffer(cls, alphabet: Alphabet, symbols) -> "Sequence":
+        """A Sequence over symbols that _pack or _pack_array made from
+        symbols the caller has checked, or made, in range: skips _check."""
         seq = object.__new__(cls)
-        seq.__dict__.update(alphabet=alphabet, symbols=symbols)
+        _set_alphabet(seq, alphabet)
+        _set_symbols(seq, symbols)
         return seq
 
     @property
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(self._symbols)
+
+    @property
     def length(self) -> int:
-        return len(self.symbols)
+        return len(self._symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alphabet == other.alphabet and self._symbols == other._symbols
+
+    def __hash__(self) -> int:
+        symbols = self._symbols
+        # a memoryview of wider symbols hashes by the bytes it views
+        return hash((self.alphabet, symbols if symbols.__class__ is bytes else symbols.obj))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # a wider alphabet's memoryview does not pickle; the tuple does
+        return self.__class__, (self.alphabet, self.symbols)
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(alphabet={self.alphabet!r}, "
+            f"symbols={self.symbols!r})"
+        )
 
     def __str__(self) -> str:
         return format_sequence(self)
+
+
+_set_alphabet = Sequence.alphabet.__set__
+_set_symbols = Sequence._symbols.__set__
+
+
+def _pack(symbols, size: int):
+    """In-range symbols, any iterable of ints, packed as a Sequence over an
+    alphabet of `size` symbols holds them."""
+    if size <= 256:
+        # bytearray takes an iterable faster than bytes does
+        return bytes(bytearray(symbols))
+    return _pack_array(np.fromiter(symbols, _symbol_type(size)))
+
+
+def _symbol_type(size: int) -> np.dtype:
+    """The numpy type a Sequence over |A| = size packs its symbols in: the
+    narrowest unsigned type holding size - 1."""
+    dtype = np.min_scalar_type(size - 1)
+    if dtype.kind != "u":
+        raise TooLargeError(f"alphabet of size {size} has symbols wider than 64 bits")
+    return dtype
+
+
+def _pack_array(symbols: np.ndarray):
+    """An array of the alphabet's _symbol_type, packed as a Sequence over
+    that alphabet holds it."""
+    if symbols.itemsize == 1:
+        return symbols.tobytes()
+    return memoryview(symbols.tobytes()).cast(symbols.dtype.char)
 
 
 @dataclass(frozen=True)
@@ -112,22 +191,19 @@ class EntropyValue:
 
 def composition_of(seq: Sequence) -> Composition:
     """Count symbol occurrences, yielding the sequence's type class."""
-    return _composition(_symbol_array(seq), seq.alphabet.size)
+    return Composition(tuple(_counts(seq)))
+
+
+def _counts(seq: Sequence) -> list[int]:
+    """Each symbol's occurrences, counted in one pass in C."""
+    return np.bincount(_symbol_array(seq), minlength=seq.alphabet.size).tolist()
 
 
 def _symbol_array(seq: Sequence) -> np.ndarray:
-    """The symbols in the narrowest unsigned numpy type: a byte each,
-    converted in one call of bytearray(), when the alphabet has at most
-    256 symbols."""
-    size = seq.alphabet.size
-    if size <= 256:
-        return np.frombuffer(bytearray(seq.symbols), np.uint8)
-    return np.fromiter(seq.symbols, np.min_scalar_type(size - 1), seq.length)
-
-
-def _composition(symbols: np.ndarray, size: int) -> Composition:
-    """The composition of the symbols _symbol_array gives."""
-    return Composition(tuple(np.bincount(symbols, minlength=size).tolist()))
+    """The symbols as a read-only numpy array of their packed type, with
+    no copy."""
+    symbols = seq._symbols
+    return np.frombuffer(symbols, np.uint8 if symbols.__class__ is bytes else symbols.format)
 
 
 def _check_base(base: float) -> None:
@@ -196,22 +272,30 @@ def parse_sequence(text: str, alphabet: Alphabet) -> Sequence:
     ``str.split`` breaks at the same whitespace as re's ``\\s`` (both ask
     ``Py_UNICODE_ISSPACE``) and drops empty tokens.  ``int`` judges each
     distinct token once, so "+1" and "01" read as 1, and the range is
-    checked once per distinct symbol.
+    checked once per distinct symbol.  The symbols go straight into the
+    packed type a Sequence holds.
     """
     tokens = text.replace(",", " ").split()
     symbol_of = _Memo(lambda token: int(token) - 1)
-    try:
-        symbols = tuple(map(symbol_of.__getitem__, tokens))
-    except ValueError:
-        # tokens are read in order, so the first one not read is the bad one
-        bad = next(token for token in tokens if token not in symbol_of)
-        raise SequenceParseError(f"not an integer symbol: {bad!r}") from None
     size = alphabet.size
+    try:
+        symbols = _pack(map(symbol_of.__getitem__, tokens), size)
+    except (ValueError, OverflowError):
+        # int() refused a token, or a symbol fell outside the packed type
+        # (and so outside 1..size, which the range check below reports):
+        # reading every token first puts a bad integer before a bad range
+        try:
+            for token in tokens:
+                symbol_of[token]
+        except ValueError:
+            # tokens are read in order, so the first one not read is the bad one
+            bad = next(token for token in tokens if token not in symbol_of)
+            raise SequenceParseError(f"not an integer symbol: {bad!r}") from None
     distinct = symbol_of.values()
     if distinct and not (0 <= min(distinct) and max(distinct) < size):
-        bad = next(s for s in symbols if not 0 <= s < size)
+        bad = next(s for s in map(symbol_of.__getitem__, tokens) if not 0 <= s < size)
         raise SequenceParseError(f"symbol {bad + 1} outside 1..{size}")
-    return Sequence._in_range(alphabet, symbols)
+    return Sequence._from_buffer(alphabet, symbols)
 
 
 def format_sequence(seq: Sequence) -> str:
@@ -233,25 +317,23 @@ def _group_length(n: int, size: int) -> int:
     return g
 
 
-def _join_words(seq: Sequence, word, sep: str, symbols: np.ndarray | None = None) -> str:
+def _join_words(seq: Sequence, word, sep: str) -> str:
     """sep.join(word[s] for s in seq.symbols), with g = _group_length(n, |A|)
     symbols a lookup: a table holds the joined words of every g-symbol
     group, indexed by its symbols read as base-|A| digits, and the last
     n mod g symbols take one word each.  At g = 1, for short messages,
-    the words are joined one per symbol with no table.  `symbols` are
-    seq's symbols as _symbol_array gives them, if the caller has them."""
-    n, size = len(seq.symbols), seq.alphabet.size
+    the words are joined one per symbol with no table."""
+    symbols, size = seq._symbols, seq.alphabet.size
+    n = len(symbols)
     g = _group_length(n, size)
     if g == 1:
-        return sep.join(map(word.__getitem__, seq.symbols))
-    if symbols is None:
-        symbols = _symbol_array(seq)
+        return sep.join(map(word.__getitem__, symbols))
     words = [word[s] for s in range(size)]
     groups = words
     for _ in range(g - 1):
         groups = [f"{head}{sep}{last}" for head in groups for last in words]
     whole = n - n % g
-    digits = symbols[:whole].reshape(-1, g)
+    digits = _symbol_array(seq)[:whole].reshape(-1, g)
     # |A|**g <= 256, so the symbols are bytes and so is every step of
     # Horner's rule: no temporary wider than a byte per group
     index = digits[:, 0].copy()
@@ -259,5 +341,5 @@ def _join_words(seq: Sequence, word, sep: str, symbols: np.ndarray | None = None
         index *= size
         index += digits[:, j]
     parts = np.array(groups, object).take(index).tolist()
-    parts += map(word.__getitem__, seq.symbols[whole:])
+    parts += map(word.__getitem__, symbols[whole:])
     return sep.join(parts)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from setshaping import (
     ExperimentConfig,
     SchemeFormat,
     Sequence,
+    format_sequence,
     parse_sequence,
     reproduce_table,
     run_exhaustive,
@@ -255,6 +257,25 @@ class TestEncodeDecode:
         code, out, err = run_cli(["decode", str(tmp_path / "nope.sstc")], capsys)
         assert code == 4
         assert stderr_json(err)["error"] == "IOError"
+
+    @pytest.mark.parametrize(
+        "size, n, shaped",
+        [(4, 100, False), (4, 5000, False), (300, 5000, False), (4, 30, True)],
+    )
+    def test_round_trip_reads_no_symbol_tuple(self, monkeypatch, size, n, shaped):
+        # parse, compress, restore and format hand the packed symbols from
+        # layer to layer: none of them unpacks a Sequence into its tuple
+        rng = random.Random(n + size)
+        text = " ".join(str(rng.randrange(size) + 1) for _ in range(n))
+
+        def refuse(self):
+            raise AssertionError("Sequence.symbols read in a round trip")
+
+        monkeypatch.setattr(Sequence, "symbols", property(refuse))
+        for fmt in SchemeFormat:
+            seq = parse_sequence(text, Alphabet(size))
+            data = cli.compress_sequence(seq, fmt, shaped=shaped)
+            assert format_sequence(cli.restore_sequence(data)) == text
 
     def test_empty_input_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

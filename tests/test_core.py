@@ -1,7 +1,10 @@
 import itertools
 import math
+import pickle
+import random
 import re
 import sys
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 
@@ -36,6 +39,7 @@ from setshaping.errors import (
     EmptyCompositionError,
     EmptySequenceError,
     SequenceParseError,
+    TooLargeError,
 )
 
 from oracles import (
@@ -43,6 +47,7 @@ from oracles import (
     brute_entropy,
     compositions,
     counts_of,
+    reference_format,
     reference_parse_sequence,
 )
 
@@ -301,10 +306,10 @@ class TestTextFormat:
 def _refuse_range_checks(monkeypatch):
     """Make Sequence's own range check fail the test if anything runs it."""
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("symbols range-checked a second time")
 
-    monkeypatch.setattr(Sequence, "__post_init__", refuse)
+    monkeypatch.setattr(Sequence, "_check", refuse)
 
 
 class TestSymbolsCheckedWhereTheyEnter:
@@ -339,6 +344,101 @@ class TestSymbolsCheckedWhereTheyEnter:
         _refuse_range_checks(monkeypatch)
         assert [transform(s, params) for s in seqs] == shaped
         assert [inverse_transform(f, params) for f in shaped] == seqs
+
+
+class TestSequenceInputs:
+    """A Sequence packs whatever iterable it is given, so equality and hash
+    do not depend on the container the symbols came in."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [list, lambda t: (s for s in t), np.array, lambda t: np.array(t, np.uint16)],
+        ids=["list", "generator", "ndarray", "ndarray-uint16"],
+    )
+    def test_equals_the_tuple_built(self, make):
+        want = Sequence(A3, (0, 1, 2, 2))
+        got = Sequence(A3, make((0, 1, 2, 2)))
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.symbols == (0, 1, 2, 2)
+        assert got.length == 4
+
+    def test_symbols_are_plain_ints(self):
+        s = Sequence(A3, (True, 0, np.int64(2)))
+        assert s.symbols == (1, 0, 2)
+        assert [type(x) for x in s.symbols] == [int, int, int]
+
+    def test_immutable(self):
+        s = Sequence(A3, (0, 1))
+        for name in ("alphabet", "symbols", "length"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(s, name, None)
+        with pytest.raises(FrozenInstanceError):
+            del s.alphabet
+        assert s.symbols == (0, 1)
+
+    def test_alphabet_wider_than_64_bits(self):
+        top = 2**64 - 1
+        assert Sequence(Alphabet(2**64), (top, 0)).symbols == (top, 0)
+        with pytest.raises(TooLargeError, match="wider than 64 bits"):
+            Sequence(Alphabet(2**64 + 1), (0,))
+        with pytest.raises(TooLargeError, match="wider than 64 bits"):
+            parse_sequence("1", Alphabet(2**64 + 1))
+
+
+# one alphabet each side of every step of the packed type (1, 2, 4 bytes)
+_WIDTH_SIZES = [1, 3, 256, 257, 65536, 65537]
+
+
+def _wide_symbols(size, n=2000):
+    """n symbols over |A| = size: both ends of the alphabet, its middle and
+    random symbols, enough for the grouped text join at small |A|."""
+    rng = random.Random(size)
+    picks = (0, size - 1, size // 2)
+    return tuple(rng.choice(picks) if rng.random() < 0.5 else rng.randrange(size) for _ in range(n))
+
+
+class TestPackedWidths:
+    """Sequences in every packed type against the tuple they are built from."""
+
+    @pytest.mark.parametrize("size", _WIDTH_SIZES)
+    def test_against_the_tuple(self, size):
+        alphabet = Alphabet(size)
+        want = _wide_symbols(size)
+        s = Sequence(alphabet, want)
+        assert s.symbols == want
+        assert s.length == len(want)
+        same = Sequence(alphabet, list(want))
+        assert s == same
+        assert hash(s) == hash(same)
+        assert s != Sequence(alphabet, want[:-1])
+        if size > 1:
+            assert s != Sequence(alphabet, want[:-1] + ((want[-1] + 1) % size,))
+        assert s != Sequence(Alphabet(size + 1), want)
+        assert repr(s) == f"Sequence(alphabet=Alphabet(size={size}), symbols={want!r})"
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s
+        assert back.symbols == want
+
+    @pytest.mark.parametrize("size", _WIDTH_SIZES)
+    def test_bool_and_numpy_integer_inputs(self, size):
+        alphabet = Alphabet(size)
+        want = _wide_symbols(size)
+        types = itertools.cycle((np.int64, np.uint32, np.uint64, int))
+        mixed = tuple(bool(v) if v < 2 else t(v) for v, t in zip(want, types))
+        s = Sequence(alphabet, mixed)
+        assert s == Sequence(alphabet, want)
+        assert s.symbols == want
+        assert {type(v) for v in s.symbols} == {int}
+
+    @pytest.mark.parametrize("size", _WIDTH_SIZES)
+    @pytest.mark.parametrize("n", [0, 1, 7, 2000])
+    def test_format_and_composition(self, size, n):
+        want = _wide_symbols(size, n)
+        s = Sequence(Alphabet(size), want)
+        assert format_sequence(s) == reference_format(want)
+        assert parse_sequence(format_sequence(s), Alphabet(size)) == s
+        assert composition_of(s).counts == counts_of(want, size)
 
 
 # separators: commas, ASCII whitespace, the information separators
