@@ -17,8 +17,10 @@ for fmt in (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE):
         label = f"{fmt.value:7s} shaped={str(shaped):5s}"
         print(f"[{label}] {len(data)} bytes: {data.hex()}")
         print(
-            f"  magic+header: {data[:18].hex()}  "
-            f"(|A|={box.alphabet_size}, stored length={box.sequence_length})"
+            f"  header:       {box.scheme_format.value} (byte "
+            f"{box.scheme_format.wire_value}), shaped={box.shaped}, "
+            f"K={box.extra_length}, |A|={box.alphabet_size}, "
+            f"stored length={box.sequence_length}"
         )
         print(
             f"  scheme bits:  {box.scheme.bit_length:3d}   "

@@ -30,7 +30,7 @@ from .coding import (
     unpack_container,
 )
 from .core import Alphabet, Sequence, format_sequence, parse_sequence
-from .errors import BadLengthError, MalformedPayloadError, SetShapingError
+from .errors import BadLengthError, SetShapingError
 from .experiments import (
     ExperimentConfig,
     SourceSpec,
@@ -56,7 +56,7 @@ def compress_sequence(
         if extra_length > _MAX_EXTRA_LENGTH:
             raise BadLengthError(
                 f"extra length {extra_length} does not fit the container's "
-                f"one-byte K field (at most {_MAX_EXTRA_LENGTH})"
+                f"K field (at most {_MAX_EXTRA_LENGTH})"
             )
         params = ShapingParams(seq.length, seq.alphabet, extra_length)
         encoded_seq = transform(seq, params)
@@ -86,11 +86,6 @@ def restore_sequence(data: bytes) -> Sequence:
     )
     seq = decode(container.payload, table, container.sequence_length)
     if container.shaped:
-        if container.sequence_length <= container.extra_length:
-            raise MalformedPayloadError(
-                f"shaped length {container.sequence_length} not longer than "
-                f"extra length {container.extra_length}"
-            )
         params = ShapingParams(
             length=container.sequence_length - container.extra_length,
             alphabet=alphabet,

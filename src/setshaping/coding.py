@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,8 @@ __all__ = [
     "CONTAINER_HEADER_BYTES",
 ]
 
-MAX_CODE_LENGTH = 31  # LENGTH_LIST stores Lmax in 5 bits
+_LMAX_BITS = 5  # the width of LENGTH_LIST's max-length field
+MAX_CODE_LENGTH = (1 << _LMAX_BITS) - 1
 
 
 class SchemeFormat(enum.Enum):
@@ -76,14 +78,16 @@ class SchemeFormat(enum.Enum):
 
     @property
     def wire_value(self) -> int:
-        return 0 if self is SchemeFormat.LENGTH_LIST else 1
+        return _WIRE_FORMATS.index(self)
 
     @classmethod
     def from_wire(cls, value: int) -> "SchemeFormat":
-        for fmt in cls:
-            if fmt.wire_value == value:
-                return fmt
+        if 0 <= value < len(_WIRE_FORMATS):
+            return _WIRE_FORMATS[value]
         raise MalformedPayloadError(f"unknown scheme format byte {value}")
+
+
+_WIRE_FORMATS = (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE)  # by wire byte
 
 
 def _canonical_codewords(lengths: tuple[int, ...]) -> tuple[int, ...]:
@@ -401,7 +405,7 @@ def serialize_scheme(source: CodeTable | Composition, fmt: SchemeFormat) -> Bits
                 f"codeword length {lmax} exceeds the {MAX_CODE_LENGTH}-bit format limit"
             )
         writer = BitWriter()
-        writer.write(lmax, 5)
+        writer.write(lmax, _LMAX_BITS)
         width = lmax.bit_length()
         for l in table.lengths:
             writer.write(l, width)
@@ -421,7 +425,7 @@ def deserialize_scheme(
     """Rebuild the code table a decoder would use; inverse of serialize."""
     reader = BitReader(bits)
     if fmt is SchemeFormat.LENGTH_LIST:
-        lmax = reader.read(5)
+        lmax = reader.read(_LMAX_BITS)
         width = lmax.bit_length()
         lengths = tuple(reader.read(width) for _ in range(alphabet.size))
         if any(l > lmax for l in lengths):
@@ -462,7 +466,7 @@ def _scheme_bits(fmt: SchemeFormat, size: int, lmax, total):
     serialize_scheme writes.  Elementwise on int64 arrays of lmax and total
     too, whose bit lengths are frexp's exponents (exact below 2**53)."""
     if fmt is SchemeFormat.LENGTH_LIST:
-        return 5 + size * _bit_length(lmax)
+        return _LMAX_BITS + size * _bit_length(lmax)
     return size * _bit_length(total)
 
 
@@ -528,17 +532,19 @@ def total_compressed_length(seq: Sequence, fmt: SchemeFormat) -> CompressedLengt
     )
 
 
-# Container framing: magic, version, scheme variant, flags (bit 0 = shaped),
-# extra length K, alphabet size (2 bytes BE), sequence length (8 bytes BE),
-# then scheme bit count (4 bytes BE) + scheme bytes and payload bit count
-# (8 bytes BE) + payload bytes.  Framing bytes are never charged to
-# scheme_bits/payload_bits.
+# Container framing: the header, then the scheme bytes, the payload bit
+# count and the payload bytes.  The header holds, big-endian: magic,
+# version, scheme variant, flags (bit 0 = shaped), extra length K, alphabet
+# size, sequence length and scheme bit count.  Framing bytes are never
+# charged to scheme_bits/payload_bits.
 MAGIC = b"SSTC"
 CONTAINER_VERSION = 1
-CONTAINER_HEADER_BYTES = 4 + 1 + 1 + 1 + 1 + 2 + 8 + 4 + 8
+_HEADER = struct.Struct(">4sBBBBHQI")
+_PAYLOAD_BITS = struct.Struct(">Q")
+CONTAINER_HEADER_BYTES = _HEADER.size + _PAYLOAD_BITS.size
 _FLAG_SHAPED = 0x01
-_MAX_ALPHABET_SIZE = 0xFFFF  # 2-byte field
-_MAX_EXTRA_LENGTH = 0xFF  # 1-byte field
+# the largest K and alphabet size their header fields hold
+_MAX_EXTRA_LENGTH, _MAX_ALPHABET_SIZE = _HEADER.unpack(b"\xff" * _HEADER.size)[4:6]
 
 
 @dataclass(frozen=True)
@@ -555,12 +561,12 @@ class Container:
         if not 1 <= self.alphabet_size <= _MAX_ALPHABET_SIZE:
             raise TooLargeError(
                 f"alphabet size {self.alphabet_size} does not fit the container's "
-                f"2-byte field (1..{_MAX_ALPHABET_SIZE})"
+                f"field (1..{_MAX_ALPHABET_SIZE})"
             )
         if not 0 <= self.extra_length <= _MAX_EXTRA_LENGTH:
             raise TooLargeError(
                 f"extra length {self.extra_length} does not fit the container's "
-                f"1-byte K field (0..{_MAX_EXTRA_LENGTH})"
+                f"K field (0..{_MAX_EXTRA_LENGTH})"
             )
 
     @property
@@ -575,78 +581,71 @@ def _framing_bits(scheme_bits: int, payload_bits: int) -> int:
 
 
 def pack_container(container: Container) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out.append(CONTAINER_VERSION)
-    out.append(container.scheme_format.wire_value)
-    out.append(_FLAG_SHAPED if container.shaped else 0)
-    out.append(container.extra_length)
-    out += container.alphabet_size.to_bytes(2, "big")
-    out += container.sequence_length.to_bytes(8, "big")
-    out += container.scheme.bit_length.to_bytes(4, "big")
-    out += container.scheme.data
-    out += container.payload.bit_length.to_bytes(8, "big")
-    out += container.payload.data
-    return bytes(out)
+    header = _HEADER.pack(
+        MAGIC,
+        CONTAINER_VERSION,
+        container.scheme_format.wire_value,
+        _FLAG_SHAPED if container.shaped else 0,
+        container.extra_length,
+        container.alphabet_size,
+        container.sequence_length,
+        container.scheme.bit_length,
+    )
+    payload_bits = _PAYLOAD_BITS.pack(container.payload.bit_length)
+    return b"".join(
+        (header, container.scheme.data, payload_bits, container.payload.data)
+    )
 
 
-def _padded_block(data: bytes, bit_length: int, name: str) -> Bits:
-    """A container block; its pad bits must be zero, so that each message
-    has exactly one container."""
-    pad = -bit_length % 8
-    if pad and data[-1] & ((1 << pad) - 1):
+def _need(data: bytes, end: int, part: str) -> None:
+    if end > len(data):
+        raise MalformedPayloadError(
+            f"container truncated in its {part}: {len(data)} of {end} bytes"
+        )
+
+
+def _padded_block(data: bytes, start: int, bits: int, name: str) -> tuple[Bits, int]:
+    """The container block of `bits` bits from byte start, and the byte
+    after it.  Its pad bits must be zero, so that each message has exactly
+    one container."""
+    end = start + (bits + 7) // 8
+    _need(data, end, f"{name} block")
+    block = data[start:end]
+    pad = -bits % 8
+    if pad and block[-1] & ((1 << pad) - 1):
         raise MalformedPayloadError(f"nonzero pad bits in the {name} block")
-    return Bits(data, bit_length)
+    return Bits(block, bits), end
 
 
 def unpack_container(data: bytes) -> Container:
-    def take(pos: int, count: int) -> tuple[bytes, int]:
-        if pos + count > len(data):
-            raise MalformedPayloadError(
-                f"container truncated at byte {pos}: wanted {count} more"
-            )
-        return data[pos : pos + count], pos + count
-
-    chunk, pos = take(0, 4)
-    if chunk != MAGIC:
-        raise MalformedPayloadError(f"bad magic {chunk!r}")
-    chunk, pos = take(pos, 1)
-    if chunk[0] != CONTAINER_VERSION:
+    """The container in data; every check of its framing is made here."""
+    if data[: len(MAGIC)] != MAGIC:
+        raise MalformedPayloadError(f"bad magic {data[: len(MAGIC)]!r}")
+    _need(data, _HEADER.size, "header")
+    _, version, wire, flags, extra_length, alphabet_size, length, scheme_bits = (
+        _HEADER.unpack_from(data)
+    )
+    if version != CONTAINER_VERSION:
         raise MalformedPayloadError(
-            f"unsupported container version {chunk[0]}, expected {CONTAINER_VERSION}"
+            f"unsupported container version {version}, expected {CONTAINER_VERSION}"
         )
-    chunk, pos = take(pos, 1)
-    fmt = SchemeFormat.from_wire(chunk[0])
-    chunk, pos = take(pos, 1)
-    if chunk[0] & ~_FLAG_SHAPED:
-        raise MalformedPayloadError(f"unknown flag bits 0x{chunk[0]:02x}")
-    shaped = bool(chunk[0] & _FLAG_SHAPED)
-    chunk, pos = take(pos, 1)
-    extra_length = chunk[0]
+    fmt = SchemeFormat.from_wire(wire)
+    if flags & ~_FLAG_SHAPED:
+        raise MalformedPayloadError(f"unknown flag bits 0x{flags:02x}")
+    shaped = bool(flags & _FLAG_SHAPED)
     if shaped and extra_length < 1:
         raise MalformedPayloadError("shaped container without an extra length")
-    chunk, pos = take(pos, 2)
-    alphabet_size = int.from_bytes(chunk, "big")
+    if shaped and length <= extra_length:
+        raise MalformedPayloadError(
+            f"shaped length {length} not longer than extra length {extra_length}"
+        )
     if alphabet_size < 1:
         raise MalformedPayloadError("alphabet size 0")
-    chunk, pos = take(pos, 8)
-    sequence_length = int.from_bytes(chunk, "big")
-    chunk, pos = take(pos, 4)
-    scheme_bits = int.from_bytes(chunk, "big")
-    chunk, pos = take(pos, (scheme_bits + 7) // 8)
-    scheme = _padded_block(chunk, scheme_bits, "scheme")
-    chunk, pos = take(pos, 8)
-    payload_bits = int.from_bytes(chunk, "big")
-    chunk, pos = take(pos, (payload_bits + 7) // 8)
-    payload = _padded_block(chunk, payload_bits, "payload")
+    scheme, pos = _padded_block(data, _HEADER.size, scheme_bits, "scheme")
+    _need(data, pos + _PAYLOAD_BITS.size, "payload bit count")
+    (payload_bits,) = _PAYLOAD_BITS.unpack_from(data, pos)
+    pos += _PAYLOAD_BITS.size
+    payload, pos = _padded_block(data, pos, payload_bits, "payload")
     if pos != len(data):
         raise MalformedPayloadError(f"{len(data) - pos} trailing bytes")
-    return Container(
-        scheme_format=fmt,
-        alphabet_size=alphabet_size,
-        sequence_length=sequence_length,
-        scheme=scheme,
-        payload=payload,
-        shaped=shaped,
-        extra_length=extra_length,
-    )
+    return Container(fmt, alphabet_size, length, scheme, payload, shaped, extra_length)

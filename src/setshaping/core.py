@@ -170,7 +170,7 @@ class Composition:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+        if self.counts and min(self.counts) < 0:
             raise ValueError(f"negative count in {self.counts}")
 
     @property

@@ -50,6 +50,7 @@ from .coding import _framing_bits, _huffman_lengths, _scheme_bits, SchemeFormat
 from .combinatorics import unrank_sequence
 from .core import (
     _check_base,
+    _symbol_type,
     Alphabet,
     format_sequence,
     weighted_entropy,
@@ -252,11 +253,6 @@ def _shaped_span(counts, plain_ordering, shaped_ordering):
     start, size = plain_ordering.class_span(counts)
     shaped, included = zip(*shaped_ordering.spans(start, start + size))
     return shaped, list(accumulate(included))
-
-
-def _key_dtype(top: int) -> np.dtype:
-    """The narrowest big-endian unsigned integer holding 0..top."""
-    return np.dtype(next(f">u{w}" for w in (1, 2, 4, 8) if top < 1 << 8 * w))
 
 
 def _row_keys(tags, symbols, tag_dtype, symbol_dtype) -> np.ndarray:
@@ -521,7 +517,7 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
     )
     p = np.asarray(pmf, dtype=np.float64)
     p = p / p.sum()
-    symbol_dtype = _key_dtype(size + 1)
+    symbol_dtype = _symbol_type(size + 2).newbyteorder(">")
     width = symbol_dtype.itemsize
     # choice(|A|, N, p=p) draws the number of cdf entries c <= its uniform
     # (x >> 11) * 2**-53, which holds exactly when the raw output x reaches
@@ -553,7 +549,7 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
             straddling.append((class_counts, n, shaped_classes, bounds))
         if not straddling:
             continue
-        tag_dtype = _key_dtype(len(straddling) - 1)
+        tag_dtype = _symbol_type(len(straddling)).newbyteorder(">")
         row_tags = np.repeat(tags, samples)  # in the order of `order`
         keep = row_tags >= 0
         rows = _row_keys(row_tags[keep], symbols[order[keep]], tag_dtype, symbol_dtype)

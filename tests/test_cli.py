@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from setshaping import (
     SchemeFormat,
     Sequence,
     format_sequence,
+    pack_container,
     parse_sequence,
     reproduce_table,
     run_exhaustive,
@@ -235,6 +237,20 @@ class TestEncodeDecode:
         code, out, err = run_cli(["decode", str(box)], capsys)
         assert code == 3
         assert stderr_json(err)["error"] == "MalformedPayload"
+
+    def test_decode_shaped_length_not_above_k(self, tmp_path, capsys, monkeypatch):
+        # a valid plain one-symbol container, flagged shaped with K = N = 1
+        monkeypatch.setattr("sys.stdin", io.StringIO("2"))
+        box = tmp_path / "c.sstc"
+        assert main(["encode", "-a", "3", "-o", str(box)]) == 0
+        container = unpack_container(box.read_bytes())
+        box.write_bytes(pack_container(replace(container, shaped=True, extra_length=1)))
+        code, out, err = run_cli(["decode", str(box)], capsys)
+        assert (code, out) == (3, "")
+        assert stderr_json(err) == {
+            "error": "MalformedPayload",
+            "detail": "shaped length 1 not longer than extra length 1",
+        }
 
     def test_shaped_k_beyond_container_byte(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))

@@ -3,6 +3,7 @@ import math
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from setshaping import (
 )
 from setshaping import coding, core
 from setshaping.bitio import BitReader, BitWriter, _string_from_bits as _text
+from setshaping.cli import compress_sequence, restore_sequence
 from setshaping.coding import (
-    CONTAINER_HEADER_BYTES,
     EncodedMessage,
     _huffman_lengths,
     _jump_depth,
@@ -804,8 +805,8 @@ class TestContainer:
         # "1 2 3 1 1" has an 11-bit lengths scheme and a 7-bit payload
         seq = parse_sequence("1 2 3 1 1", A3)
         data, container = self._round_trip(seq, SchemeFormat.LENGTH_LIST)
-        # the scheme bytes follow every header field but the payload bit count
-        scheme_end = CONTAINER_HEADER_BYTES - 8 + len(container.scheme.data)
+        # the scheme bytes follow the fixed header
+        scheme_end = coding._HEADER.size + len(container.scheme.data)
         blocks = [(scheme_end, container.scheme), (len(data), container.payload)]
         for end, block in blocks:
             pad = -block.bit_length % 8
@@ -815,6 +816,15 @@ class TestContainer:
                 mutated[end - 1] ^= 1 << bit
                 with pytest.raises(MalformedPayloadError, match="pad bits"):
                     unpack_container(bytes(mutated))
+
+    @pytest.mark.parametrize("extra_length", [1, 2])
+    def test_shaped_length_not_above_extra_length(self, extra_length):
+        # a valid plain container of one symbol, flagged shaped with K >= N:
+        # the inverse transform would have no shaped message to read
+        data = compress_sequence(parse_sequence("2", A3), SchemeFormat.LENGTH_LIST)
+        shaped = replace(unpack_container(data), shaped=True, extra_length=extra_length)
+        with pytest.raises(MalformedPayloadError, match="not longer than extra length"):
+            unpack_container(pack_container(shaped))
 
     def test_determinism(self):
         seq = parse_sequence("3 1 2 2 1", A3)
@@ -838,3 +848,62 @@ class TestContainer:
                 shaped=extra_length > 0,
                 extra_length=extra_length,
             )
+
+
+# the fuzz grid: plain containers at |A| = 3, 4, 12 and 300, and shaped ones
+# (K = 1 and 7, N + K symbols) at |A| = 3 and 4, of N = 1, 5 and 40 symbols
+CONTAINER_GRID = [
+    (size, n, fmt, k)
+    for size, n, fmt in itertools.product((3, 4, 12, 300), (1, 5, 40), SchemeFormat)
+    for k in ((0, 1, 7) if size <= 4 else (0,))
+]
+
+
+def _grid_container(size, n, fmt, k):
+    seq = Sequence(Alphabet(size), [(i * i + 3 * i) % size for i in range(n)])
+    return compress_sequence(seq, fmt, shaped=k > 0, extra_length=max(k, 1))
+
+
+def _mutations(data):
+    """Every truncation, one trailing byte, and each byte set to 0, 1, 0x80,
+    0xFF and to itself ^ 1; each input with the index of the byte it set
+    (None for a truncation or the trailing byte)."""
+    for cut in range(len(data)):
+        yield None, data[:cut]
+    yield None, data + b"\x00"
+    for i, byte in enumerate(data):
+        for value in (0, 1, 0x80, 0xFF, byte ^ 1):
+            yield i, data[:i] + bytes([value]) + data[i + 1 :]
+
+
+class TestContainerFuzz:
+    @pytest.mark.parametrize("size, n, fmt, k", CONTAINER_GRID)
+    def test_unpack_accepts_only_containers_it_packs(self, size, n, fmt, k):
+        # an accepted input is the one container of its fields; any other is
+        # refused as a malformed payload, never with another exception
+        for _, data in _mutations(_grid_container(size, n, fmt, k)):
+            try:
+                container = unpack_container(data)
+            except MalformedPayloadError:
+                continue
+            assert pack_container(container) == data
+
+    @pytest.mark.parametrize("size, n, fmt, k", CONTAINER_GRID)
+    def test_restore_raises_only_domain_errors(self, size, n, fmt, k):
+        data = _grid_container(size, n, fmt, k)
+        # the sequence length N is left alone: a mutated N can make a shaped
+        # restore build orderings such as (296,4) and (297,4), over a second
+        # each, a cost of untrusted input that this grid does not bound
+        box = unpack_container(data)
+        low = pack_container(replace(box, sequence_length=0))
+        high = pack_container(replace(box, sequence_length=(1 << 64) - 1))
+        length_field = {i for i, (a, b) in enumerate(zip(low, high)) if a != b}
+        assert length_field
+        for i, mutated in _mutations(data):
+            if i in length_field:
+                continue
+            try:
+                seq = restore_sequence(mutated)
+            except SetShapingError:
+                continue
+            assert isinstance(seq, Sequence)

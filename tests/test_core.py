@@ -74,6 +74,7 @@ class TestComposition:
     def test_total(self):
         assert composition_of(seq("1 2 3 1")).total == 4
         assert Composition((0, 0, 0)).total == 0
+        assert Composition(()).total == 0
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

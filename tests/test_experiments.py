@@ -36,6 +36,7 @@ from setshaping import (
     type_class_census,
 )
 from setshaping import combinatorics, experiments
+from setshaping.core import _symbol_type
 from setshaping.experiments import ExperimentReport
 from setshaping.errors import BadDistributionError, TooManyClassesError
 
@@ -476,7 +477,8 @@ class TestSampledClasses:
         alphabet = Alphabet(size)
         plain_ordering = shared_ordering(n, alphabet)
         shaped_ordering = shared_ordering(n + k, alphabet)
-        tag_dtype, symbol_dtype = experiments._key_dtype(2), experiments._key_dtype(size + 1)
+        tag_dtype = _symbol_type(3).newbyteorder(">")
+        symbol_dtype = _symbol_type(size + 2).newbyteorder(">")
         for counts in compositions(n, size):
             _, bounds = experiments._shaped_span(counts, plain_ordering, shaped_ordering)
             seqs = multiset_permutations(counts)
@@ -507,8 +509,8 @@ class TestSampledClasses:
         counts = [0] * 300
         counts[0] = counts[1] = counts[255] = 1
         seqs = multiset_permutations(counts)
-        symbol_dtype = experiments._key_dtype(301)
-        tag_dtype = experiments._key_dtype(0)
+        symbol_dtype = _symbol_type(302).newbyteorder(">")
+        tag_dtype = _symbol_type(1).newbyteorder(">")
         symbols = np.array(seqs, np.uint16)
         rows = experiments._row_keys(np.zeros(6, np.int64), symbols, tag_dtype, symbol_dtype)
         rows.sort()
@@ -637,8 +639,8 @@ class TestStraddlingKeys:
         symbols[:, 4][rng.random(2000) < 0.3] = size - 1
         tag = rng.integers(0, tags, 2000)
         tag[:3] = [0, tags - 1, 256 % tags]
-        tag_dtype = experiments._key_dtype(tags - 1)
-        symbol_dtype = experiments._key_dtype(size + 1)
+        tag_dtype = _symbol_type(tags).newbyteorder(">")
+        symbol_dtype = _symbol_type(size + 2).newbyteorder(">")
         assert symbol_dtype.itemsize == (1 if size < 255 else 2)
         keys = experiments._row_keys(tag, symbols, tag_dtype, symbol_dtype)
         assert keys.dtype.itemsize == tag_dtype.itemsize + 5 * symbol_dtype.itemsize
