@@ -236,6 +236,8 @@ _WINDOW_TYPES = tuple((np.dtype(f"u{k}"), np.dtype(f">u{k}")) for k in (1, 2, 4,
 # top r bits of the next byte
 _OFFSETS = {t: np.arange(8, dtype=t)[:, None] for t, _ in _WINDOW_TYPES}
 _CARRY = 8 - _OFFSETS[np.dtype(np.uint8)]
+# every value of an 8-bit window
+_BYTE_VALUES = np.arange(256)
 
 
 def _int_windows(data: bytes, types: tuple, count: int) -> np.ndarray:
@@ -283,9 +285,12 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     read from the payload bytes with shifts; the bits after the first
     max_length cannot carry it past a codeword start, whose low bits are
     zero.  Deeper codes take byte-string windows of the payload's '0'/'1'
-    text, whose order is numeric order.  Either way one numpy searchsorted
-    over the codeword starts gives the codeword, hence the symbol and the
-    length, at every position.
+    text, whose order is numeric order.  A code at most 8 bits deep takes
+    8-bit windows, and one searchsorted of the 256 window values over the
+    codeword starts gives a table of each value's symbol and length, which
+    a take per table reads at every position.  Wider windows keep one
+    searchsorted of the windows themselves, since a table indexed by them
+    would hold 2**16 or more entries.
 
     The codeword starts are then a pointer chase: the next start is the
     position plus the length there.  It jumps (Hillis & Steele, "Data
@@ -336,16 +341,23 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     else:
         windows = _int_windows(payload.data, _WINDOW_TYPES[kind], end)
         keys = np.array(keys, _WINDOW_TYPES[kind][0])
-    row = keys.searchsorted(windows, side="right").reshape(-1)
-    del windows
     # per position, the symbol and the length of the codeword there: length
     # 0 where none matches, and past the end, where a codeword that runs
     # past the payload lands, so the chase stops moving at the first symbol
     # it cannot read
-    row[total + 1 :] = 0
-    found = symbol_of[row]
-    steps = length_of[row]
-    del row  # 8 bytes per payload bit, not needed by the chase
+    if kind == 0:
+        # the codeword at each of the 256 window values, then at each window
+        row = keys.searchsorted(_BYTE_VALUES, side="right")
+        found = symbol_of[row].take(windows).reshape(-1)
+        steps = length_of[row].take(windows).reshape(-1)
+        found[total + 1 :] = 0
+        steps[total + 1 :] = 0
+    else:
+        row = keys.searchsorted(windows, side="right").reshape(-1)
+        row[total + 1 :] = 0
+        found = symbol_of[row]
+        steps = length_of[row]
+    del row, windows  # not needed by the chase
     # every codeword takes at least one bit, so after total + 1 steps the
     # chase has stopped moving
     count = min(max(n, 0), total + 1)
@@ -635,6 +647,9 @@ def unpack_container(data: bytes) -> Container:
     shaped = bool(flags & _FLAG_SHAPED)
     if shaped and extra_length < 1:
         raise MalformedPayloadError("shaped container without an extra length")
+    # a plain message has no K, so it has one container only if K is 0
+    if not shaped and extra_length:
+        raise MalformedPayloadError(f"plain container with extra length {extra_length}")
     if shaped and length <= extra_length:
         raise MalformedPayloadError(
             f"shaped length {length} not longer than extra length {extra_length}"

@@ -266,8 +266,47 @@ class _Memo(dict):
         return value
 
 
+# the ASCII bytes str.split breaks at, and the comma
+_SEPARATORS = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ,"
+# 1 for a digit's byte, 0 for any other
+_IS_DIGIT = bytes(c in b"0123456789" for c in range(256))
+# a one-digit token's symbol is one below its digit; "0" and every byte
+# that is neither a digit nor a separator map to 255, which no one-digit
+# symbol equals
+_SYMBOL = bytes(c - ord("1") if c in b"123456789" else 255 for c in range(256))
+_DIGIT_SYMBOLS = bytes(range(9))
+
+
+def _parse_digits(text: str, size: int) -> bytes | None:
+    """The packed symbols of a text over |A| = size <= 256 whose every
+    token is one digit naming a symbol, by bytes.translate; None for any
+    other text."""
+    if size > 256 or not text.isascii():
+        return None
+    data = text.encode("ascii")
+    digit = np.frombuffer(data.translate(_IS_DIGIT), np.bool_)
+    if (digit[1:] & digit[:-1]).any():
+        return None
+    symbols = data.translate(_SYMBOL, _SEPARATORS)
+    # a byte left once the alphabet's symbols are deleted is a token that
+    # is not one digit, or a symbol out of range
+    if symbols.translate(None, _DIGIT_SYMBOLS[:size]):
+        return None
+    return symbols
+
+
 def parse_sequence(text: str, alphabet: Alphabet) -> Sequence:
     """Parse whitespace- or comma-separated one-based symbols ("2 1 1").
+
+    An ASCII text over |A| <= 256 whose every token is one digit naming
+    a symbol is read by byte tables (_parse_digits): one translate marks
+    the digits and numpy checks that no two are adjacent, one deletes the
+    separators and maps each digit to its symbol, which is already the
+    packed form a Sequence holds, and one deleting the alphabet's symbols
+    must leave nothing.  Every other text is split as below: the split is
+    what reads tokens such as "+1", "01" or "12", non-ASCII separators and
+    alphabets above 256 symbols, and it makes every error, so each error
+    names the first bad token.
 
     ``str.split`` breaks at the same whitespace as re's ``\\s`` (both ask
     ``Py_UNICODE_ISSPACE``) and drops empty tokens.  ``int`` judges each
@@ -275,6 +314,9 @@ def parse_sequence(text: str, alphabet: Alphabet) -> Sequence:
     checked once per distinct symbol.  The symbols go straight into the
     packed type a Sequence holds.
     """
+    symbols = _parse_digits(text, alphabet.size)
+    if symbols is not None:
+        return Sequence._from_buffer(alphabet, symbols)
     tokens = text.replace(",", " ").split()
     symbol_of = _Memo(lambda token: int(token) - 1)
     size = alphabet.size

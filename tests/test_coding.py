@@ -577,8 +577,8 @@ class TestJumpDepthsAgainstReference:
     @pytest.mark.parametrize("length", _JUMP_STEPS)
     @pytest.mark.parametrize(
         "lengths",
-        [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10), (1, 2, 0)],
-        ids=["complete", "incomplete"],
+        [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10), (1, 2, 3, 4, 5, 6, 7, 8, 8), (1, 2, 0)],
+        ids=["complete", "complete8", "incomplete"],
     )
     def test_mutations(self, length, lengths):
         """The mutations of codes_and_messages at codeword i inside a jump,
@@ -825,6 +825,15 @@ class TestContainer:
         shaped = replace(unpack_container(data), shaped=True, extra_length=extra_length)
         with pytest.raises(MalformedPayloadError, match="not longer than extra length"):
             unpack_container(pack_container(shaped))
+
+    @pytest.mark.parametrize("extra_length", [1, 255])
+    def test_plain_container_with_extra_length(self, extra_length):
+        # K counts the symbols shaping added; a plain message has none, so
+        # only K = 0 is its container
+        data = compress_sequence(parse_sequence("2 1 3", A3), SchemeFormat.LENGTH_LIST)
+        plain = replace(unpack_container(data), extra_length=extra_length)
+        with pytest.raises(MalformedPayloadError, match="plain container with extra length"):
+            unpack_container(pack_container(plain))
 
     def test_determinism(self):
         seq = parse_sequence("3 1 2 2 1", A3)

@@ -34,6 +34,7 @@ from setshaping import (
     unrank_in_class,
     weighted_entropy,
 )
+from setshaping import core
 from setshaping.shaping import ShapingParams
 from setshaping.errors import (
     EmptyCompositionError,
@@ -466,6 +467,26 @@ def separated_texts(draw):
     return text
 
 
+_ascii_separators = st.text(
+    [c for c in _SEPARATOR_CHARS if c.isascii()], min_size=1, max_size=3
+)
+
+
+@st.composite
+def ascii_digit_texts(draw):
+    """ASCII texts of one-digit tokens, which parse reads by byte tables,
+    and, in half of them, one token it must split: "+1", "01" or "12"."""
+    tokens = draw(st.lists(st.sampled_from("0123456789"), max_size=12))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(tokens)))
+        tokens.insert(at, draw(st.sampled_from(["+1", "01", "12"])))
+    text = "".join(draw(_ascii_separators) + token for token in tokens)
+    text += draw(st.sampled_from(["", ",", " ", ",\n"]))
+    if draw(st.booleans()):
+        text = text.lstrip(_SEPARATOR_CHARS)
+    return text
+
+
 class TestParseAgainstRegexTokenizer:
     """parse_sequence against the regex tokenizer it replaced (oracles)."""
 
@@ -477,7 +498,10 @@ class TestParseAgainstRegexTokenizer:
                 parse_sequence(text, Alphabet(size))
             assert str(raised.value) == str(expected)
         else:
-            assert parse_sequence(text, Alphabet(size)).symbols == want
+            got = parse_sequence(text, Alphabet(size))
+            assert got.symbols == want
+            # the same packed type as a Sequence built from the tuple
+            assert hash(got) == hash(Sequence(Alphabet(size), want))
 
     @given(separated_texts(), st.integers(1, 5))
     def test_separated_tokens(self, text, size):
@@ -489,6 +513,21 @@ class TestParseAgainstRegexTokenizer:
     )
     def test_any_text(self, text, size):
         self._check(text, size)
+
+    @given(
+        ascii_digit_texts(),
+        st.one_of(st.integers(1, 10), st.sampled_from([256, 257, 300])),
+    )
+    @example("1 12 3", 256)
+    @example("2,01\t3", 4)
+    @example("+1\n2", 4)
+    @example("1 2 3 4 5 6 7 8 9", 257)
+    def test_ascii_digit_tokens(self, text, size):
+        self._check(text, size)
+
+    def test_byte_table_separators_are_split_whitespace(self):
+        want = {c for c in range(128) if chr(c).isspace()} | {ord(",")}
+        assert set(core._SEPARATORS) == want
 
     def test_every_code_point_splits_alike(self):
         # str.split and re's \s agree on whitespace over all of Unicode
