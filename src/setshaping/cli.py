@@ -30,7 +30,12 @@ from .coding import (
     unpack_container,
 )
 from .core import Alphabet, Sequence, format_sequence, parse_sequence
-from .errors import BadLengthError, SetShapingError
+from .errors import (
+    BadLengthError,
+    MalformedPayloadError,
+    NotInShapedSubsetError,
+    SetShapingError,
+)
 from .experiments import (
     ExperimentConfig,
     SourceSpec,
@@ -91,7 +96,12 @@ def restore_sequence(data: bytes) -> Sequence:
             alphabet=alphabet,
             extra_length=container.extra_length,
         )
-        seq = inverse_transform(seq, params)
+        try:
+            seq = inverse_transform(seq, params)
+        except NotInShapedSubsetError as exc:
+            # the container's own payload names a sequence the transform
+            # never gives: the container is damaged
+            raise MalformedPayloadError(str(exc)) from None
     return seq
 
 

@@ -256,9 +256,22 @@ def _int_windows(data: bytes, types: tuple, count: int) -> np.ndarray:
     return windows.T
 
 
+def _byte_windows(data: bytes, positions: np.ndarray) -> np.ndarray:
+    """The 8-bit windows of data that start at the given bit positions, as
+    _int_windows reads them, zero past its end."""
+    padded = np.frombuffer(data + bytes(2), np.uint8)
+    # each byte with the next one after it, a native 16-bit word
+    pairs = padded[:-1].astype(np.uint16) << 8
+    pairs |= padded[1:]
+    # a 16-bit shift drops the bits before the window
+    return ((pairs.take(positions >> 3) << (positions & 7)) >> 8).astype(np.uint8)
+
+
 # positions per np.take when a jump table is squared in place: bounds the
 # intp copy of the indices that it makes
 _SQUARE_BLOCK = 1 << 16
+# anchors the chase's Python walk visits between its checks for a stop
+_WALK_CHECK = 64
 
 
 def _jump_depth(count: int) -> int:
@@ -267,6 +280,37 @@ def _jump_depth(count: int) -> int:
     65,536 codewords).  Each squaring of the jump table is one pass over
     every bit position, and it halves the Python walk."""
     return min(max(count.bit_length() - 7, 0) // 2, 5)
+
+
+# the most whole codewords one hop reads from an 8-bit window: a column
+# more per hop costs more to expand than the squaring it saves
+_HOP_CODEWORDS = 4
+# a hop table's end where its window holds no further whole codeword
+_NO_END = 0xFF
+
+
+def _hop_tables(keys: np.ndarray, symbol_of: np.ndarray, length_of: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each 8-bit window value, the whole codewords it starts with, up
+    to k of them, read one after another as the chase would: a (256, k)
+    table of where each one ends (_NO_END past the last), one of their
+    symbols, and the bits they take.  keys, symbol_of and length_of are
+    decode's codeword starts and its tables by searchsorted row."""
+    row = keys.searchsorted(_BYTE_VALUES, side="right")
+    ends = np.full((256, k), _NO_END, np.uint8)
+    symbols = np.zeros((256, k), symbol_of.dtype)
+    taken = np.zeros(256, np.intp)
+    whole = np.ones(256, bool)
+    for j in range(k):
+        # the window's bits after the codewords read so far, zero-filled:
+        # a codeword found there is whole only if it ends inside the window
+        r = row[(_BYTE_VALUES << taken) & 0xFF]
+        end = taken + length_of[r]
+        whole &= (length_of[r] > 0) & (end <= 8)
+        ends[whole, j] = end[whole]
+        symbols[whole, j] = symbol_of[r[whole]]
+        taken[whole] = end[whole]
+    return ends, symbols, taken.astype(np.uint8)
 
 
 def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
@@ -285,20 +329,29 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     read from the payload bytes with shifts; the bits after the first
     max_length cannot carry it past a codeword start, whose low bits are
     zero.  Deeper codes take byte-string windows of the payload's '0'/'1'
-    text, whose order is numeric order.  A code at most 8 bits deep takes
-    8-bit windows, and one searchsorted of the 256 window values over the
-    codeword starts gives a table of each value's symbol and length, which
-    a take per table reads at every position.  Wider windows keep one
-    searchsorted of the windows themselves, since a table indexed by them
-    would hold 2**16 or more entries.
+    text, whose order is numeric order.  One searchsorted of the windows
+    over the codeword starts gives the codeword at every position.
 
     The codeword starts are then a pointer chase: the next start is the
     position plus the length there.  It jumps (Hillis & Steele, "Data
     parallel algorithms", CACM 1986): the next-start table, squared m
-    times, hops 2**m codewords, one Python walk visits every 2**m-th
-    start, and 2**m - 1 gathers fill in the starts between.  m follows
-    from the symbol count (_jump_depth); at m = 0, for short messages,
-    the walk visits every start.
+    times, makes 2**m hops at once, one Python walk visits every 2**m-th
+    hop start, and 2**m - 1 gathers fill in the starts between.  m follows
+    from the symbol count (_jump_depth); at m = 0, for short messages, the
+    walk visits every start.
+
+    Once the chase jumps (from 256 codewords), a code at most 8 bits deep
+    hops several whole codewords at a time: up to K = min(4, 8 // shortest
+    length) of them, as many as its 8-bit window holds.  One table of the
+    256 window values (_hop_tables) gives the bits, ends and symbols of the
+    codewords each value starts with; a take of the bits at every position
+    is the next-start table, which needs log2 K fewer squarings, and each
+    hop start expands into its symbols from the table.  Every other decode
+    hops one codeword (K = 1).  Near the end a hop takes only the codewords
+    that end in the payload, so a codeword cut short or the pad bits never
+    decode, and the chase stops where a hop takes none; where it stops and
+    the symbols read before it name the failure, as the per-bit decoder
+    names it.
     """
     lmax = table.max_length
     used = sorted((l, s) for s, l in enumerate(table.lengths) if l)
@@ -329,40 +382,51 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     # and lengths are kept per bit position, so in the narrowest types
     symbol_of = np.array([0, *(s for _, s in used), 0], _symbol_type(size))
     length_of = np.array([0, *(l for l, _ in used), 0], np.min_scalar_type(lmax))
-    # windows reach total + width, past the end of any codeword that starts
-    # in the payload
-    end = total + width + 1
+    # every codeword takes at least one bit, so the first total + 1
+    # codewords reach past the payload
+    count = min(max(n, 0), total + 1)
+    depth = _jump_depth(count)
+    # once the chase is long enough to jump, a code at most 8 bits deep
+    # hops up to k whole codewords at a time, all read from one 8-bit
+    # window, and log2 k fewer squarings jump about as many codewords
+    k = 1
+    if kind == 0 and depth and used:
+        k = min(_HOP_CODEWORDS, 8 // used[0][0])
+        depth = max(depth - k.bit_length() + 1, 0)
+    # hops end in the payload, so the windows at positions 0..total are all
+    # the chase reads
+    end = total + 1
     if deep:
         # zero bits past the end keep every window `width` wide
-        text = (_string_from_bits(payload) + "0" * (2 * width)).encode()
+        text = (_string_from_bits(payload) + "0" * width).encode()
         windows = np.ndarray((end,), f"S{width}", text, 0, (1,))
         keys = np.array([format(key, f"0{width}b") for key in keys], f"S{width}")
         del text  # the windows keep it until they are freed
     else:
         windows = _int_windows(payload.data, _WINDOW_TYPES[kind], end)
         keys = np.array(keys, _WINDOW_TYPES[kind][0])
-    # per position, the symbol and the length of the codeword there: length
-    # 0 where none matches, and past the end, where a codeword that runs
-    # past the payload lands, so the chase stops moving at the first symbol
-    # it cannot read
-    if kind == 0:
-        # the codeword at each of the 256 window values, then at each window
-        row = keys.searchsorted(_BYTE_VALUES, side="right")
-        found = symbol_of[row].take(windows).reshape(-1)
-        steps = length_of[row].take(windows).reshape(-1)
-        found[total + 1 :] = 0
-        steps[total + 1 :] = 0
+    # steps[p] is how far the hop at position p moves: 0 where no codeword
+    # matches, so the chase stops moving at the first symbol it cannot
+    # read.  Near the end a hop takes only the codewords that end in the
+    # payload, so a codeword that runs past it, or pad bits, never decode
+    if k > 1:
+        ends_of, symbols_of, taken = _hop_tables(keys, symbol_of, length_of, k)
+        steps = taken.take(windows).reshape(-1)
+        tail = range(max(end - 8, 0), end)
+        for p in tail:
+            ends = ends_of[windows[p >> 3, p & 7]].tolist()
+            steps[p] = max((e for e in ends if e <= total - p), default=0)
+        del windows  # not needed by the chase
     else:
         row = keys.searchsorted(windows, side="right").reshape(-1)
-        row[total + 1 :] = 0
-        found = symbol_of[row]
-        steps = length_of[row]
-    del row, windows  # not needed by the chase
-    # every codeword takes at least one bit, so after total + 1 steps the
-    # chase has stopped moving
-    count = min(max(n, 0), total + 1)
-    depth = _jump_depth(count)
-    # chase[j, b] is the start of codeword b * 2**depth + j
+        del windows
+        found = symbol_of.take(row)
+        steps = length_of.take(row)
+        del row
+        for p in range(max(end - width, 0), end):
+            if steps[p] > total - p:
+                steps[p] = 0
+    # chase[j, b] is the start of hop b * 2**depth + j
     chase = np.empty((1 << depth, -(-count >> depth)), np.min_scalar_type(end))
     hop = np.arange(end, dtype=chase.dtype)
     hop += steps[:end]
@@ -373,37 +437,58 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
             block = hop[lo : lo + _SQUARE_BLOCK]
             np.take(hop, block, out=block, mode="clip")
             del block  # a view that would keep the table alive
+    # count hops read count codewords or more, unless the chase stops: at
+    # the end of the payload, or where no codeword matches.  The walk looks
+    # for a stop once every _WALK_CHECK anchors
     anchors, jump = memoryview(chase[0]), memoryview(hop)
-    pos = 0
-    for b in range(len(anchors)):
-        anchors[b] = pos
-        pos = jump[pos]
+    pos = b = 0
+    for walk_lo in range(0, len(anchors), _WALK_CHECK):
+        for b in range(walk_lo, min(walk_lo + _WALK_CHECK, len(anchors))):
+            anchors[b] = pos
+            pos = jump[pos]
+        if pos == anchors[b]:
+            break
     del anchors, jump, hop
+    chase = chase[:, : b + 1]
     for j in range(1, 1 << depth):
-        np.add(chase[j - 1], steps[chase[j - 1]], out=chase[j])
+        np.add(chase[j - 1], steps.take(chase[j - 1]), out=chase[j])
     starts = chase.T.reshape(-1)[:count]
     del chase
-    if count:
-        pos = int(starts[-1]) + int(steps[starts[-1]])
-    if count and (pos > total or pos == starts[-1]):
-        # the starts rise up to the failing one, then repeat where it stopped
-        done = int(starts.searchsorted(pos)) - (pos > total)
-        fail = int(starts[done])
-        if pos == fail and fail + width <= total:
-            pattern = _string_from_bits(payload)[fail : fail + width]
+    pos = int(starts[-1]) + int(steps[starts[-1]]) if count else 0
+    if count and pos == starts[-1]:
+        # the chase stopped: the hop starts rise to pos, then repeat there
+        starts = starts[: starts.searchsorted(pos)]
+    if k > 1:
+        # each hop start expands into the whole codewords its window holds;
+        # near the end, into those its step covers
+        at = _byte_windows(payload.data, starts)
+        whole = (ends_of != _NO_END).take(at, 0)
+        late = starts.searchsorted(tail[0])
+        whole[late:] = ends_of.take(at[late:], 0) <= steps.take(starts[late:])[:, None]
+        symbols = symbols_of.take(at, 0)[whole]
+        del at, whole
+    else:
+        symbols = found.take(starts)
+        del found
+    # the per-bit arrays are dead once the symbols are gathered; freeing
+    # them before the symbols are packed keeps them out of the peak
+    del starts, steps
+    if len(symbols) < n:
+        # the chase stopped at pos, after every symbol it read
+        if pos + width <= total:
+            pattern = _string_from_bits(payload)[pos : pos + width]
             raise MalformedPayloadError(f"bit pattern {pattern} matches no codeword")
         raise MalformedPayloadError(
-            f"bit stream exhausted after {done} of {n} symbols "
+            f"bit stream exhausted after {len(symbols)} of {n} symbols "
             f"({total} payload bits)"
         )
+    if len(symbols) > n:
+        # the chase read on past the n-th codeword
+        pos = int(np.array(table.lengths)[symbols[:n]].sum())
     if pos < total:
         raise MalformedPayloadError(
             f"{total - pos} unread bits after decoding {n} symbols"
         )
-    symbols = found[starts]
-    # the per-bit arrays are dead once the symbols are gathered; freeing
-    # them before the symbols are packed keeps them out of the peak
-    del starts, steps, found
     return Sequence._from_buffer(table.alphabet, _pack_array(symbols))
 
 

@@ -26,6 +26,7 @@ from setshaping import (
 )
 from setshaping import cli
 from setshaping.cli import build_parser, main
+from setshaping.errors import MalformedPayloadError
 
 from oracles import all_tuples
 
@@ -104,6 +105,28 @@ class TestTransformCommands:
         code, out, err = run_cli(["untransform", "-a", "3"], capsys)
         assert code == 3
         assert stderr_json(err)["error"] == "NotInShapedSubset"
+
+    def test_shaped_container_outside_the_subset_is_malformed(
+        self, tmp_path, capsys
+    ):
+        # "1 2 3 1" is outside the (3,3,1) shaped subset (test_not_in_subset);
+        # packed as the payload of a shaped container, it makes a container
+        # that no encode writes, so restoring it fails on the container
+        seq = parse_sequence("1 2 3 1", A3)
+        data = pack_container(
+            replace(
+                unpack_container(cli.compress_sequence(seq, SchemeFormat.LENGTH_LIST)),
+                shaped=True,
+                extra_length=1,
+            )
+        )
+        with pytest.raises(MalformedPayloadError, match="outside the shaped subset"):
+            cli.restore_sequence(data)
+        src = tmp_path / "damaged.sstc"
+        src.write_bytes(data)
+        code, out, err = run_cli(["decode", str(src)], capsys)
+        assert (code, out) == (3, "")
+        assert stderr_json(err)["error"] == "MalformedPayload"
 
     def test_missing_alphabet_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 1 1"))

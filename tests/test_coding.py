@@ -340,11 +340,12 @@ class TestDecode:
 
     def test_peak_memory_of_a_long_decode(self):
         # about 0.8 M payload bits, enough that a per-bit array kept past
-        # its use shows: the peak, 8.1 MiB, comes when the symbol list and
-        # tuple are built, after the per-bit arrays are freed (7.6 MiB while
-        # they are alive), and a view that kept the 3 MiB jump table to the
-        # end read 11.1 MiB.  Traced, the decode takes about 0.2 s, four
-        # times its untraced time
+        # its use shows: the peak, 7.6 MiB, comes when the 129k hop starts
+        # expand into their symbols, after the jump table is freed (6.5 MiB
+        # while it is squared); 8.4 MiB when every bit position kept its
+        # own symbol, and a view that kept the 3 MiB jump table to the end
+        # read 11.1 MiB.  Traced, the decode takes about 0.18 s, 15 times
+        # its untraced time
         rng = random.Random(3)
         symbols = tuple(rng.choices(range(4), weights=(6, 2, 1, 1), k=500_000))
         seq = Sequence(Alphabet(4), symbols)
@@ -568,6 +569,34 @@ class TestDecodeAgainstReference:
 # message lengths on both sides of each step of the jump depth
 _JUMP_STEPS = (255, 256, 1023, 1024, 4095, 4096, 16383, 16384, 65535, 65536)
 
+# codes on both sides of each choice of decode's hop width: shortest
+# codeword 1 and 2 (4 codewords a hop), 3 and 4 (2 a hop), 5 (one), a code
+# exactly 8 bits deep, and one deeper than the 8-bit table
+_HOP_CODES = {
+    "complete": (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10),
+    "complete8": (1, 2, 3, 4, 5, 6, 7, 8, 8),
+    "incomplete": (1, 2, 0),
+    "shortest2": (2, 2, 2, 3, 4, 4),
+    "shortest3": (3, 3, 3, 3, 3, 3, 3, 4, 5, 6, 7, 8, 8),
+    "shortest4": (4,) * 12 + (5,),
+    "shortest5": (5,) * 31 + (6, 6),
+}
+
+
+def _hop_starts(ends, k):
+    """The index of each hop's first codeword, for codewords ending at
+    ends: from its start a hop reads the whole codewords that end within
+    8 bits, at most k of them, and at least one."""
+    starts, i = [], 0
+    while i < len(ends):
+        starts.append(i)
+        begin = ends[i - 1] if i else 0
+        j = i + 1
+        while j < min(i + k, len(ends)) and ends[j] - begin <= 8:
+            j += 1
+        i = j
+    return starts
+
 
 class TestJumpDepthsAgainstReference:
     def test_lengths_straddle_every_step(self):
@@ -575,17 +604,16 @@ class TestJumpDepthsAgainstReference:
         assert depths == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
 
     @pytest.mark.parametrize("length", _JUMP_STEPS)
-    @pytest.mark.parametrize(
-        "lengths",
-        [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10), (1, 2, 3, 4, 5, 6, 7, 8, 8), (1, 2, 0)],
-        ids=["complete", "complete8", "incomplete"],
-    )
+    @pytest.mark.parametrize("lengths", _HOP_CODES.values(), ids=_HOP_CODES.keys())
     def test_mutations(self, length, lengths):
-        """The mutations of codes_and_messages at codeword i inside a jump,
-        at the last anchor and in the final block: flip its first bit, cut
+        """The mutations of codes_and_messages at codeword i inside a hop
+        (the second codeword of a hop mid-message, where the hop holds
+        two, and a hop between anchors where the chase jumps), at the last
+        anchor and within the last 8 payload bits: flip its first bit, cut
         its last bit and all after it, or end the payload with it and read
         it with random bits after it, one codeword more or one less.  The
-        decode gives the reference's symbols or its failure message."""
+        decode gives the reference's symbols or its failure message, word
+        for word."""
         table = CodeTable.from_lengths(Alphabet(len(lengths)), lengths)
         rng = random.Random(length)
         codable = [s for s, l in enumerate(lengths) if l]
@@ -596,11 +624,19 @@ class TestJumpDepthsAgainstReference:
         ]
         ends = list(itertools.accumulate(map(len, words)))
         text = "".join(words)
+        # decode's hop width and jump depth, as its docstring gives them
         depth = _jump_depth(length)
-        inside = (length // 2 >> depth << depth) + (1 << depth >> 1)
-        last_anchor = (length - 1) >> depth << depth
+        k = 1
+        if max(lengths) <= 8 and depth:
+            k = min(4, 8 // min(lengths[s] for s in codable))
+            depth = max(depth - k.bit_length() + 1, 0)
+        hops = _hop_starts(ends, k)
+        middle = (len(hops) // 2 >> depth << depth) + (1 << depth >> 1)
+        inside = hops[middle] + (hops[middle + 1] - hops[middle] > 1)
+        last_anchor = hops[(len(hops) - 1) >> depth << depth]
+        near_end = next(i for i, stop in enumerate(ends) if stop > len(text) - 8)
         cases = [(text, length)]
-        for i in sorted({inside, last_anchor, length - 1}):
+        for i in sorted({inside, last_anchor, near_end, length - 1}):
             start, stop = ends[i] - len(words[i]), ends[i]
             extra = "".join(rng.choices("01", k=rng.randint(1, 70)))
             cases += [
