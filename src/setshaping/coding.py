@@ -237,7 +237,7 @@ _WINDOW_TYPES = tuple((np.dtype(f"u{k}"), np.dtype(f">u{k}")) for k in (1, 2, 4,
 _OFFSETS = {t: np.arange(8, dtype=t)[:, None] for t, _ in _WINDOW_TYPES}
 _CARRY = 8 - _OFFSETS[np.dtype(np.uint8)]
 # every value of an 8-bit window
-_BYTE_VALUES = np.arange(256)
+_BYTE_VALUES = np.arange(256, dtype=np.uint8)
 
 
 def _int_windows(data: bytes, types: tuple, count: int) -> np.ndarray:
@@ -260,11 +260,12 @@ def _byte_windows(data: bytes, positions: np.ndarray) -> np.ndarray:
     """The 8-bit windows of data that start at the given bit positions, as
     _int_windows reads them, zero past its end."""
     padded = np.frombuffer(data + bytes(2), np.uint8)
-    # each byte with the next one after it, a native 16-bit word
-    pairs = padded[:-1].astype(np.uint16) << 8
-    pairs |= padded[1:]
-    # a 16-bit shift drops the bits before the window
-    return ((pairs.take(positions >> 3) << (positions & 7)) >> 8).astype(np.uint8)
+    # each byte with the next one after it, as one number
+    pairs = (padded[:-1].astype(np.uint32) * 256 + padded[1:]) << 16
+    at = positions >> 3
+    # shifted left by the bit offset, the window is the word's top byte:
+    # the bits before it leave the 32-bit word
+    return (pairs.take(at) << (positions - (at << 3))) >> 24
 
 
 # positions per np.take when a jump table is squared in place: bounds the
@@ -287,30 +288,42 @@ def _jump_depth(count: int) -> int:
 _HOP_CODEWORDS = 4
 # a hop table's end where its window holds no further whole codeword
 _NO_END = 0xFF
+# whether codewords that end e bits into an 8-bit window, for e up to two
+# windows' bits, end inside it.  The hop tables and _byte_windows use
+# lookups and shifts where a comparison or a bit mask would do: those numpy
+# loops run nowhere else in a round trip, and the pages of numpy's library
+# that they fault in count in max RSS (0.45 MB on a 100k-symbol one)
+_INSIDE_WINDOW = np.array([e <= 8 for e in range(17)])
 
 
 def _hop_tables(keys: np.ndarray, symbol_of: np.ndarray, length_of: np.ndarray,
-                k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For each 8-bit window value, the whole codewords it starts with, up
-    to k of them, read one after another as the chase would: a (256, k)
-    table of where each one ends (_NO_END past the last), one of their
-    symbols, and the bits they take.  keys, symbol_of and length_of are
-    decode's codeword starts and its tables by searchsorted row."""
+    to k of them, read one after another as the chase would: (256, k)
+    tables of which columns hold one, where each ends (_NO_END past the
+    last) and its symbol, and the bits they take.  keys, symbol_of and
+    length_of are decode's codeword starts and its tables by searchsorted
+    row."""
     row = keys.searchsorted(_BYTE_VALUES, side="right")
+    has_codeword = np.array([l > 0 for l in length_of.tolist()])
+    whole = np.zeros((256, k), bool)
     ends = np.full((256, k), _NO_END, np.uint8)
     symbols = np.zeros((256, k), symbol_of.dtype)
-    taken = np.zeros(256, np.intp)
-    whole = np.ones(256, bool)
+    taken = np.zeros(256, np.uint8)
+    alive = np.ones(256, bool)
     for j in range(k):
-        # the window's bits after the codewords read so far, zero-filled:
-        # a codeword found there is whole only if it ends inside the window
-        r = row[(_BYTE_VALUES << taken) & 0xFF]
+        # the window's bits after the codewords read so far, zero-filled
+        # (an 8-bit shift drops the bits read); a codeword found there is
+        # whole only if it ends inside the window
+        r = row[_BYTE_VALUES << taken]
         end = taken + length_of[r]
-        whole &= (length_of[r] > 0) & (end <= 8)
-        ends[whole, j] = end[whole]
-        symbols[whole, j] = symbol_of[r[whole]]
-        taken[whole] = end[whole]
-    return ends, symbols, taken.astype(np.uint8)
+        alive &= has_codeword[r]
+        alive &= _INSIDE_WINDOW[end]
+        whole[:, j] = alive
+        ends[alive, j] = end[alive]
+        symbols[alive, j] = symbol_of[r[alive]]
+        taken[alive] = end[alive]
+    return whole, ends, symbols, taken
 
 
 def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
@@ -410,7 +423,9 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     # read.  Near the end a hop takes only the codewords that end in the
     # payload, so a codeword that runs past it, or pad bits, never decode
     if k > 1:
-        ends_of, symbols_of, taken = _hop_tables(keys, symbol_of, length_of, k)
+        whole_of, ends_of, symbols_of, taken = _hop_tables(
+            keys, symbol_of, length_of, k
+        )
         steps = taken.take(windows).reshape(-1)
         tail = range(max(end - 8, 0), end)
         for p in tail:
@@ -462,9 +477,10 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
         # each hop start expands into the whole codewords its window holds;
         # near the end, into those its step covers
         at = _byte_windows(payload.data, starts)
-        whole = (ends_of != _NO_END).take(at, 0)
-        late = starts.searchsorted(tail[0])
-        whole[late:] = ends_of.take(at[late:], 0) <= steps.take(starts[late:])[:, None]
+        whole = whole_of.take(at, 0)
+        for i in range(starts.searchsorted(tail[0]), len(starts)):
+            room = int(steps[starts[i]])
+            whole[i] = [e <= room for e in ends_of[at[i]].tolist()]
         symbols = symbols_of.take(at, 0)[whole]
         del at, whole
     else:
