@@ -31,7 +31,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, groupby, repeat
-from operator import mul, sub
+from operator import mul
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -168,8 +168,9 @@ class _Permutations(NamedTuple):
     """Group of the classes of one count multiset: its distinct
     permutations in lexicographic order, `classes` of them, each of
     `class_size` sequences.  The multiset is `values` (ascending), each
-    repeated `repeats` times."""
+    repeated `repeats` times; `first`, its first class, is the multiset ascending."""
 
+    first: tuple[int, ...]
     values: tuple[int, ...]
     repeats: tuple[int, ...]
     classes: int
@@ -192,15 +193,12 @@ class _Permutations(NamedTuple):
         return divmod(offset, self.class_size)
 
     def walk(self, j: int = 0) -> Iterator[tuple[tuple[int, ...], int]]:
-        if j:
-            start = list(self.counts(j))
-        else:  # the multiset ascending, with no unrank (whole-group walks)
-            start = [v for v, k in zip(self.values, self.repeats) for _ in range(k)]
+        start = list(self.counts(j) if j else self.first)
         return zip(_permutations(start), repeat(self.class_size))
 
     def multisets(self, left: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
         ranks = min(left, self.classes * self.class_size)
-        yield self.values, -(-ranks // self.class_size), ranks
+        yield self.first, -(-ranks // self.class_size), ranks
 
 
 class _Tie(NamedTuple):
@@ -233,11 +231,12 @@ class _Tie(NamedTuple):
         return j, offset - self.offsets[j]
 
     def walk(self, j: int = 0) -> Iterator[tuple[tuple[int, ...], int]]:
-        return zip(self.members[j:], map(sub, self.offsets[j + 1 :], self.offsets[j:]))
+        for i in range(j, len(self.members)):  # by index: no copy of the rest
+            yield self.members[i], self.offsets[i + 1] - self.offsets[i]
 
     def multisets(self, left: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
         for counts, size in self.walk():
-            yield tuple(sorted(set(counts))), 1, min(size, left)
+            yield counts, 1, min(size, left)
             left -= size
             if left <= 0:
                 return
@@ -260,19 +259,16 @@ class _Classes(collections.abc.Sequence):
             return tuple(self[j] for j in range(*i.indices(len(self))))
         return self._ordering.class_counts(i + len(self) if i < 0 else i)
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return (counts for counts, _ in self._ordering.classes())
-
 
 @dataclass(frozen=True)
 class ClassOrdering:
     """All compositions of (length, alphabet) in the entropy order, kept as
     one group per count multiset (or per exact tie between multisets).
 
-    `classes()` walks (counts, class size) in order, `spans(lo, hi)` walks
-    the classes that meet a rank range, each with its sequences inside the
-    range, and `multiset_spans(hi)` walks those below rank hi a count
-    multiset at a time; `class_span` and `locate` find one class by its
+    `spans(lo, hi)` walks the classes that meet a rank range, in order,
+    each with its sequences inside the range (`spans(0, sequence_count)`
+    walks them all), and `multiset_spans(hi)` walks those below rank hi a
+    count multiset at a time; `class_span` and `locate` find one class by its
     counts vector or by a rank.  `compositions`, a lazy view of the counts
     vectors by class index, is kept for the benchmark's tracer, which
     counts the classes of each ordering it sees.  No per-class table is
@@ -302,11 +298,6 @@ class ClassOrdering:
     def compositions(self) -> _Classes:
         return _Classes(self)
 
-    def classes(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Every class's counts vector and size, in order."""
-        for group in self._groups:
-            yield from group.walk()
-
     def spans(self, lo: RankIndex, hi: RankIndex) -> Iterator[tuple[tuple[int, ...], int]]:
         """Each class that meets the ranks [lo, hi), in order: its counts
         vector and how many of its sequences lie in the range.  Nothing for
@@ -323,7 +314,8 @@ class ClassOrdering:
         groups = self._groups
         while True:
             for counts, size in groups[g].walk(j):
-                yield counts, min(size, left) - offset
+                # a class met in full gives its own size, not a new int
+                yield counts, min(size, left) - offset if offset else min(size, left)
                 left -= size
                 if left <= 0:
                     return
@@ -332,12 +324,12 @@ class ClassOrdering:
 
     def multiset_spans(self, hi: RankIndex) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """The classes that meet the ranks [0, hi), one count multiset at a
-        time, in order: the multiset's distinct counts (ascending), how many
-        of its classes meet the range and how many of the range's ranks they
-        hold.  Only the multiset holding rank hi - 1 is cut; a group of
-        exactly tied multisets gives each of its classes in turn.  Nothing
-        for hi == 0; RankOutOfRangeError, before anything is yielded, unless
-        0 <= hi <= sequence_count."""
+        time, in order: the first of them (the multiset ascending), how many
+        of them meet the range and how many of the range's ranks they hold.
+        Only the multiset holding rank hi - 1 is cut; a group of exactly
+        tied multisets gives each of its classes in turn, as its own first.
+        Nothing for hi == 0; RankOutOfRangeError, before anything is
+        yielded, unless 0 <= hi <= sequence_count."""
         if not 0 <= hi <= self.sequence_count:
             raise RankOutOfRangeError(f"ranks [0, {hi}) outside 0..{self.sequence_count}")
         for group, start in zip(self._groups, self._starts):
@@ -477,7 +469,7 @@ def class_ordering(
     # drop the arrays before the groups are built: it keeps the build's peak down
     del keys, order, rows, run_starts, packed, factorials
 
-    groups = list(map(_Permutations, values, repeats, classes, sizes))
+    groups = list(map(_Permutations, multisets, values, repeats, classes, sizes))
     # boundary[i]: row i starts a group (and the end, at len(multisets))
     boundary = [True] * (len(groups) + 1)
     for lo, hi in reversed(ties):

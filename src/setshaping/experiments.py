@@ -2,7 +2,7 @@
 
 Every reported quantity of a message depends only on its composition (its
 type class), so a population is tallied as (counts vector, message count)
-pairs, and each class is measured once.  The classes are measured
+pairs, and each pair is measured once.  They are measured
 together in array passes over slices of the pairs: one pass gives every
 class its Huffman code lengths (``coding._huffman_lengths``, the lengths
 ``build_code`` gives), and payload, scheme and framing bits are array
@@ -21,13 +21,11 @@ plain class is its counts vector; the samples of a class that straddles
 shaped boundaries are sorted by their symbols, and each boundary
 sequence is placed among them by bisection (``_sampled_chunk``).
 
-The tally reads those pairs a slice at a time and keeps no map of them:
-an exhaustive run tallies the two ordering walks as they are yielded, so
-it walks each ordering once per report and is bounded by the orderings'
-class cap, not by its message count.  Every report's sub-alphabet census,
-exhaustive or sampled, is ``type_class_census``'s: whether a class uses
-fewer than |A| symbols depends only on its count multiset, so it counts
-each ordering one multiset at a time, not one class at a time.
+The tally reads those pairs a slice at a time and keeps no map of them.
+An exhaustive run measures each count multiset's classes as one pair, as
+its census counts them (``ClassOrdering.multiset_spans``), but for some
+multisets of more than 4 used symbols (``_multiset_rows``).  Every
+report's sub-alphabet census is ``type_class_census``'s.
 
 Every report (``CensusReport``, ``ExperimentReport``) is a ``_Report``,
 which alone decides how a report is written as JSON or CSV.
@@ -214,7 +212,8 @@ def _tally_classes(
     classes: Iterable[tuple[tuple[int, ...], int]], formats: tuple[SchemeFormat, ...]
 ) -> _SideTally:
     """Totals over a population given as (counts vector, message count)
-    pairs, one per class, read ``_TALLY_ROWS`` at a time.
+    pairs, one per class or per set of classes that measure alike, read
+    ``_TALLY_ROWS`` at a time.
 
     Each class's Huffman lengths, payload, distinct symbols, scheme and
     framing bits come from array expressions over a slice of classes; each
@@ -574,17 +573,36 @@ def _split_ranges(total: int, chunks: int):
     return [(total * i // chunks, total * (i + 1) // chunks) for i in range(chunks)]
 
 
+def _multiset_rows(ordering, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The ranks [0, hi) of an ordering as (counts vector, message count)
+    rows, one per count multiset (``multiset_spans``'s first class and
+    ranks).  The tally's figures depend on the multiset alone, but for the
+    longest codeword's bit length, which at most 4 used symbols fix too
+    (Huffman gives 1; 1,1; 1,2,2; 2,2,2,2 or 1,2,3,3 bits); a multiset of
+    more that meets the ranks in several classes is walked class by class."""
+    lo = 0
+    for first, met, ranks in ordering.multiset_spans(hi):
+        if met > 1 and len(first) - first.count(0) > 4:
+            yield from ordering.spans(lo, lo + ranks)
+        else:
+            yield first, ranks
+        lo += ranks
+
+
 def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
-    """Measure every length-N message and its image, one type class at a time.
+    """Measure every length-N message and its image by count multiset.
 
     The plain side holds every class of the length-N ordering in full; the
     shaped side holds the classes of the |A|**N lowest-ranked length-(N+K)
-    sequences, the last of them possibly in part.  Both are tallied as the
-    orderings walk them, each walked once and nothing kept, so cost and
-    memory grow with the number of classes, not messages: an ordering over
-    its class cap raises TooManyClassesError.  ``jobs`` does not apply.
+    sequences, the last of them possibly in part.  Both orderings are built
+    first, the plain one first; each side is tallied as its rows are
+    yielded, nothing kept, so cost and memory grow with the number of
+    multisets, not messages.  An ordering over its class cap raises
+    TooManyClassesError.  ``jobs`` does not apply.
     """
-    return _build_report(config, *_population(config.shaping), None)
+    params = config.shaping
+    orderings = [shared_ordering(n, params.alphabet) for n in (params.length, params.target_length)]
+    return _build_report(config, *(_multiset_rows(o, params.subset_size) for o in orderings), None)
 
 
 def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport":
@@ -686,16 +704,6 @@ class CensusReport(_Report):
         return cls(**d)
 
 
-def _population(params: ShapingParams) -> tuple[Iterator, Iterator]:
-    """Every length-N message and its image as walks of (counts vector,
-    message count): each plain class in full, and the shaped subset's classes
-    with the boundary class's included part.  Both orderings are built here,
-    the plain one first."""
-    plain = shared_ordering(params.length, params.alphabet)
-    target = shared_ordering(params.target_length, params.alphabet)
-    return plain.classes(), target.spans(0, params.subset_size)
-
-
 def type_class_census(n: int, alphabet: Alphabet, extra_length: int = 1) -> CensusReport:
     """Census of sub-alphabet type classes, plain set vs shaped subset.
 
@@ -709,9 +717,9 @@ def type_class_census(n: int, alphabet: Alphabet, extra_length: int = 1) -> Cens
     for side, length in (("plain", n), ("shaped", params.target_length)):
         classes = below_classes = below_messages = 0
         ordering = shared_ordering(length, alphabet)
-        for values, met, ranks in ordering.multiset_spans(params.subset_size):
+        for first, met, ranks in ordering.multiset_spans(params.subset_size):
             classes += met
-            if values[0] == 0:  # a zero count: fewer than |A| symbols
+            if 0 in first:  # fewer than |A| symbols
                 below_classes += met
                 below_messages += ranks
         fields[f"{side}_classes_total"] = classes

@@ -36,7 +36,7 @@ from oracles import (
     reference_lex_unrank,
     reference_spans,
 )
-from setshaping.combinatorics import _Permutations, _lex_rank, _lex_unrank
+from setshaping.combinatorics import _Permutations, _Tie, _lex_rank, _lex_unrank
 
 A3 = Alphabet(3)
 A4 = Alphabet(4)
@@ -82,14 +82,14 @@ class TestClassOrdering:
 
     def test_cumulative_27_at_n4(self):
         ordering = class_ordering(4, A3)
-        classes = [counts for counts, _ in ordering.classes()]
+        classes = [counts for counts, _ in ordering.spans(0, 3**4)]
         assert ordering.class_span(classes[9])[0] == 27
         for c in classes[3:9]:
             assert sorted(c) == [0, 1, 3]
 
     def test_length1(self):
         ordering = class_ordering(1, Alphabet(5))
-        classes = [counts for counts, _ in ordering.classes()]
+        classes = [counts for counts, _ in ordering.spans(0, 5)]
         assert len(ordering.compositions) == len(classes) == 5
         assert all(
             entropy_of_composition(Composition(c)).bits_per_symbol == 0.0 for c in classes
@@ -143,10 +143,11 @@ class TestClassOrdering:
         classes, cumulative = reference_class_order(n, size)
         assert list(ordering.compositions) == classes
         assert [ordering.compositions[i] for i in range(len(classes))] == classes
-        assert list(accumulate(size for _, size in ordering.classes())) == cumulative
-        starts = [0] + cumulative[:-1]
         assert ordering.sequence_count == cumulative[-1]
-        assert list(ordering.spans(0, ordering.sequence_count)) == list(ordering.classes())
+        walk = list(ordering.spans(0, ordering.sequence_count))
+        assert [counts for counts, _ in walk] == classes
+        assert list(accumulate(size for _, size in walk)) == cumulative
+        starts = [0] + cumulative[:-1]
         for counts, first, end in zip(classes, starts, cumulative):
             size = end - first
             assert ordering.class_span(counts) == (first, size)
@@ -165,7 +166,7 @@ class TestClassOrdering:
         by_multiset = {}
         previous = None
         classes = sequences = 0
-        for counts, size in class_ordering(n, alphabet).classes():
+        for counts, size in class_ordering(n, alphabet).spans(0, 7**n):
             multiset = tuple(sorted(counts))
             if multiset not in by_multiset:
                 by_multiset[multiset] = (
@@ -220,7 +221,7 @@ class TestClassOrdering:
 
     def test_cumulative_strictly_increasing(self):
         ordering = class_ordering(6, A3)
-        starts = [ordering.class_span(counts)[0] for counts, _ in ordering.classes()]
+        starts = [ordering.class_span(counts)[0] for counts, _ in ordering.spans(0, 3**6)]
         assert len(starts) == len(ordering.compositions)
         assert all(a < b for a, b in zip(starts, starts[1:]))
         assert ordering.sequence_count == 3**6
@@ -352,6 +353,18 @@ class TestSpans:
             assert sum(included for _, included in spans) == hi - lo
 
 
+class TestTieWalk:
+    @pytest.mark.parametrize("n, size", [(8, 5), (10, 4), (22, 5)])
+    def test_walk_from_every_class(self, n, size):
+        # walk(j) yields the tie's classes from j on, each with its size
+        ties = [g for g in class_ordering(n, Alphabet(size))._groups if isinstance(g, _Tie)]
+        assert ties
+        for tie in ties:
+            for j in range(tie.classes):
+                sizes = [end - start for start, end in zip(tie.offsets[j:], tie.offsets[j + 1 :])]
+                assert list(tie.walk(j)) == list(zip(tie.members[j:], sizes))
+
+
 def _merge_runs(rows):
     """(distinct counts, classes, ranks) rows with consecutive equal distinct
     counts summed into one."""
@@ -370,7 +383,8 @@ def _by_multiset(spans):
 class TestMultisetSpans:
     """ClassOrdering.multiset_spans(hi): the classes meeting the ranks
     [0, hi) one count multiset at a time, which is spans(0, hi) grouped by
-    distinct counts."""
+    multiset outside exact ties and by class inside them, each row keyed by
+    its first class."""
 
     @pytest.mark.parametrize(
         "n, size", [(8, 5), (10, 4), (12, 6), (22, 5)], ids=["N8-A5", "N10-A4", "N12-A6", "N22-A5"]
@@ -378,18 +392,25 @@ class TestMultisetSpans:
     def test_spans_grouped_by_multiset(self, n, size):
         ordering = class_ordering(n, Alphabet(size))
         total = ordering.sequence_count
-        assert _tie_groups(n, size)
+        ties = _tie_groups(n, size)
+        assert ties
         # every class of spans(0, total), with its first rank, and the runs of
-        # consecutive classes sharing their distinct counts, each with its
-        # first class and first rank: spans(0, hi) grouped is the runs before
-        # the one holding rank hi - 1, then that run cut at hi
-        keys, sizes = zip(
-            *((tuple(sorted(set(counts))), size) for counts, size in ordering.spans(0, total))
-        )
+        # consecutive classes of one multiset outside a tie, or of one class
+        # inside it, each with its first class and first rank: spans(0, hi)
+        # grouped is the runs before the one holding rank hi - 1, then that
+        # run cut at hi
+        classes, sizes = zip(*ordering.spans(0, total))
         starts = list(accumulate(sizes, initial=0))
+        keys = [
+            counts if any(first <= start < end for first, end, _ in ties) else tuple(sorted(counts))
+            for counts, start in zip(classes, starts)
+        ]
         run_firsts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
         runs = _merge_runs(zip(keys, repeat(1), sizes))
         assert len(runs) == len(run_firsts)
+        # a multiset's first class is the multiset ascending
+        assert all(classes[i] == keys[i] for i in run_firsts)
+        assert len(run_firsts) < len(classes)
 
         def grouped(hi):
             if hi == 0:
@@ -409,10 +430,14 @@ class TestMultisetSpans:
         his.update(first + d for first in firsts for d in (-1, 0, 1) if 0 <= first + d <= total)
         for hi in sorted(his):
             walk = list(ordering.multiset_spans(hi))
-            assert _merge_runs(walk) == grouped(hi)
+            assert walk == grouped(hi)
             assert sum(ranks for _, _, ranks in walk) == hi
         for hi in (0, 1, total, *random_his):
-            assert _merge_runs(ordering.multiset_spans(hi)) == _by_multiset(ordering.spans(0, hi))
+            by_distinct = [
+                (tuple(sorted(set(first))), met, ranks)
+                for first, met, ranks in ordering.multiset_spans(hi)
+            ]
+            assert _merge_runs(by_distinct) == _by_multiset(ordering.spans(0, hi))
 
     def test_one_row_per_multiset_outside_ties(self):
         # (22,5): each multiset outside an exact tie is one row, and each

@@ -61,6 +61,15 @@ def _no_walk(*args):
     raise AssertionError("a count multiset's classes walked one by one")
 
 
+def class_walks(params):
+    """Each side of the exhaustive population class by class, as {counts
+    vector: message count}: every plain class in full, and the shaped
+    subset's classes with the boundary class's included part."""
+    plain = shared_ordering(params.length, params.alphabet)
+    target = shared_ordering(params.target_length, params.alphabet)
+    return dict(plain.spans(0, plain.sequence_count)), dict(target.spans(0, params.subset_size))
+
+
 def per_message_totals(sequences, fmt):
     """Scheme, payload, framing and distinct-symbol totals, summed one
     message at a time; framing is read off the packed container's size."""
@@ -221,6 +230,28 @@ class TestExhaustive:
         report = run_exhaustive(ExperimentConfig(length=15, alphabet_size=3))
         assert report.population == 3**15 > 10**7
         assert report.census == type_class_census(15, A3, 1)
+
+    def test_over_cap_ordering_raises_before_any_tally(self, monkeypatch):
+        # both orderings are built, the plain one first, before either side
+        # is tallied
+        with pytest.raises(TooManyClassesError, match="length 1000 exceed"):
+            run_exhaustive(ExperimentConfig(length=1000, alphabet_size=4))
+        built = []
+
+        def ordering(n, alphabet):
+            built.append(n)
+            if n == 7:
+                raise TooManyClassesError("the shaped ordering")
+            return shared_ordering(n, alphabet)
+
+        def tally(*args):
+            raise AssertionError("a side tallied before both orderings were built")
+
+        monkeypatch.setattr(experiments, "shared_ordering", ordering)
+        monkeypatch.setattr(experiments, "_tally_classes", tally)
+        with pytest.raises(TooManyClassesError, match="the shaped ordering"):
+            run_exhaustive(ExperimentConfig(length=6, alphabet_size=3))
+        assert built == [6, 7]
 
     def test_jobs_do_not_change_results(self, report):
         parallel = run_exhaustive(
@@ -933,7 +964,7 @@ class TestTallyClasses:
 
     @pytest.mark.parametrize("n, size, k", TALLY_SHAPES)
     def test_exhaustive_populations(self, n, size, k):
-        for side in map(dict, experiments._population(ShapingParams(n, Alphabet(size), k))):
+        for side in class_walks(ShapingParams(n, Alphabet(size), k)):
             for formats in (FORMATS, FORMATS[1:]):
                 assert_same_tally(
                     experiments._tally_classes(side.items(), formats),
@@ -958,7 +989,7 @@ class TestTallyClasses:
             )
 
     def test_weights_above_2_pow_63(self):
-        for side in map(dict, experiments._population(ShapingParams(60, Alphabet(4), 1))):
+        for side in class_walks(ShapingParams(60, Alphabet(4), 1)):
             assert max(side.values()) > 2**63
             assert_same_tally(
                 experiments._tally_classes(side.items(), FORMATS),
@@ -990,7 +1021,7 @@ class TestTallyClasses:
         huffman_lengths = experiments._huffman_lengths
         monkeypatch.setattr(experiments, "_TALLY_ROWS", 3)
         monkeypatch.setattr(experiments, "_huffman_lengths", lengths)
-        for side in map(dict, experiments._population(ShapingParams(6, Alphabet(3), 2))):
+        for side in class_walks(ShapingParams(6, Alphabet(3), 2)):
             del sliced[:]
             assert_same_tally(
                 experiments._tally_classes(side.items(), FORMATS),
@@ -1000,8 +1031,9 @@ class TestTallyClasses:
 
     def test_report_holds_no_population(self, monkeypatch):
         # the (40,4,1) report tallies 12,341 plain and 12,673 shaped classes
-        # as the orderings walk them, 256 at a time: with both orderings
-        # built, it holds one slice and its totals, no map of the classes
+        # a count multiset at a time, 256 rows at a time: with both
+        # orderings built, it holds one slice and its totals, no map of the
+        # classes
         shared_ordering(40, Alphabet(4))
         shared_ordering(41, Alphabet(4))
         monkeypatch.setattr(experiments, "_TALLY_ROWS", 256)
@@ -1013,6 +1045,61 @@ class TestTallyClasses:
             tracemalloc.stop()
         assert report.census.shaped_classes_total == 12673
         assert peak < 2**20
+
+
+# |A| 3-8 and K 1-3, exact ties on the plain side at (8,5), (10,4) and
+# (22,5) and in the shaped subset at (9,4,1) and (22,5,2); every shaped side
+# ends in a cut group
+MULTISET_SHAPES = [
+    (10, 3, 1), (12, 3, 3), (9, 4, 1), (10, 4, 1), (40, 4, 2), (8, 5, 1), (22, 5, 2),
+    (12, 6, 1), (10, 6, 2), (8, 7, 1), (6, 7, 3), (8, 8, 1), (5, 8, 2),
+]
+
+
+class TestMultisetRows:
+    """The exhaustive tally, a count multiset at a time, against the
+    per-class reference over each ordering's class walk."""
+
+    @pytest.mark.parametrize("n, size, k", MULTISET_SHAPES)
+    def test_tally_matches_class_walk(self, n, size, k):
+        params = ShapingParams(n, Alphabet(size), k)
+        hi = params.subset_size
+        for length, side in zip((n, n + k), class_walks(params)):
+            ordering = shared_ordering(length, params.alphabet)
+            rows = list(experiments._multiset_rows(ordering, hi))
+            assert len(rows) < len(side) and sum(ranks for _, ranks in rows) == hi
+            if length == n and min(n, size) > 4:
+                # classes of a multiset of more than 4 used symbols, one by one
+                assert any(len(c) - c.count(0) > 4 and list(c) != sorted(c) for c, _ in rows)
+            for formats in (FORMATS, FORMATS[1:]):
+                assert_same_tally(
+                    experiments._tally_classes(rows, formats),
+                    reference_tally_classes(side, formats),
+                )
+
+    def test_four_used_symbols_fix_the_longest_codeword_bits(self):
+        # every composition with at most 4 nonzero counts: its longest
+        # codeword has the bit length of its multiset ascending
+        def bits(counts):
+            return max(build_code(Composition(counts)).lengths).bit_length()
+
+        checked = 0
+        for size in range(1, 9):
+            for n in range(1, 13):
+                for counts in compositions(n, size):
+                    if len(counts) - counts.count(0) <= 4:
+                        assert bits(counts) == bits(tuple(sorted(counts)))
+                        checked += 1
+        assert checked > 10**4
+
+    @pytest.mark.parametrize("n, size, k", [(100, 4, 1), (40, 4, 2)])
+    def test_walks_no_class_at_four_symbols(self, n, size, k, monkeypatch):
+        # with both orderings built, no class of a count multiset is walked
+        # one by one
+        config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
+        want = run_exhaustive(config)
+        monkeypatch.setattr(combinatorics._Permutations, "walk", _no_walk)
+        assert run_exhaustive(config) == want
 
 
 class TestLogSum:
@@ -1128,7 +1215,7 @@ class TestCensus:
                 break
         census = shaped_subset_stats(params).class_census
         assert {c.counts: included for c, included in census} == shaped
-        assert tuple(map(dict, experiments._population(params))) == (plain, shaped)
+        assert class_walks(params) == (plain, shaped)
 
     def test_counts_without_holding_the_population(self):
         # the (40,4,1) census walks 12,341 plain and 12,673 shaped classes;
@@ -1188,11 +1275,6 @@ class TestCensus:
         got = experiments._build_report(config, plain.items(), shaped.items(), spec)
         assert got == want
         assert got.census == type_class_census(20, Alphabet(4), 1)
-
-    def test_over_cap_population_raises_at_the_call(self):
-        # the walks are lazy, the orderings behind them are not
-        with pytest.raises(TooManyClassesError):
-            experiments._population(ShapingParams(1000, Alphabet(4), 1))
 
     def test_round_trip(self):
         census = type_class_census(4, A3, 1)
