@@ -242,30 +242,19 @@ _BYTE_VALUES = np.arange(256, dtype=np.uint8)
 
 def _int_windows(data: bytes, types: tuple, count: int) -> np.ndarray:
     """The bits of a window type that start at each bit position of data,
-    zero past its end, for at least count positions: the big-endian word
-    at each byte, shifted left by the bit offset and or-ed with the next
-    byte's top bits.  Row i holds positions 8i to 8i + 7."""
+    zero past its end, for at least count positions, in position order:
+    the big-endian word at each byte, shifted left by the bit offset and
+    or-ed with the next byte's top bits."""
     native, big_endian = types
     k = native.itemsize
     rows = -(-count // 8)
     padded = data + bytes(rows + k - len(data))
     words = np.ndarray((rows,), big_endian, padded, 0, (1,))
     following = np.frombuffer(padded, np.uint8, rows, k)
+    # row r holds the windows at bit offset r of every byte
     windows = words << _OFFSETS[native]
     windows |= following >> _CARRY
-    return windows.T
-
-
-def _byte_windows(data: bytes, positions: np.ndarray) -> np.ndarray:
-    """The 8-bit windows of data that start at the given bit positions, as
-    _int_windows reads them, zero past its end."""
-    padded = np.frombuffer(data + bytes(2), np.uint8)
-    # each byte with the next one after it, as one number
-    pairs = (padded[:-1].astype(np.uint32) * 256 + padded[1:]) << 16
-    at = positions >> 3
-    # shifted left by the bit offset, the window is the word's top byte:
-    # the bits before it leave the 32-bit word
-    return (pairs.take(at) << (positions - (at << 3))) >> 24
+    return windows.T.reshape(-1)
 
 
 # positions per np.take when a jump table is squared in place: bounds the
@@ -289,10 +278,10 @@ _HOP_CODEWORDS = 4
 # a hop table's end where its window holds no further whole codeword
 _NO_END = 0xFF
 # whether codewords that end e bits into an 8-bit window, for e up to two
-# windows' bits, end inside it.  The hop tables and _byte_windows use
-# lookups and shifts where a comparison or a bit mask would do: those numpy
-# loops run nowhere else in a round trip, and the pages of numpy's library
-# that they fault in count in max RSS (0.45 MB on a 100k-symbol one)
+# windows' bits, end inside it.  The hop tables use lookups and shifts
+# where a comparison or a bit mask would do: those numpy loops run nowhere
+# else in a round trip, and the pages of numpy's library that they fault in
+# count in max RSS (0.45 MB on a 100k-symbol one)
 _INSIDE_WINDOW = np.array([e <= 8 for e in range(17)])
 
 
@@ -327,7 +316,8 @@ def _hop_tables(keys: np.ndarray, symbol_of: np.ndarray, length_of: np.ndarray,
 
 
 def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
-    """Read exactly n codewords; anything else is a malformed payload.
+    """Read exactly n codewords; anything else is a malformed payload.  A
+    negative n is a ValueError.
 
     Canonical decoding with limits (Moffat & Turpin, "On the implementation
     of minimum redundancy prefix codes", IEEE T-Comm 1997), taken per
@@ -342,8 +332,10 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     read from the payload bytes with shifts; the bits after the first
     max_length cannot carry it past a codeword start, whose low bits are
     zero.  Deeper codes take byte-string windows of the payload's '0'/'1'
-    text, whose order is numeric order.  One searchsorted of the windows
-    over the codeword starts gives the codeword at every position.
+    text, whose order is numeric order.  Either way the windows are one
+    array in bit-position order, which every later step indexes.  One
+    searchsorted of the windows over the codeword starts gives the codeword
+    at every position.
 
     The codeword starts are then a pointer chase: the next start is the
     position plus the length there.  It jumps (Hillis & Steele, "Data
@@ -359,13 +351,15 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     256 window values (_hop_tables) gives the bits, ends and symbols of the
     codewords each value starts with; a take of the bits at every position
     is the next-start table, which needs log2 K fewer squarings, and each
-    hop start expands into its symbols from the table.  Every other decode
-    hops one codeword (K = 1).  Near the end a hop takes only the codewords
-    that end in the payload, so a codeword cut short or the pad bits never
-    decode, and the chase stops where a hop takes none; where it stops and
-    the symbols read before it name the failure, as the per-bit decoder
-    names it.
+    hop start expands into its symbols from the table, indexed by the
+    window kept at that start.  Every other decode hops one codeword
+    (K = 1).  Near the end a hop takes only the codewords that end in the
+    payload, so a codeword cut short or the pad bits never decode, and the
+    chase stops where a hop takes none; where it stops and the symbols read
+    before it name the failure, as the per-bit decoder names it.
     """
+    if n < 0:
+        raise ValueError(f"negative symbol count {n}")
     lmax = table.max_length
     used = sorted((l, s) for s, l in enumerate(table.lengths) if l)
     size = table.alphabet.size
@@ -397,7 +391,7 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     length_of = np.array([0, *(l for l, _ in used), 0], np.min_scalar_type(lmax))
     # every codeword takes at least one bit, so the first total + 1
     # codewords reach past the payload
-    count = min(max(n, 0), total + 1)
+    count = min(n, total + 1)
     depth = _jump_depth(count)
     # once the chase is long enough to jump, a code at most 8 bits deep
     # hops up to k whole codewords at a time, all read from one 8-bit
@@ -426,14 +420,13 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
         whole_of, ends_of, symbols_of, taken = _hop_tables(
             keys, symbol_of, length_of, k
         )
-        steps = taken.take(windows).reshape(-1)
+        steps = taken.take(windows)
         tail = range(max(end - 8, 0), end)
         for p in tail:
-            ends = ends_of[windows[p >> 3, p & 7]].tolist()
+            ends = ends_of[windows[p]].tolist()
             steps[p] = max((e for e in ends if e <= total - p), default=0)
-        del windows  # not needed by the chase
     else:
-        row = keys.searchsorted(windows, side="right").reshape(-1)
+        row = keys.searchsorted(windows, side="right")
         del windows
         found = symbol_of.take(row)
         steps = length_of.take(row)
@@ -476,7 +469,8 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     if k > 1:
         # each hop start expands into the whole codewords its window holds;
         # near the end, into those its step covers
-        at = _byte_windows(payload.data, starts)
+        at = windows.take(starts)
+        del windows
         whole = whole_of.take(at, 0)
         for i in range(starts.searchsorted(tail[0]), len(starts)):
             room = int(steps[starts[i]])

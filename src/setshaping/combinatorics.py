@@ -257,7 +257,10 @@ class _Classes(collections.abc.Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
-        return self._ordering.class_counts(i + len(self) if i < 0 else i)
+        count = len(self)
+        if not -count <= i < count:
+            raise IndexError(f"class {i} outside {-count}..{count - 1}")
+        return self._ordering.class_counts(i % count)
 
 
 @dataclass(frozen=True)
@@ -339,7 +342,13 @@ class ClassOrdering:
 
     def _find(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """Group of a counts vector and its class's position in the group."""
-        g = self._group_of[tuple(sorted(counts))]
+        try:
+            g = self._group_of[tuple(sorted(counts))]
+        except KeyError:
+            raise ValueError(
+                f"counts {tuple(counts)} is not a class of ordering "
+                f"({self.length}, {self.alphabet.size})"
+            ) from None
         return g, self._groups[g].position(counts)
 
     def class_counts(self, i: int) -> tuple[int, ...]:
@@ -351,7 +360,8 @@ class ClassOrdering:
 
     def class_span(self, counts: tuple[int, ...]) -> tuple[RankIndex, int]:
         """Global rank of the first sequence with this counts vector, and
-        the size of its class."""
+        the size of its class; ValueError unless the vector is one of the
+        ordering's classes."""
         g, j = self._find(counts)
         group = self._groups[g]
         return self._starts[g] + group.offset(j), group.size(j)

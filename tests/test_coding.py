@@ -340,12 +340,14 @@ class TestDecode:
 
     def test_peak_memory_of_a_long_decode(self):
         # about 0.8 M payload bits, enough that a per-bit array kept past
-        # its use shows: the peak, 7.6 MiB, comes when the 129k hop starts
-        # expand into their symbols, after the jump table is freed (6.5 MiB
-        # while it is squared); 8.4 MiB when every bit position kept its
-        # own symbol, and a view that kept the 3 MiB jump table to the end
-        # read 11.1 MiB.  Traced, the decode takes about 0.18 s, 15 times
-        # its untraced time
+        # its use shows: the peak, 7.6 MiB, comes when the hop bits are
+        # taken at every position, through an intp copy of the windows
+        # (6.1 MiB); 7.2 MiB while the jump table is squared, the windows
+        # kept for the hop starts, and 3.4 MiB when the 129k hop starts
+        # expand into their symbols.  8.4 MiB when every bit position kept
+        # its own symbol, and a view that kept the 3 MiB jump table to the
+        # end read 11.1 MiB.  Traced, the decode takes about 0.18 s, 15
+        # times its untraced time
         rng = random.Random(3)
         symbols = tuple(rng.choices(range(4), weights=(6, 2, 1, 1), k=500_000))
         seq = Sequence(Alphabet(4), symbols)
@@ -428,12 +430,36 @@ class TestDecode:
             decode(payload, table, seq.length + 1)
         assert len(texts) == (2 if depth > 64 else 0)
 
+    def test_negative_symbol_count(self):
+        # refused before the payload is read, whether or not it holds bits
+        table = CodeTable.from_lengths(A3, (1, 2, 2))
+        for payload in (Bits.empty(), Bits(b"\x00", 1)):
+            with pytest.raises(ValueError, match="^negative symbol count -1$"):
+                decode(payload, table, -1)
+
     def test_untrusted_length_fails_when_bits_run_out(self):
         table = build_code(Composition((2, 1, 1)))
         start = time.perf_counter()
         with pytest.raises(MalformedPayloadError, match="exhausted"):
             decode(Bits(b"\x00", 8), table, 10**18)
         assert time.perf_counter() - start < 1.0
+
+
+class TestIntWindows:
+    @pytest.mark.parametrize("types", coding._WINDOW_TYPES, ids=lambda t: str(t[0]))
+    def test_window_at_every_bit_position(self, types):
+        # one array in position order: the window at p is the integer of
+        # the payload's text from p, zero past its end, as at the last
+        # positions, whose windows run past it
+        bits = types[0].itemsize * 8
+        rng = random.Random(bits)
+        for length in [*range(41), 1001]:
+            text = "".join(rng.choices("01", k=length))
+            windows = coding._int_windows(_pack(text).data, types, length + 1)
+            assert windows.shape[0] > length
+            padded = text + "0" * (len(windows) + bits)
+            want = [int(padded[p : p + bits], 2) for p in range(len(windows))]
+            assert windows.tolist() == want
 
 
 # alphabet sizes on both sides of each dtype of the symbol array (a byte

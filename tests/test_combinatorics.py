@@ -212,12 +212,22 @@ class TestClassOrdering:
             view[15]
         with pytest.raises(IndexError):
             view[-16]
+        # the index asked for, not its offset from the end
+        with pytest.raises(IndexError, match=r"^class -100 outside -15\.\.14$"):
+            view[-100]
         for r in (3**4, -1):
             with pytest.raises(RankOutOfRangeError):
                 ordering.locate(r)
         for lo, hi in ((3**4, 3**4 + 1), (-1, 0)):
             with pytest.raises(RankOutOfRangeError):
                 next(ordering.spans(lo, hi))
+
+    def test_class_span_of_a_vector_outside_the_ordering(self):
+        # a vector of another length or sum is no class of the ordering
+        ordering = class_ordering(4, A3)
+        for counts in ((1, 2), (1, 1, 1)):
+            with pytest.raises(ValueError, match=rf"^counts \({counts[0]}, .* \(4, 3\)$"):
+                ordering.class_span(counts)
 
     def test_cumulative_strictly_increasing(self):
         ordering = class_ordering(6, A3)
