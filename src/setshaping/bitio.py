@@ -1,12 +1,16 @@
 """Minimal MSB-first bit stream writer/reader used by the entropy coder.
 
 Both sides go through a '0'/'1' string of the meaningful bits, so building
-or reading a stream costs time linear in its length: CPython converts
-between an int and its base-2 text in linear time.
+or reading a stream costs time linear in its length.  The writer packs its
+text with np.packbits, one byte of text a bit; the reader converts the
+bytes to an int and formats its base-2 text, which CPython does in linear
+time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import MalformedPayloadError
 
@@ -35,12 +39,11 @@ class Bits:
 
 
 def _bits_from_string(text: str) -> Bits:
-    """Pack a '0'/'1' string MSB-first, zero-padding the final byte."""
-    if not text:
-        return Bits.empty()
-    pad = -len(text) % 8
-    data = (int(text, 2) << pad).to_bytes((len(text) + pad) // 8, "big")
-    return Bits(data, len(text))
+    """Pack a '0'/'1' string MSB-first, zero-padding the final byte: the
+    low bit of each ASCII byte ('0' is 0x30, '1' is 0x31) is its bit, and
+    np.packbits packs eight a byte in one pass in C."""
+    bits = np.frombuffer(text.encode("ascii"), np.uint8) & 1
+    return Bits(np.packbits(bits).tobytes(), len(text))
 
 
 def _string_from_bits(bits: Bits) -> str:

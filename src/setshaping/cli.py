@@ -32,6 +32,7 @@ from .coding import (
 from .core import Alphabet, Sequence, format_sequence, parse_sequence
 from .errors import (
     BadLengthError,
+    EmptySequenceError,
     MalformedPayloadError,
     NotInShapedSubsetError,
     SetShapingError,
@@ -236,6 +237,8 @@ def _cmd_transform(args, invert: bool) -> int:
         raise BadLengthError(
             f"cannot invert a length-{seq.length} sequence with k={args.k}"
         )
+    if not seq.length:
+        raise EmptySequenceError("nothing to transform")
     params = ShapingParams(
         length=seq.length - args.k if invert else seq.length,
         alphabet=alphabet,

@@ -275,6 +275,8 @@ _IS_DIGIT = bytes(c in b"0123456789" for c in range(256))
 # symbol equals
 _SYMBOL = bytes(c - ord("1") if c in b"123456789" else 255 for c in range(256))
 _DIGIT_SYMBOLS = bytes(range(9))
+# symbol s to the byte of its one-digit name s + 1
+_DIGIT_NAMES = bytes.maketrans(_DIGIT_SYMBOLS, b"123456789")
 
 
 def _parse_digits(text: str, size: int) -> bytes | None:
@@ -341,7 +343,17 @@ def parse_sequence(text: str, alphabet: Alphabet) -> Sequence:
 
 
 def format_sequence(seq: Sequence) -> str:
-    """Render a sequence as space-separated one-based symbols."""
+    """Render a sequence as space-separated one-based symbols.
+
+    Over |A| <= 9 every name is one digit, the rule _parse_digits reads
+    by: one translate maps the packed symbols to their digits, which fill
+    the even bytes of a text of spaces.  A wider alphabet's names are
+    joined by _join_words, each distinct name rendered once."""
+    symbols = seq._symbols
+    if seq.alphabet.size <= 9:
+        text = bytearray(b" ") * (2 * len(symbols) - 1)
+        text[::2] = symbols.translate(_DIGIT_NAMES)
+        return text.decode("ascii")
     return _join_words(seq, _Memo(lambda s: str(s + 1)), " ")
 
 

@@ -323,6 +323,20 @@ class TestEncodeDecode:
         assert code == 3
         assert stderr_json(err)["error"] == "EmptySequence"
 
+    def test_empty_transform_input_rejected(self, capsys, monkeypatch):
+        # refused as encode refuses it, not as a usage error of the length
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, out, err = run_cli(["transform", "-a", "4"], capsys)
+        assert (code, out) == (3, "")
+        assert stderr_json(err) == {
+            "error": "EmptySequence",
+            "detail": "nothing to transform",
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, out, err = run_cli(["untransform", "-a", "4"], capsys)
+        assert (code, out) == (3, "")
+        assert stderr_json(err)["error"] == "BadLength"
+
 
 class TestReports:
     def test_table_matches_library(self, tmp_path):

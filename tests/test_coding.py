@@ -33,7 +33,12 @@ from setshaping import (
     unpack_container,
 )
 from setshaping import coding, core
-from setshaping.bitio import BitReader, BitWriter, _string_from_bits as _text
+from setshaping.bitio import (
+    BitReader,
+    BitWriter,
+    _bits_from_string,
+    _string_from_bits as _text,
+)
 from setshaping.cli import compress_sequence, restore_sequence
 from setshaping.coding import (
     EncodedMessage,
@@ -125,6 +130,24 @@ class TestBitIO:
         r = BitReader(bits)
         assert [r.read(n) for _, n in items] == [v for v, _ in items]
         assert r.remaining == 0
+
+    @pytest.mark.parametrize("length", [*range(71), 170_000])
+    def test_packing_against_reference(self, length):
+        # each length's text against the int(text, 2) packing of a one-bit
+        # code's join, which zero-pads the final byte; the writer gets the
+        # same bits in fields of 1 to 64 bits, so some straddle bytes
+        rng = random.Random(length)
+        bits = [rng.getrandbits(1) for _ in range(length)]
+        want = Bits(*reference_codeword_join(bits, (1, 1), (0, 1)))
+        text = "".join(map(str, bits))
+        assert _bits_from_string(text) == want
+        w = BitWriter()
+        pos = 0
+        while pos < length:
+            width = min(rng.randint(1, 64), length - pos)
+            w.write(int(text[pos : pos + width], 2), width)
+            pos += width
+        assert w.getvalue() == want
 
     def test_zero_width(self):
         w = BitWriter()
@@ -463,8 +486,9 @@ class TestIntWindows:
 
 
 # alphabet sizes on both sides of each dtype of the symbol array (a byte
-# up to 256 symbols) and of the largest grouped alphabets
-GRID_SIZES = (1, 2, 3, 4, 5, 16, 17, 64, 65, 255, 256, 257, 1000)
+# up to 256 symbols), of one-digit names (up to 9 symbols) and of the
+# largest grouped alphabets
+GRID_SIZES = (1, 2, 3, 4, 5, 9, 10, 16, 17, 64, 65, 255, 256, 257, 1000)
 
 
 def _grid_lengths(size):
