@@ -275,6 +275,9 @@ def _jump_depth(count: int) -> int:
 # the most whole codewords one hop reads from an 8-bit window: a column
 # more per hop costs more to expand than the squaring it saves
 _HOP_CODEWORDS = 4
+# the jump depth from which hops of several codewords pay (4,096 codewords):
+# below it their tables cost more to build than the squarings they save
+_HOP_DEPTH = 3
 # a hop table's end where its window holds no further whole codeword
 _NO_END = 0xFF
 # whether codewords that end e bits into an 8-bit window, for e up to two
@@ -345,7 +348,8 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     from the symbol count (_jump_depth); at m = 0, for short messages, the
     walk visits every start.
 
-    Once the chase jumps (from 256 codewords), a code at most 8 bits deep
+    From m = _HOP_DEPTH (4,096 codewords), where the hop tables cost less
+    to build than the squarings they save, a code at most 8 bits deep
     hops several whole codewords at a time: up to K = min(4, 8 // shortest
     length) of them, as many as its 8-bit window holds.  One table of the
     256 window values (_hop_tables) gives the bits, ends and symbols of the
@@ -393,11 +397,11 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     # codewords reach past the payload
     count = min(n, total + 1)
     depth = _jump_depth(count)
-    # once the chase is long enough to jump, a code at most 8 bits deep
-    # hops up to k whole codewords at a time, all read from one 8-bit
-    # window, and log2 k fewer squarings jump about as many codewords
+    # once the chase is long enough for their tables to pay, a code at most
+    # 8 bits deep hops up to k whole codewords at a time, all read from one
+    # 8-bit window, and log2 k fewer squarings jump about as many codewords
     k = 1
-    if kind == 0 and depth and used:
+    if kind == 0 and depth >= _HOP_DEPTH and used:
         k = min(_HOP_CODEWORDS, 8 // used[0][0])
         depth = max(depth - k.bit_length() + 1, 0)
     # hops end in the payload, so the windows at positions 0..total are all

@@ -2,11 +2,12 @@
 
 Every reported quantity of a message depends only on its composition (its
 type class), so a population is tallied as (counts vector, message count)
-pairs, and each pair is measured once.  They are measured
-together in array passes over slices of the pairs: one pass gives every
-class its Huffman code lengths (``coding._huffman_lengths``, the lengths
-``build_code`` gives), and payload, scheme and framing bits are array
-expressions over them.  Totals are exact: each figure is multiplied by its
+pairs, and each pair is measured once.  Both sides' pairs are read as one
+stream, the plain side first, and measured together in array passes over
+slices of it: one pass gives every class its Huffman code lengths
+(``coding._huffman_lengths``, the lengths ``build_code`` gives), payload,
+scheme and framing bits are array expressions over them, and each side
+sums its own rows.  Totals are exact: each figure is multiplied by its
 class's message count in Python integers, bit counts and distinct-symbol
 counts are integer sums, and weighted-entropy sums are kept as integer
 coefficients of ln(v) terms (N*H0 = N*ln N - sum n*ln n, all
@@ -23,8 +24,9 @@ sequence is placed among them by bisection (``_sampled_chunk``).
 
 The tally reads those pairs a slice at a time and keeps no map of them.
 An exhaustive run measures each count multiset's classes as one pair, as
-its census counts them (``ClassOrdering.multiset_spans``), but for some
-multisets of more than 4 used symbols (``_multiset_rows``).  Every
+its census counts them (``ClassOrdering.multiset_spans``), but for the
+multisets of more than 4 used symbols whose Huffman ties can split them
+(``_ties_split``), walked class by class (``_multiset_rows``).  Every
 report's sub-alphabet census is ``type_class_census``'s.
 
 Every report (``CensusReport``, ``ExperimentReport``) is a ``_Report``,
@@ -36,7 +38,7 @@ import json
 import math
 import os
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -209,36 +211,56 @@ def _dot(weights: list[int], values: np.ndarray) -> int:
 
 
 def _tally_classes(
-    classes: Iterable[tuple[tuple[int, ...], int]], formats: tuple[SchemeFormat, ...]
-) -> _SideTally:
-    """Totals over a population given as (counts vector, message count)
-    pairs, one per class or per set of classes that measure alike, read
-    ``_TALLY_ROWS`` at a time.
+    sides: Iterable[Iterable[tuple[tuple[int, ...], int]]], formats: tuple[SchemeFormat, ...]
+) -> list[_SideTally]:
+    """Totals over each side's population, each given as (counts vector,
+    message count) pairs, one per class or per set of classes that measure
+    alike.  The sides are read as one stream of rows, side after side,
+    ``_TALLY_ROWS`` rows per array pass.
 
-    Each class's Huffman lengths, payload, distinct symbols, scheme and
-    framing bits come from array expressions over a slice of classes; each
-    figure is then multiplied by its class's message count exactly.  The
-    weighted entropy N*ln N - sum n*ln n keeps integer coefficients.
+    A pass gives each row its Huffman lengths, payload, distinct symbols,
+    scheme and framing bits as array expressions over all its rows; each
+    side then multiplies the figures of its own rows of the pass by their
+    message counts exactly.  The weighted entropy N*ln N - sum n*ln n
+    keeps integer coefficients.
     """
-    tally = _SideTally()
-    classes = iter(classes)
-    while rows := list(islice(classes, _TALLY_ROWS)):
+    streams = [iter(classes) for classes in sides]
+    tallies = [_SideTally() for _ in streams]
+    side = 0
+    while True:
+        # each part: a side's tally and its rows [start, stop) of the pass
+        rows, parts = [], []
+        while side < len(streams) and len(rows) < _TALLY_ROWS:
+            start = len(rows)
+            rows += islice(streams[side], _TALLY_ROWS - start)
+            if len(rows) > start:
+                parts.append((tallies[side], start, len(rows)))
+            if len(rows) < _TALLY_ROWS:  # the side's stream is spent
+                side += 1
+        if not rows:
+            return tallies
         vectors, w = zip(*rows)
         counts = np.array(vectors, np.int64)
         size = counts.shape[1]
         lengths = _huffman_lengths(counts)
         total = counts.sum(1)
         payload = (lengths * counts).sum(1)
-        tally.distinct += _dot(w, (counts > 0).sum(1))
-        tally.payload_bits += _dot(w, payload)
-        for fmt in formats:
-            scheme = _scheme_bits(fmt, size, lengths.max(1), total)
-            tally.scheme_bits[fmt] += _dot(w, scheme)
-            tally.framing_bits[fmt] += _dot(w, _framing_bits(scheme, payload))
+        distinct = (counts > 0).sum(1)
+        lmax = lengths.max(1)
+        schemes = [(fmt, _scheme_bits(fmt, size, lmax, total)) for fmt in formats]
+        framing = [_framing_bits(scheme, payload) for _, scheme in schemes]
+        # each row's ln terms: +N*ln N, then -n*ln n for each count
+        terms = np.concatenate([total[:, None], counts], axis=1)
+        signs = np.array([1] + [-1] * size, dtype=object)
         mass = np.array(w, dtype=object)  # Python ints, for exact sums
-        tally.entropy.add(total, mass)
-        tally.entropy.add(counts.ravel(), -mass.repeat(size))
-    return tally
+        for tally, a, b in parts:
+            weights = w[a:b]
+            tally.distinct += _dot(weights, distinct[a:b])
+            tally.payload_bits += _dot(weights, payload[a:b])
+            for (fmt, scheme), frame in zip(schemes, framing):
+                tally.scheme_bits[fmt] += _dot(weights, scheme[a:b])
+                tally.framing_bits[fmt] += _dot(weights, frame[a:b])
+            tally.entropy.add(terms[a:b].ravel(), np.multiply.outer(mass[a:b], signs).ravel())
 
 
 def _shaped_span(counts, plain_ordering, shaped_ordering):
@@ -573,16 +595,46 @@ def _split_ranges(total: int, chunks: int):
     return [(total * i // chunks, total * (i + 1) // chunks) for i in range(chunks)]
 
 
+def _ties_split(first: tuple[int, ...]) -> bool:
+    """Whether the tie-break can give the permutations of this count
+    multiset different longest codewords.
+
+    Huffman's merges are simulated on (count, height) nodes, the leaves at
+    height 0.  Each merge takes the two least counts, so the counts taken,
+    and with them the payload, are the same for every permutation; only
+    which nodes of the larger count taken (the boundary count) it takes
+    can differ.  The multiset is flagged when a merge must choose among
+    more nodes of the boundary count than it takes, and their heights
+    differ.  Otherwise every permutation goes through the same (count,
+    height) nodes, to a root of the same height: the longest codeword."""
+    nodes = sorted((c, 0) for c in first if c)
+    while len(nodes) > 1:
+        boundary = nodes[1][0]
+        # nodes[lo:hi] hold the boundary count, by height
+        lo = 0 if nodes[0][0] == boundary else 1
+        hi = lo + 1
+        while hi < len(nodes) and nodes[hi][0] == boundary:
+            hi += 1
+        if hi > 2 and nodes[lo][1] != nodes[hi - 1][1]:
+            return True
+        (c1, h1), (c2, h2) = nodes[:2]
+        del nodes[:2]
+        insort(nodes, (c1 + c2, max(h1, h2) + 1))
+    return False
+
+
 def _multiset_rows(ordering, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The ranks [0, hi) of an ordering as (counts vector, message count)
     rows, one per count multiset (``multiset_spans``'s first class and
     ranks).  The tally's figures depend on the multiset alone, but for the
-    longest codeword's bit length, which at most 4 used symbols fix too
-    (Huffman gives 1; 1,1; 1,2,2; 2,2,2,2 or 1,2,3,3 bits); a multiset of
-    more that meets the ranks in several classes is walked class by class."""
+    longest codeword's bit length, which Huffman's tie-break can move.  At
+    most 4 used symbols fix it (Huffman gives 1; 1,1; 1,2,2; 2,2,2,2 or
+    1,2,3,3 bits), and so does a multiset whose merges never choose among
+    tied nodes of unequal height (``_ties_split``); any other multiset that
+    meets the ranks in several classes is walked class by class."""
     lo = 0
     for first, met, ranks in ordering.multiset_spans(hi):
-        if met > 1 and len(first) - first.count(0) > 4:
+        if met > 1 and len(first) - first.count(0) > 4 and _ties_split(first):
             yield from ordering.spans(lo, lo + ranks)
         else:
             yield first, ranks
@@ -879,8 +931,8 @@ def _build_report(
     sampled = source is not None
     pop = config.sample_count if sampled else config.shaping.subset_size
     sides = {}
-    for side, classes in (("plain", plain_classes), ("shaped", shaped_classes)):
-        tally = _tally_classes(classes, config.scheme_formats)
+    tallies = _tally_classes((plain_classes, shaped_classes), config.scheme_formats)
+    for side, tally in zip(("plain", "shaped"), tallies):
         sides.update(_side_fields(side, tally, config, pop))
     fmt_names = tuple(f.value for f in config.scheme_formats)
     total_plain = sides["avg_total_bits_plain"]

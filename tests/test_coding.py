@@ -653,6 +653,27 @@ class TestJumpDepthsAgainstReference:
         depths = [_jump_depth(n) for n in _JUMP_STEPS]
         assert depths == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
 
+    @pytest.mark.parametrize(
+        "length, hops", [(101, False), (256, False), (4095, False), (4096, True), (100_000, True)]
+    )
+    def test_several_codewords_a_hop_from_4096(self, monkeypatch, length, hops):
+        # a code at most 8 bits deep hops several codewords at a time, from
+        # its hop tables, only from jump depth 3 (4,096 codewords): codec's
+        # 101 symbols stay below, bulk's 100k above
+        built = []
+
+        def tables(*args):
+            built.append(args)
+            return hop_tables(*args)
+
+        hop_tables = coding._hop_tables
+        monkeypatch.setattr(coding, "_hop_tables", tables)
+        table = CodeTable.from_lengths(Alphabet(4), (1, 2, 3, 3))
+        rng = random.Random(length)
+        seq = Sequence(Alphabet(4), tuple(rng.choices(range(4), (6, 2, 1, 1), k=length)))
+        assert decode(encode(seq, table), table, length) == seq
+        assert bool(built) == hops
+
     @pytest.mark.parametrize("length", _JUMP_STEPS)
     @pytest.mark.parametrize("lengths", _HOP_CODES.values(), ids=_HOP_CODES.keys())
     def test_mutations(self, length, lengths):
@@ -677,7 +698,7 @@ class TestJumpDepthsAgainstReference:
         # decode's hop width and jump depth, as its docstring gives them
         depth = _jump_depth(length)
         k = 1
-        if max(lengths) <= 8 and depth:
+        if max(lengths) <= 8 and depth >= 3:
             k = min(4, 8 // min(lengths[s] for s in codable))
             depth = max(depth - k.bit_length() + 1, 0)
         hops = _hop_starts(ends, k)

@@ -4,7 +4,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice, permutations, repeat
 
 import numpy as np
 import pytest
@@ -59,6 +59,12 @@ FORMATS = (SchemeFormat.LENGTH_LIST, SchemeFormat.COUNT_TABLE)
 
 def _no_walk(*args):
     raise AssertionError("a count multiset's classes walked one by one")
+
+
+def tally_one(classes, formats):
+    """The merged pass's tally of a single side."""
+    (tally,) = experiments._tally_classes([classes], formats)
+    return tally
 
 
 def class_walks(params):
@@ -967,7 +973,7 @@ class TestTallyClasses:
         for side in class_walks(ShapingParams(n, Alphabet(size), k)):
             for formats in (FORMATS, FORMATS[1:]):
                 assert_same_tally(
-                    experiments._tally_classes(side.items(), formats),
+                    tally_one(side.items(), formats),
                     reference_tally_classes(side, formats),
                 )
 
@@ -984,7 +990,7 @@ class TestTallyClasses:
         pmf = pmf or (1 / size,) * size
         for side in experiments._sampled_chunk((config, pmf, 5, 0, samples)):
             assert_same_tally(
-                experiments._tally_classes(side.items(), FORMATS),
+                tally_one(side.items(), FORMATS),
                 reference_tally_classes(side, FORMATS),
             )
 
@@ -992,21 +998,23 @@ class TestTallyClasses:
         for side in class_walks(ShapingParams(60, Alphabet(4), 1)):
             assert max(side.values()) > 2**63
             assert_same_tally(
-                experiments._tally_classes(side.items(), FORMATS),
+                tally_one(side.items(), FORMATS),
                 reference_tally_classes(side, FORMATS),
             )
 
     @pytest.mark.parametrize("classes", [Counter({(0, 5, 0): 1}), Counter({(7,): 3})])
     def test_one_class_one_symbol(self, classes):
-        tally = experiments._tally_classes(classes.items(), FORMATS)
+        tally = tally_one(classes.items(), FORMATS)
         assert_same_tally(tally, reference_tally_classes(classes, FORMATS))
         # a 1-bit codeword per symbol
         (counts, weight), = classes.items()
         assert tally.payload_bits == weight * sum(counts)
 
     def test_slices_of_three_rows(self, monkeypatch):
-        # every slice edge of a (6,3,2) population, both sides, and every
-        # slice's lengths against build_code
+        # every slice edge of a (6,3,2) population, both sides in one
+        # stream, 28 plain classes then 24 shaped ones, so that one pass
+        # holds the last plain class and the first two shaped ones; and
+        # every slice's lengths against build_code
         sliced = []
 
         def lengths(counts):
@@ -1021,13 +1029,61 @@ class TestTallyClasses:
         huffman_lengths = experiments._huffman_lengths
         monkeypatch.setattr(experiments, "_TALLY_ROWS", 3)
         monkeypatch.setattr(experiments, "_huffman_lengths", lengths)
-        for side in class_walks(ShapingParams(6, Alphabet(3), 2)):
-            del sliced[:]
-            assert_same_tally(
-                experiments._tally_classes(side.items(), FORMATS),
-                reference_tally_classes(side, FORMATS),
-            )
-            assert sliced == list(side)
+        sides = class_walks(ShapingParams(6, Alphabet(3), 2))
+        assert [len(side) for side in sides] == [28, 24]
+        tallies = experiments._tally_classes([side.items() for side in sides], FORMATS)
+        for tally, side in zip(tallies, sides):
+            assert_same_tally(tally, reference_tally_classes(side, FORMATS))
+        assert sliced == [*sides[0], *sides[1]]
+
+    @pytest.mark.parametrize("rows", [3, 1 << 16])
+    @pytest.mark.parametrize("plain, shaped", [
+        ("long", "short"), ("short", "long"), ("empty", "long"), ("long", "empty"),
+        ("empty", "empty"),
+    ])
+    def test_both_sides_in_one_stream(self, monkeypatch, rows, plain, shaped):
+        # sides of uneven length, or one of them empty, read as one stream
+        # of rows: each side's tally matches the reference over that side
+        # alone, and the passes are as many as the rows of both sides need
+        sides = {
+            "long": class_walks(ShapingParams(10, Alphabet(4), 1))[0],
+            "short": class_walks(ShapingParams(3, Alphabet(4), 1))[1],
+            "empty": {},
+        }
+        passes = []
+
+        def lengths(counts):
+            passes.append(len(counts))
+            return huffman_lengths(counts)
+
+        huffman_lengths = experiments._huffman_lengths
+        monkeypatch.setattr(experiments, "_TALLY_ROWS", rows)
+        monkeypatch.setattr(experiments, "_huffman_lengths", lengths)
+        plain, shaped = sides[plain], sides[shaped]
+        got = experiments._tally_classes([plain.items(), shaped.items()], FORMATS)
+        for tally, side in zip(got, (plain, shaped)):
+            assert_same_tally(tally, reference_tally_classes(side, FORMATS))
+        assert sum(passes) == len(plain) + len(shaped)
+        assert len(passes) == -(-(len(plain) + len(shaped)) // rows)
+
+    @pytest.mark.parametrize("run", ["exhaustive", "sampled"])
+    def test_report_tallies_both_sides_in_one_pass(self, monkeypatch, run):
+        # a (10,3,1) report's 27 or so rows: one tally of both sides, one
+        # array pass
+        calls = []
+
+        def lengths(counts):
+            calls.append(len(counts))
+            return huffman_lengths(counts)
+
+        huffman_lengths = experiments._huffman_lengths
+        monkeypatch.setattr(experiments, "_huffman_lengths", lengths)
+        config = ExperimentConfig(length=10, alphabet_size=3, sample_count=500)
+        if run == "exhaustive":
+            run_exhaustive(config)
+        else:
+            run_sampled(config, SourceSpec(A3, seed=2))
+        assert len(calls) == 1 and calls[0] > 20
 
     def test_report_holds_no_population(self, monkeypatch):
         # the (40,4,1) report tallies 12,341 plain and 12,673 shaped classes
@@ -1068,12 +1124,20 @@ class TestMultisetRows:
             ordering = shared_ordering(length, params.alphabet)
             rows = list(experiments._multiset_rows(ordering, hi))
             assert len(rows) < len(side) and sum(ranks for _, ranks in rows) == hi
-            if length == n and min(n, size) > 4:
-                # classes of a multiset of more than 4 used symbols, one by one
-                assert any(len(c) - c.count(0) > 4 and list(c) != sorted(c) for c, _ in rows)
+            # the rows past each multiset's first class are walked class by
+            # class, and they are exactly those of the multisets met in
+            # several classes, of more than 4 used symbols, whose ties split
+            spans = list(ordering.multiset_spans(hi))
+            firsts = {first for first, _, _ in spans}
+            walked = {tuple(sorted(c)) for c, _ in rows if c not in firsts}
+            assert walked == {
+                tuple(sorted(first))
+                for first, met, _ in spans
+                if met > 1 and len(first) - first.count(0) > 4 and experiments._ties_split(first)
+            }
             for formats in (FORMATS, FORMATS[1:]):
                 assert_same_tally(
-                    experiments._tally_classes(rows, formats),
+                    tally_one(rows, formats),
                     reference_tally_classes(side, formats),
                 )
 
@@ -1091,6 +1155,40 @@ class TestMultisetRows:
                         assert bits(counts) == bits(tuple(sorted(counts)))
                         checked += 1
         assert checked > 10**4
+
+    def test_grid_walks_and_skips_multisets_of_five_symbols(self):
+        # the shapes above reach both branches: multisets of more than 4
+        # used symbols met in several classes, walked and not
+        flags = Counter()
+        for n, size, k in MULTISET_SHAPES:
+            for length in (n, n + k):
+                ordering = shared_ordering(length, Alphabet(size))
+                for first, met, _ in ordering.multiset_spans(size**n):
+                    if met > 1 and len(first) - first.count(0) > 4:
+                        flags[experiments._ties_split(first)] += 1
+        assert flags[True] > 50 and flags[False] > 100
+
+    def test_ties_split_flags_every_multiset_whose_longest_codeword_varies(self):
+        # every count multiset of more than 4 used symbols, N <= 12 and
+        # |A| 5-8: where build_code's longest codeword has bit lengths that
+        # differ between the multiset's permutations, it is flagged
+        def bits(counts):
+            return max(build_code(Composition(counts)).lengths).bit_length()
+
+        checked = varying = flagged = 0
+        for size in range(5, 9):
+            for n in range(5, 13):
+                for counts in compositions(n, size):
+                    if len(counts) - counts.count(0) <= 4 or list(counts) != sorted(counts):
+                        continue
+                    split = experiments._ties_split(counts)
+                    if len({bits(p) for p in set(permutations(counts))}) > 1:
+                        assert split, counts
+                        varying += 1
+                    checked += 1
+                    flagged += split
+        assert (checked, varying) == (308, 107)
+        assert flagged < checked
 
     @pytest.mark.parametrize("n, size, k", [(100, 4, 1), (40, 4, 2)])
     def test_walks_no_class_at_four_symbols(self, n, size, k, monkeypatch):
@@ -1118,7 +1216,7 @@ class TestLogSum:
         # an exhaustive report over 3**647 messages or more has such weights
         classes = [((2, 1, 0), 2**1100), ((1, 1, 1), 2**1101)]
         config = ExperimentConfig(length=3, alphabet_size=3)
-        tally = experiments._tally_classes(classes, FORMATS)
+        tally = tally_one(classes, FORMATS)
         fields = experiments._side_fields("plain", tally, config, 3 * 2**1100)
         # N*H0 of each class, weighted 1:2 over 3 units: H0(2,1) + 2*H0(1,1,1)
         want = brute_entropy((0, 0, 1)) + 2 * brute_entropy((0, 1, 2))
