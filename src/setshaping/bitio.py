@@ -28,6 +28,8 @@ class Bits:
     bit_length: int
 
     def __post_init__(self):
+        if self.bit_length < 0:
+            raise ValueError(f"bit_length must be >= 0, got {self.bit_length}")
         if len(self.data) != (self.bit_length + 7) // 8:
             raise ValueError(
                 f"{len(self.data)} bytes cannot hold exactly {self.bit_length} bits"

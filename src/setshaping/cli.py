@@ -31,6 +31,7 @@ from .coding import (
 )
 from .core import Alphabet, Sequence, format_sequence, parse_sequence
 from .errors import (
+    AlphabetTooSmallError,
     BadLengthError,
     EmptySequenceError,
     MalformedPayloadError,
@@ -92,16 +93,17 @@ def restore_sequence(data: bytes) -> Sequence:
     )
     seq = decode(container.payload, table, container.sequence_length)
     if container.shaped:
-        params = ShapingParams(
-            length=container.sequence_length - container.extra_length,
-            alphabet=alphabet,
-            extra_length=container.extra_length,
-        )
         try:
+            params = ShapingParams(
+                length=container.sequence_length - container.extra_length,
+                alphabet=alphabet,
+                extra_length=container.extra_length,
+            )
             seq = inverse_transform(seq, params)
-        except NotInShapedSubsetError as exc:
-            # the container's own payload names a sequence the transform
-            # never gives: the container is damaged
+        except (AlphabetTooSmallError, NotInShapedSubsetError) as exc:
+            # no encoder shapes a sequence over fewer than 3 symbols, nor
+            # writes a payload that names a sequence the transform never
+            # gives: either way the container is damaged
             raise MalformedPayloadError(str(exc)) from None
     return seq
 

@@ -13,36 +13,40 @@ counts are integer sums, and weighted-entropy sums are kept as integer
 coefficients of ln(v) terms (N*H0 = N*ln N - sum n*ln n, all
 integer-weighted), evaluated to float once at the end in a fixed order.
 Sampled runs give each of ``jobs`` processes (at most one per CPU and
-per sample) one chunk of samples, and their class counts add up exactly,
+per sample) one chunk of samples, and their row counts add up exactly,
 whatever the worker count.  Sample i's symbols are those of
 ``np.random.default_rng([seed, i]).choice``, a block at a time: each raw
 PCG64 output is compared with integer cuts from the pmf's cdf, and the
-same pass counts each sample's symbols, a byte per draw.  A sample's
-plain class is its counts vector; the samples of a class that straddles
-shaped boundaries are sorted by their symbols, and each boundary
-sequence is placed among them by bisection (``_sampled_chunk``).
+same pass counts each sample's symbols, a byte per draw.
 
 The tally reads those pairs a slice at a time and keeps no map of them.
-An exhaustive run measures each count multiset's classes as one pair, as
-its census counts them (``ClassOrdering.multiset_spans``), but for the
-multisets of more than 4 used symbols whose Huffman ties can split them
-(``_ties_split``), walked class by class (``_multiset_rows``).  Every
-report's sub-alphabet census is ``type_class_census``'s.
+Both reports make their pairs by one rule (``_row_key``): a class is
+tallied in its count multiset's row, but for the multisets of more than
+4 used symbols whose Huffman ties can split them (``_ties_split``), whose
+classes are rows of their own.  An exhaustive run takes each multiset's
+classes as its census counts them (``ClassOrdering.multiset_spans``), and
+walks the split ones class by class (``_multiset_rows``).  A sampled run
+keys both sides by ``_row_key``: a sample's plain row is that of its
+counts vector, and its shaped row one of the rows that the transform
+sends its plain class to (``_shaped_rows``); the sample is ranked in its
+class only where there are several (``_sampled_chunk``).  Every report's
+sub-alphabet census is ``type_class_census``'s.
 
 Every report (``CensusReport``, ``ExperimentReport``) is a ``_Report``,
 which alone decides how a report is written as JSON or CSV.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import sys
-from bisect import bisect_left, insort
+from bisect import bisect_right, insort
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +54,6 @@ from .coding import _framing_bits, _huffman_lengths, _scheme_bits, SchemeFormat
 from .combinatorics import unrank_sequence
 from .core import (
     _check_base,
-    _symbol_type,
     Alphabet,
     format_sequence,
     weighted_entropy,
@@ -263,71 +266,6 @@ def _tally_classes(
             tally.entropy.add(terms[a:b].ravel(), np.multiply.outer(mass[a:b], signs).ravel())
 
 
-def _shaped_span(counts, plain_ordering, shaped_ordering):
-    """Where the transform sends the plain class with this counts vector.
-
-    The transform keeps ranks, so the class's ranks [start, start + size)
-    land on the same range of the N+K order.  Returns the counts vectors of
-    the shaped classes that range meets, in order, and the in-class ranks
-    at which each of them but the first begins, followed by the class size.
-    """
-    start, size = plain_ordering.class_span(counts)
-    shaped, included = zip(*shaped_ordering.spans(start, start + size))
-    return shaped, list(accumulate(included))
-
-
-def _row_keys(tags, symbols, tag_dtype, symbol_dtype) -> np.ndarray:
-    """One fixed-width byte string per row: its tag, then each symbol s as
-    s + 1, all big-endian in the given widths.  Keys compare as memcmp, so
-    their order is the order of (tag, symbols); 0 is left for the padding
-    of a shorter key, which sorts before every row that extends it."""
-    rows = len(tags)
-    parts = [
-        tags.astype(tag_dtype).view(np.uint8).reshape(rows, -1),
-        # symbols narrower than the key widen before the + 1
-        (symbols + symbol_dtype.type(1)).astype(symbol_dtype).view(np.uint8).reshape(rows, -1),
-    ]
-    keys = np.concatenate(parts, axis=1)
-    return keys.view(f"S{keys.shape[1]}").ravel()
-
-
-def _rows_below(
-    rows, lo: int, hi: int, key: bytes, counts, size: int, offset: int, width: int
-) -> int:
-    """Where the sequence at in-class rank ``offset`` of the class with
-    these counts (``size`` sequences) falls among the sorted ``_row_keys``
-    keys ``rows[lo:hi]``, each ``key`` (the class's tag) followed by a
-    sequence of that class in ``width``-byte codes: the index of the first
-    row at or past it.
-
-    The sequence is read as ``_lex_unrank`` reads it, and after each symbol
-    [lo, hi) narrows to the rows that share the prefix read: at or above
-    the prefix, below the prefix followed by an all-ones code.  The walk
-    stops once no row shares the prefix, or once one ordering of the rest
-    is left: the rows that share the prefix then equal the sequence, and
-    lie past it.  An element of a numpy ``S`` array drops its trailing zero
-    bytes (symbol 255 is coded 0x0100 at |A| >= 255), but no probe reaches
-    a row's last code, which holds a nonzero byte, so each row still
-    compares as its whole key."""
-    counts = list(counts)
-    total = sum(counts)
-    above = b"\xff" * width
-    while size > 1 and lo < hi:
-        sym = 0
-        here = size * counts[0] // total
-        while offset >= here:
-            offset -= here
-            sym += 1
-            here = size * counts[sym] // total
-        size = here
-        counts[sym] -= 1
-        total -= 1
-        key += (sym + 1).to_bytes(width, "big")
-        lo = bisect_left(rows, key, lo, hi)
-        hi = bisect_left(rows, key + above, lo, hi)
-    return lo
-
-
 # Sample i's draws are np.random.default_rng([seed, i]).choice(|A|, N, p):
 # numpy's SeedSequence hashes the entropy words (the seed's uint32 words,
 # then the index's) into a pool of four, PCG64 is seeded from four uint64
@@ -518,18 +456,41 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[starts], np.diff(starts, append=len(rows)), order
 
 
-def _sampled_chunk(args) -> tuple[Counter, Counter]:
-    """Plain and shaped type-class counts of samples lo..hi-1, keyed by
-    counts vector, from ``_symbol_block`` a block at a time.  A memo
-    (counts vector -> ``_shaped_span``, filled as classes are first seen)
-    gives the shaped class of every sample of a class inside one shaped
-    class.
+def _rank_row(symbols, counts: list[int], starts: list[int]) -> int:
+    """The row of a sequence among its class's rows: how many of
+    ``starts`` (each later row's first in-class rank, then the class size)
+    lie at or below its in-class rank, ``bisect_right(starts,
+    _lex_rank(symbols, counts, starts[-1]))``.  Consumes counts.
 
-    A block's samples of straddling classes become ``_row_keys`` keys (the
-    class's tag in the block, then the symbols), sorted once, so each
-    class's rows are one sorted range.  ``_rows_below`` places each of the
-    class's shaped boundaries in that range, and each shaped class gets
-    the rows between its boundary and the next."""
+    The rank is read as ``_lex_rank`` reads it, but only until it is known
+    to lie in one row: after each symbol it lies in [rank, rank +
+    remaining), and once that range ends at or below the next start past
+    ``rank``, the rest of the sequence cannot move it out of that row."""
+    total = len(symbols)
+    remaining = starts[-1]
+    rank = row = 0
+    for sym in symbols:
+        if rank + remaining <= starts[row]:
+            break
+        if sym:
+            rank += remaining * sum(counts[:sym]) // total
+            row = bisect_right(starts, rank, row)
+        remaining = remaining * counts[sym] // total
+        counts[sym] -= 1
+        total -= 1
+    return row
+
+
+def _sampled_chunk(args) -> tuple[Counter, Counter]:
+    """Plain and shaped tally rows (``_row_key``) of samples lo..hi-1,
+    with their sample counts, from ``_symbol_block`` a block at a time.
+
+    A memo (plain counts vector -> ``_shaped_rows``, filled as classes are
+    first seen) gives every sample of a plain class its shaped row where
+    the class's ranks meet one row.  Where they meet several, each sample
+    is ranked in its class only as far as it takes to tell which row holds
+    the rank (``_rank_row``).  ``_ties_split`` is memoized for the chunk,
+    as the shaped rows are."""
     config, pmf, seed, lo, hi = args
     size, length = config.alphabet_size, config.length
     orderings = (
@@ -538,8 +499,6 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
     )
     p = np.asarray(pmf, dtype=np.float64)
     p = p / p.sum()
-    symbol_dtype = _symbol_type(size + 2).newbyteorder(">")
-    width = symbol_dtype.itemsize
     # choice(|A|, N, p=p) draws the number of cdf entries c <= its uniform
     # (x >> 11) * 2**-53, which holds exactly when the raw output x reaches
     # ceil(c * 2**53) << 11; no uniform reaches 1.0
@@ -547,45 +506,28 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
     cdf /= cdf[-1]
     cuts = [np.uint64(math.ceil(c * 2**53) << 11) for c in cdf.tolist() if c < 1.0]
     plain, shaped = Counter(), Counter()
-    spans = {}
+    split = functools.cache(_ties_split)
+    memo = {}
     for start, end in _blocks(lo, hi, length):
         symbols, counts = _symbol_block(seed, start, end, length, cuts, size)
         top = symbols.max()
         if top >= size:
             raise ValueError(f"symbol {top} out of range for alphabet of size {size}")
         classes, samples, order = _group_rows(counts.T)
-        tags = np.full(len(classes), -1)  # straddling classes' tags in the block
-        straddling = []  # per tag: counts, samples, shaped classes, bounds
-        for i, (class_counts, n) in enumerate(zip(classes.tolist(), samples.tolist())):
+        taken = 0  # samples of the classes before this one, in `order`
+        for class_counts, n in zip(classes.tolist(), samples.tolist()):
             class_counts = tuple(class_counts)
-            plain[class_counts] += n
-            span = spans.get(class_counts)
-            if span is None:
-                span = spans[class_counts] = _shaped_span(class_counts, *orderings)
-            shaped_classes, bounds = span
-            if len(shaped_classes) == 1:
-                shaped[shaped_classes[0]] += n
-                continue
-            tags[i] = len(straddling)
-            straddling.append((class_counts, n, shaped_classes, bounds))
-        if not straddling:
-            continue
-        tag_dtype = _symbol_type(len(straddling)).newbyteorder(">")
-        row_tags = np.repeat(tags, samples)  # in the order of `order`
-        keep = row_tags >= 0
-        rows = _row_keys(row_tags[keep], symbols[order[keep]], tag_dtype, symbol_dtype)
-        rows.sort()
-        stop = 0
-        for t, (class_counts, n, shaped_classes, bounds) in enumerate(straddling):
-            first, stop = stop, stop + n
-            tag = t.to_bytes(tag_dtype.itemsize, "big")
-            for shaped_counts, bound in zip(shaped_classes, bounds[:-1]):
-                below = _rows_below(rows, first, stop, tag, class_counts, bounds[-1], bound, width)
-                if below > first:
-                    shaped[shaped_counts] += below - first
-                first = below
-            if stop > first:
-                shaped[shaped_classes[-1]] += stop - first
+            plain[_row_key(class_counts, split)] += n
+            entry = memo.get(class_counts)
+            if entry is None:
+                entry = memo[class_counts] = _shaped_rows(class_counts, orderings, split)
+            rows, starts = entry
+            if len(rows) == 1:
+                shaped[rows[0]] += n
+            else:
+                for seq in symbols[order[taken : taken + n]].tolist():
+                    shaped[rows[_rank_row(seq, list(class_counts), starts)]] += 1
+            taken += n
     return plain, shaped
 
 
@@ -623,18 +565,56 @@ def _ties_split(first: tuple[int, ...]) -> bool:
     return False
 
 
+def _tells_apart(first: tuple[int, ...], split=_ties_split) -> bool:
+    """Whether the tally tells the classes of a count multiset (``first``,
+    ascending) apart.  Its figures depend on the multiset alone, but for
+    the longest codeword's bit length, which Huffman's tie-break can move.
+    At most 4 used symbols (a fifth largest count ``first[-5]`` of 0) fix
+    it (Huffman gives 1; 1,1; 1,2,2; 2,2,2,2 or 1,2,3,3 bits), and so does
+    a multiset whose merges never choose among tied nodes of unequal
+    height (``split``, ``_ties_split`` or a memo of it)."""
+    return len(first) > 4 and first[-5] > 0 and split(first)
+
+
+def _row_key(counts, split=_ties_split) -> tuple[int, ...]:
+    """The tally row of the class with this counts vector: its multiset in
+    ascending order, or the class itself where the tally tells the
+    multiset's classes apart (``_tells_apart``)."""
+    first = tuple(sorted(counts))
+    return tuple(counts) if _tells_apart(first, split) else first
+
+
+def _shaped_rows(counts, orderings, split=_ties_split):
+    """Where the transform sends the plain class with this counts vector,
+    as tally rows.
+
+    The transform keeps ranks, so the class's ranks [start, start + size)
+    of the N order land on the same range of the N+K order.  Returns the
+    ``_row_key`` of each shaped class that range meets, in order, with
+    neighbouring classes that share a key merged into one row, and the
+    in-class ranks at which each row but the first begins, followed by the
+    class size."""
+    plain_ordering, shaped_ordering = orderings
+    start, size = plain_ordering.class_span(counts)
+    rows, starts = [], []
+    rank = 0
+    for shaped_counts, met in shaped_ordering.spans(start, start + size):
+        key = _row_key(shaped_counts, split)
+        if not rows or key != rows[-1]:
+            rows.append(key)
+            starts.append(rank)
+        rank += met
+    return rows, starts[1:] + [size]
+
+
 def _multiset_rows(ordering, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The ranks [0, hi) of an ordering as (counts vector, message count)
     rows, one per count multiset (``multiset_spans``'s first class and
-    ranks).  The tally's figures depend on the multiset alone, but for the
-    longest codeword's bit length, which Huffman's tie-break can move.  At
-    most 4 used symbols fix it (Huffman gives 1; 1,1; 1,2,2; 2,2,2,2 or
-    1,2,3,3 bits), and so does a multiset whose merges never choose among
-    tied nodes of unequal height (``_ties_split``); any other multiset that
-    meets the ranks in several classes is walked class by class."""
+    ranks), but for a multiset met in several classes that the tally tells
+    apart (``_tells_apart``), which is walked class by class."""
     lo = 0
     for first, met, ranks in ordering.multiset_spans(hi):
-        if met > 1 and len(first) - first.count(0) > 4 and _ties_split(first):
+        if met > 1 and _tells_apart(first):
             yield from ordering.spans(lo, lo + ranks)
         else:
             yield first, ranks

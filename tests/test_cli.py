@@ -128,6 +128,22 @@ class TestTransformCommands:
         assert (code, out) == (3, "")
         assert stderr_json(err)["error"] == "MalformedPayload"
 
+    def test_shaped_container_over_two_symbols_is_malformed(self, tmp_path, capsys):
+        # a plain |A|=2 container flagged shaped with K=1 (header bytes 6
+        # and 7): no encoder shapes over fewer than 3 symbols, so it is a
+        # damaged container, not a request to shape
+        data = bytearray(
+            cli.compress_sequence(parse_sequence("1 2 1 2", Alphabet(2)), SchemeFormat.LENGTH_LIST)
+        )
+        data[6:8] = b"\x01\x01"
+        with pytest.raises(MalformedPayloadError, match="alphabet of size >= 3, got 2"):
+            cli.restore_sequence(bytes(data))
+        src = tmp_path / "damaged.sstc"
+        src.write_bytes(data)
+        code, out, err = run_cli(["decode", str(src)], capsys)
+        assert (code, out) == (3, "")
+        assert stderr_json(err)["error"] == "MalformedPayload"
+
     def test_missing_alphabet_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 1 1"))
         assert main(["transform"]) == 2

@@ -99,6 +99,10 @@ class TestBitIO:
         with pytest.raises(MalformedPayloadError):
             r.read(1)
 
+    def test_negative_bit_length_refused(self):
+        with pytest.raises(ValueError, match="bit_length must be >= 0, got -5"):
+            Bits(b"", -5)
+
     def test_value_range_checked(self):
         w = BitWriter()
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import functools
 import math
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice, permutations, repeat
+from itertools import accumulate, islice, permutations, repeat
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from setshaping import (
     type_class_census,
 )
 from setshaping import combinatorics, experiments
-from setshaping.core import _symbol_type
 from setshaping.experiments import ExperimentReport
 from setshaping.errors import BadDistributionError, TooManyClassesError
 
@@ -440,119 +440,139 @@ def _fixed_outputs(x):
     return lambda seed, lo, hi, length: repeat(np.full(hi - lo, x, np.uint64), length)
 
 
+def by_row(classes):
+    """A {counts vector: samples} Counter with each class's samples moved
+    to its tally row (``_row_key``)."""
+    rows = Counter()
+    for counts, n in classes.items():
+        rows[experiments._row_key(counts)] += n
+    return rows
+
+
+def reference_rows(*args):
+    """``reference_sampled_classes``'s plain and shaped Counters by tally
+    row, as ``_sampled_chunk`` keys them."""
+    return tuple(by_row(side) for side in reference_sampled_classes(*args))
+
+
+def merged_rows(classes):
+    """The tally rows of (counts vector, ranks) pairs in order, neighbours
+    that share a ``_row_key`` merged: each row's key and ranks."""
+    rows = []
+    for counts, ranks in classes:
+        key = experiments._row_key(counts)
+        if rows and rows[-1][0] == key:
+            rows[-1][1] += ranks
+        else:
+            rows.append([key, ranks])
+    return rows
+
+
 class TestSampledClasses:
-    """The chunk loop's class maps against the per-sample reference path:
-    draw with Generator.choice, rank, look the rank up in both orders."""
+    """The chunk loop's row maps against the per-sample reference path:
+    draw with Generator.choice, rank, look the rank up in both orders, and
+    map each class to its tally row."""
 
     @pytest.mark.parametrize("kind", PMF_KINDS)
     @pytest.mark.parametrize("n, size, k", SAMPLED_SHAPES)
     def test_chunk_matches_reference(self, n, size, k, kind):
         config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
         args = (config, grid_pmf(size, kind), 17, 100, 900)
-        assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
+        assert experiments._sampled_chunk(args) == reference_rows(*args)
 
     @pytest.mark.parametrize("n, size, k", SAMPLED_SHAPES)
     def test_grid_reaches_both_branches(self, n, size, k):
         # the uniform samples fall in classes inside one shaped class and in
-        # straddling ones, and some land past their class's first shaped
-        # class: a memo that gives a straddling class one label fails
-        # test_chunk_matches_reference
+        # ones that meet several.  Where some class meets several rows, some
+        # samples land past their class's first row: a memo that gives such
+        # a class one row fails test_chunk_matches_reference.  At (4,3,3)
+        # every class's shaped classes merge into one row
         config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
         plain, shaped = reference_sampled_classes(
             config, grid_pmf(size, "uniform"), 17, 100, 900
         )
         alphabet = Alphabet(size)
-        plain_ordering = shared_ordering(n, alphabet)
-        shaped_ordering = shared_ordering(n + k, alphabet)
-        spans = {
-            c: experiments._shaped_span(c, plain_ordering, shaped_ordering)[0]
-            for c in plain
-        }
-        assert {len(classes) > 1 for classes in spans.values()} == {False, True}
+        orderings = (shared_ordering(n, alphabet), shared_ordering(n + k, alphabet))
+        met = {}
+        for counts in plain:
+            start, class_size = orderings[0].class_span(counts)
+            met[counts] = len(list(orderings[1].spans(start, start + class_size)))
+        assert {m > 1 for m in met.values()} == {False, True}
+        rows = {c: experiments._shaped_rows(c, orderings)[0] for c in plain}
         first_only = Counter()
         for counts, samples in plain.items():
-            first_only[spans[counts][0]] += samples
-        assert first_only != shaped
+            first_only[rows[counts][0]] += samples
+        several = any(len(r) > 1 for r in rows.values())
+        assert (first_only != by_row(shaped)) == several
+        assert several == ((n, size, k) != (4, 3, 3))
 
     @pytest.mark.parametrize(
-        "n, size, k, inside, straddling", [(6, 4, 1, 22, 62), (4, 3, 3, 9, 6)]
+        "n, size, k, inside, straddling", [(6, 4, 1, 79, 5), (5, 3, 2, 19, 2)]
     )
-    def test_span_matches_sorted_classes(self, n, size, k, inside, straddling):
+    def test_rows_match_sorted_classes(self, n, size, k, inside, straddling):
         # each plain class's rank range against the shaped classes sorted
-        # directly: which ones it meets, and where each begins inside it
+        # directly: the rows of the ones it meets, and where each row
+        # begins inside it
         plain_classes, plain_ends = reference_class_order(n, size)
         shaped_classes, shaped_ends = reference_class_order(n + k, size)
         shaped_starts = [0] + shaped_ends[:-1]
         alphabet = Alphabet(size)
-        plain_ordering = shared_ordering(n, alphabet)
-        shaped_ordering = shared_ordering(n + k, alphabet)
+        orderings = (shared_ordering(n, alphabet), shared_ordering(n + k, alphabet))
         kinds = Counter()
         start = 0
         for counts, end in zip(plain_classes, plain_ends):
             met = [
-                j
+                (shaped_classes[j], min(hi, end) - max(lo, start))
                 for j, (lo, hi) in enumerate(zip(shaped_starts, shaped_ends))
                 if lo < end and hi > start
             ]
-            bounds = [shaped_starts[j] - start for j in met[1:]]
-            classes, got_bounds = experiments._shaped_span(
-                counts, plain_ordering, shaped_ordering
-            )
-            assert list(classes) == [shaped_classes[j] for j in met]
-            assert got_bounds == bounds + [end - start]
-            kinds[len(met) > 1] += 1
+            want = merged_rows(met)
+            starts = list(accumulate(ranks for _, ranks in want))
+            rows, got_starts = experiments._shaped_rows(counts, orderings)
+            assert rows == [key for key, _ in want]
+            assert got_starts == starts[:-1] + [end - start]
+            kinds[len(rows) > 1] += 1
             start = end
         assert kinds == Counter({False: inside, True: straddling})
 
-    @pytest.mark.parametrize("n, size, k", [(6, 4, 1), (4, 3, 3), (5, 3, 2)])
-    def test_rows_below_counts_rows_below_each_offset(self, n, size, k):
-        # every class, and every in-class offset (each shaped boundary among
-        # them), among the keys of all the class's sequences and of random
-        # multisets of them, rows equal to the offset's sequence included;
-        # rows of the tags before and after the class's surround its range
+    @pytest.mark.parametrize("n, size, k", [(6, 4, 1), (5, 3, 2), (9, 4, 1), (10, 6, 1)])
+    def test_memo_rows_merge_spans_by_row_key(self, n, size, k):
+        # every plain class's memo entry against the shaped ordering's own
+        # walk of its ranks mapped through _row_key; (9,4,1) meets the
+        # exact tie of (1,1,2,6) and (3,0,3,4), whose classes interleave,
+        # and (10,6,1) meets multisets whose ties split them
+        alphabet = Alphabet(size)
+        orderings = (shared_ordering(n, alphabet), shared_ordering(n + k, alphabet))
+        kinds = Counter()
+        for counts in compositions(n, size):
+            start, class_size = orderings[0].class_span(counts)
+            want = merged_rows(orderings[1].spans(start, start + class_size))
+            rows, starts = experiments._shaped_rows(counts, orderings)
+            assert rows == [key for key, _ in want]
+            assert starts == list(accumulate(ranks for _, ranks in want))[:-1] + [
+                class_size
+            ]
+            for key in rows:
+                kinds["flagged" if key != tuple(sorted(key)) else "multiset"] += 1
+            kinds["several rows"] += len(rows) > 1
+        assert kinds["several rows"] > 0
+        if size > 4:
+            assert kinds["flagged"] > 0
+
+    @pytest.mark.parametrize("n, size, k", [(6, 4, 1), (4, 3, 3), (5, 3, 2), (6, 5, 1)])
+    def test_rank_row_matches_full_rank(self, n, size, k):
+        # every sequence of every plain class, against bisecting its full
+        # in-class rank into the memo's starts and into random starts
         rng = np.random.default_rng([n, size, k])
         alphabet = Alphabet(size)
-        plain_ordering = shared_ordering(n, alphabet)
-        shaped_ordering = shared_ordering(n + k, alphabet)
-        tag_dtype = _symbol_type(3).newbyteorder(">")
-        symbol_dtype = _symbol_type(size + 2).newbyteorder(">")
+        orderings = (shared_ordering(n, alphabet), shared_ordering(n + k, alphabet))
         for counts in compositions(n, size):
-            _, bounds = experiments._shaped_span(counts, plain_ordering, shaped_ordering)
             seqs = multiset_permutations(counts)
-            assert bounds[-1] == len(seqs)
-            rank_sets = [np.arange(len(seqs))] + [
-                rng.integers(0, len(seqs), rng.integers(0, 2 * len(seqs) + 1))
-                for _ in range(3)
-            ]
-            for ranks in rank_sets:
-                outside = rng.integers(0, len(seqs), 4)
-                tags = np.repeat([0, 1, 2], [2, len(ranks), 2])
-                symbols = np.array(
-                    [seqs[r] for r in [*outside[:2], *ranks, *outside[2:]]], np.uint8
-                ).reshape(-1, n)
-                rows = experiments._row_keys(tags, symbols, tag_dtype, symbol_dtype)
-                rows.sort()
-                lo, hi = 2, 2 + len(ranks)
-                for offset in range(len(seqs)):
-                    got = experiments._rows_below(
-                        rows, lo, hi, b"\x01", counts, len(seqs), offset, symbol_dtype.itemsize
-                    )
-                    assert got == lo + int((ranks < offset).sum())
-
-    def test_rows_below_two_byte_code_ending_in_zero(self):
-        # at |A| = 300 symbol 255 is coded 0x0100, and a key read back from
-        # the sorted array has lost that zero byte: a probe of the whole
-        # boundary (1, 0, 255) at offset 2 would then pass the row equal to it
-        counts = [0] * 300
-        counts[0] = counts[1] = counts[255] = 1
-        seqs = multiset_permutations(counts)
-        symbol_dtype = _symbol_type(302).newbyteorder(">")
-        tag_dtype = _symbol_type(1).newbyteorder(">")
-        symbols = np.array(seqs, np.uint16)
-        rows = experiments._row_keys(np.zeros(6, np.int64), symbols, tag_dtype, symbol_dtype)
-        rows.sort()
-        for offset in range(6):
-            assert experiments._rows_below(rows, 0, 6, b"\x00", counts, 6, offset, 2) == offset
+            cuts = sorted(set(rng.integers(1, len(seqs), 3).tolist())) if len(seqs) > 1 else []
+            for starts in (experiments._shaped_rows(counts, orderings)[1], cuts + [len(seqs)]):
+                for rank, seq in enumerate(seqs):
+                    got = experiments._rank_row(list(seq), list(counts), starts)
+                    assert got == bisect_right(starts, rank)
 
     # the normalised pmf's cumsum ends an ulp below 1 for (5, 0, 17, 1, 2)
     @pytest.mark.parametrize(
@@ -574,7 +594,7 @@ class TestSampledClasses:
             u = (x >> 11) * 2.0**-53
             monkeypatch.setattr(np.random, "default_rng", lambda seed, u=u: _FixedDraws(u))
             monkeypatch.setattr(experiments, "_pcg64_outputs", _fixed_outputs(x))
-            assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
+            assert experiments._sampled_chunk(args) == reference_rows(*args)
 
     def test_symbol_outside_alphabet_raises(self, monkeypatch):
         # no output reaches the cdf's last entry, 1.0, so only a pmf longer
@@ -590,123 +610,137 @@ class TestSampledClasses:
             reference_sampled_classes(config, (0.5, 0.25, 0.25), 0, 0, 1)
 
 
-def straddling_rows(config, plain):
-    """Samples of the plain classes that straddle a shaped boundary, from
+def straddling(config, plain):
+    """Of a {counts vector: samples} Counter of plain classes, the samples
+    of the classes whose ranks meet several shaped classes, and of those
+    whose ranks meet several shaped rows (each such sample is ranked), from
     the orderings the sampler uses."""
     orderings = (
         experiments.shared_ordering(config.length, config.alphabet),
         experiments.shared_ordering(config.length + config.extra_length, config.alphabet),
     )
-    return sum(
-        n for counts, n in plain.items()
-        if len(experiments._shaped_span(counts, *orderings)[0]) > 1
-    )
+    classes = rows = 0
+    for counts, n in plain.items():
+        start, size = orderings[0].class_span(counts)
+        if next(orderings[1].spans(start, start + size))[1] < size:
+            classes += n
+        if len(experiments._shaped_rows(counts, orderings)[0]) > 1:
+            rows += n
+    return classes, rows
 
 
 class TestStraddlingKeys:
-    """Straddling rows placed by bisecting their sorted keys at each shaped
-    boundary, against the per-sample reference path."""
+    """Samples of plain classes whose ranks meet several shaped classes,
+    merged into rows by ``_row_key`` and ranked where they meet several
+    rows, against the per-sample reference path."""
 
     @pytest.mark.parametrize(
-        "n, size, k, pmf, samples",
+        "n, size, k, pmf, samples, ranked",
         [
-            (20, 4, 1, (0.6, 0.2, 0.1, 0.1), 20000),
-            (10, 4, 2, (0, 0.5, 0.25, 0.25), 5000),
-            (10, 4, 2, (0.5, 0.25, 0.25, 0), 5000),
-            (12, 3, 3, (1 / 3, 1 / 3, 1 / 3), 5000),
-            (8, 5, 3, (0.4, 0.3, 0, 0.2, 0.1), 5000),
+            (20, 4, 1, (0.6, 0.2, 0.1, 0.1), 20000, True),
+            (10, 4, 2, (0, 0.5, 0.25, 0.25), 5000, True),
+            # no class without the last symbol meets two shaped rows
+            (10, 4, 2, (0.5, 0.25, 0.25, 0), 5000, False),
+            (12, 3, 3, (1 / 3, 1 / 3, 1 / 3), 5000, True),
+            (8, 5, 3, (0.4, 0.3, 0, 0.2, 0.1), 5000, True),
         ],
     )
-    def test_keys_and_fallback_both_classify(self, n, size, k, pmf, samples):
-        # skewed pmfs, zero probabilities and K = 3: every straddling row of
-        # 1,000 samples placed by its sorted key
+    def test_skewed_and_zero_probability_sources(self, n, size, k, pmf, samples, ranked):
+        # skewed pmfs, zero probabilities and K = 3, over 1,000 samples
         config = ExperimentConfig(
             length=n, alphabet_size=size, extra_length=k, sample_count=samples
         )
         args = (config, pmf, 17, 0, 1000)
-        got = experiments._sampled_chunk(args)
-        assert got == reference_sampled_classes(*args)
-        assert straddling_rows(config, got[0]) > 0
+        plain, shaped = reference_sampled_classes(*args)
+        assert experiments._sampled_chunk(args) == (by_row(plain), by_row(shaped))
+        classes, rows = straddling(config, plain)
+        assert classes > 0
+        assert (rows > 0) == ranked
 
-    def test_full_depth_keys_need_no_ranking(self):
-        # few classes and many samples: rows share each boundary's whole
-        # sequence, and rows equal to it lie past it
+    def test_few_classes_many_samples(self):
+        # few classes and many samples: many samples share each class
         config = ExperimentConfig(length=6, alphabet_size=3, extra_length=2, sample_count=50000)
         args = (config, grid_pmf(3, "uniform"), 17, 0, 1000)
-        got = experiments._sampled_chunk(args)
-        assert got == reference_sampled_classes(*args)
-        assert straddling_rows(config, got[0]) > 0
+        plain, shaped = reference_sampled_classes(*args)
+        assert experiments._sampled_chunk(args) == (by_row(plain), by_row(shaped))
+        assert straddling(config, plain)[1] > 0
 
     def test_more_than_256_straddling_classes_in_one_block(self):
-        # two-byte tags, among them 256, which ends in a zero byte
         config = ExperimentConfig(length=100, alphabet_size=4, sample_count=20000)
         args = (config, grid_pmf(4, "uniform"), 17, 0, 600)
-        got = experiments._sampled_chunk(args)
-        assert got == reference_sampled_classes(*args)
+        plain, shaped = reference_sampled_classes(*args)
+        assert experiments._sampled_chunk(args) == (by_row(plain), by_row(shaped))
         alphabet = Alphabet(4)
         orderings = (shared_ordering(100, alphabet), shared_ordering(101, alphabet))
-        straddling = sum(
-            1 for counts in got[0] if len(experiments._shaped_span(counts, *orderings)[0]) > 1
-        )
-        assert straddling > 256
+        rows = [experiments._shaped_rows(counts, orderings)[0] for counts in plain]
+        classes = 0
+        for counts in plain:
+            start, size = orderings[0].class_span(counts)
+            classes += next(orderings[1].spans(start, start + size))[1] < size
+        assert classes > 256
+        assert 0 < sum(len(r) > 1 for r in rows) < classes
 
     def test_boundaries_sharing_a_prefix(self):
-        # classes whose neighbouring boundary sequences begin alike, so that
-        # the second boundary is placed among rows the first one narrowed to
+        # rows that start inside the ranks of one first symbol, so that a
+        # sample must be read past its first symbol to tell its row
         config = ExperimentConfig(length=12, alphabet_size=3, extra_length=2, sample_count=400)
         args = (config, grid_pmf(3, "uniform"), 17, 0, 400)
-        got = experiments._sampled_chunk(args)
-        assert got == reference_sampled_classes(*args)
+        plain, shaped = reference_sampled_classes(*args)
+        assert experiments._sampled_chunk(args) == (by_row(plain), by_row(shaped))
         orderings = (shared_ordering(12, A3), shared_ordering(14, A3))
         shared = 0
-        for counts in got[0]:
-            _, bounds = experiments._shaped_span(counts, *orderings)
-            firsts = [combinatorics._lex_unrank(counts, bounds[-1], b)[0] for b in bounds[:-1]]
-            shared += any(a == b for a, b in zip(firsts, firsts[1:]))
+        for counts in plain:
+            _, starts = experiments._shaped_rows(counts, orderings)
+            for b in starts[:-1]:
+                before, at = (
+                    combinatorics._lex_unrank(counts, starts[-1], r)[0] for r in (b - 1, b)
+                )
+                shared += before == at
         assert shared > 0
 
-    @pytest.mark.parametrize("size, tags", [(4, 300), (3, 5), (256, 5), (300, 70000)])
-    def test_row_keys_sort_like_tuples(self, size, tags):
-        # one- and two-byte symbols, one-, two- and four-byte tags; symbols
-        # in the block's dtype, so that at |A| = 256 symbol 255 takes one
-        # byte in the block and two in the key
-        rng = np.random.default_rng([size, tags])
-        symbols = rng.integers(0, size, (2000, 5)).astype(np.min_scalar_type(size - 1))
-        symbols[:500] = symbols[500:1000]  # equal rows under other tags
-        symbols[:, 4][rng.random(2000) < 0.3] = size - 1
-        tag = rng.integers(0, tags, 2000)
-        tag[:3] = [0, tags - 1, 256 % tags]
-        tag_dtype = _symbol_type(tags).newbyteorder(">")
-        symbol_dtype = _symbol_type(size + 2).newbyteorder(">")
-        assert symbol_dtype.itemsize == (1 if size < 255 else 2)
-        keys = experiments._row_keys(tag, symbols, tag_dtype, symbol_dtype)
-        assert keys.dtype.itemsize == tag_dtype.itemsize + 5 * symbol_dtype.itemsize
-        want = sorted(range(2000), key=lambda i: (tag[i], tuple(symbols[i])))
-        assert np.argsort(keys, kind="stable").tolist() == want
-        # a row lies between _rows_below's two probes of each of its
-        # prefixes: at or above the prefix (zero-padded), below the prefix
-        # followed by an all-ones code
-        above = np.full((2000, 1), (1 << 8 * symbol_dtype.itemsize) - 2)
-        for depth in (0, 2, 4):
-            low = experiments._row_keys(tag, symbols[:, :depth], tag_dtype, symbol_dtype)
-            high = experiments._row_keys(
-                tag, np.hstack([symbols[:, :depth], above]), tag_dtype, symbol_dtype
-            )
-            assert (low.astype(keys.dtype) <= keys).all()
-            assert (keys < high.astype(keys.dtype)).all()
+    def test_flagged_multisets_sampled(self):
+        # at |A| = 6 samples fall in multisets whose Huffman ties split
+        # them, on both sides, and each such class is a row of its own
+        config = ExperimentConfig(length=20, alphabet_size=6, sample_count=5000)
+        args = (config, grid_pmf(6, "uniform"), 17, 0, 1000)
+        plain, shaped = reference_sampled_classes(*args)
+        got = experiments._sampled_chunk(args)
+        assert got == (by_row(plain), by_row(shaped))
+        for side in got:
+            assert any(key != tuple(sorted(key)) for key in side)
+        assert straddling(config, plain)[1] > 0
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_rows_across_an_exact_tie(self, n):
+        # (1,1,2,6) and (3,0,3,4) tie exactly at N = 10, |A| = 4, and
+        # their classes interleave in the order: the plain side holds the
+        # tie at N = 10, the shaped side at N = 9, where plain classes meet
+        # rows of both multisets in turn
+        config = ExperimentConfig(length=n, alphabet_size=4, sample_count=5000)
+        args = (config, grid_pmf(4, "uniform"), 17, 0, 1000)
+        plain, shaped = reference_sampled_classes(*args)
+        got = experiments._sampled_chunk(args)
+        assert got == (by_row(plain), by_row(shaped))
+        tie = {(1, 1, 2, 6), (0, 3, 3, 4)}
+        side = got[0] if n == 10 else got[1]
+        assert tie <= set(side)
+        if n == 9:
+            orderings = (shared_ordering(9, Alphabet(4)), shared_ordering(10, Alphabet(4)))
+            rows = [experiments._shaped_rows(counts, orderings)[0] for counts in plain]
+            assert any(len(tie & set(r)) == 2 for r in rows)
 
     def test_memo_lives_for_one_report(self, monkeypatch):
-        # a chunk asks for each class's span once, however many of its
+        # a chunk asks for each class's shaped rows once, however many of its
         # blocks see the class; each chunk has its own memo (the third
         # report's two chunks, run by an in-process pool stand-in, both ask
         # for the classes they share), and no report reuses another's (the
         # first report, run again, asks for every class again)
         calls = []
-        span = experiments._shaped_span
+        shaped_rows = experiments._shaped_rows
 
-        def recording(counts, *orderings):
+        def recording(counts, *rest):
             calls.append(counts)
-            return span(counts, *orderings)
+            return shaped_rows(counts, *rest)
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -721,7 +755,7 @@ class TestStraddlingKeys:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "_shaped_span", recording)
+        monkeypatch.setattr(experiments, "_shaped_rows", recording)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 8 * 50)
@@ -881,7 +915,7 @@ class TestUniformStream:
     def test_chunk_crossing_2_pow_32_matches_reference(self, seed):
         config = ExperimentConfig(length=6, alphabet_size=4)
         args = (config, grid_pmf(4, "skewed"), seed, 2**32 - 3, 2**32 + 3)
-        assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
+        assert experiments._sampled_chunk(args) == reference_rows(*args)
 
     @pytest.mark.parametrize("n, size, k", SAMPLED_SHAPES)
     def test_chunk_over_small_blocks_matches_reference(self, monkeypatch, n, size, k):
@@ -890,25 +924,27 @@ class TestUniformStream:
         monkeypatch.setattr(experiments, "_ROW_DRAWS", 0)
         config = ExperimentConfig(length=n, alphabet_size=size, extra_length=k)
         args = (config, grid_pmf(size, "uniform"), 17, 100, 300)
-        assert experiments._sampled_chunk(args) == reference_sampled_classes(*args)
+        assert experiments._sampled_chunk(args) == reference_rows(*args)
 
     def test_two_byte_symbols_match_reference(self, monkeypatch):
-        # |A| = 300: symbols past 255 take two bytes, in the block and in
-        # the keys.  At N = 1 no class straddles and no symbol is read past
-        # its counts, so only N >= 2 catches a block that wraps them.  The
-        # (3, 300) ordering holds 3 groups, but the class cap counts its
-        # 4,545,100 classes times 300.
+        # |A| = 300: symbols past 255 take two bytes in the block, and the
+        # block must hold choice's symbols.  The (3, 300) ordering holds 3
+        # groups, but the class cap counts its 4,545,100 classes times 300.
         ordering = functools.lru_cache(maxsize=None)(
             lambda n, alphabet: combinatorics.class_ordering(n, alphabet, max_classes=10**9)
         )
         monkeypatch.setattr(experiments, "shared_ordering", ordering)
         monkeypatch.setattr(oracles, "shared_ordering", ordering)
         config = ExperimentConfig(length=2, alphabet_size=300, sample_count=400)
+        top = 0
         for kind in ("uniform", "zero last"):
-            args = (config, grid_pmf(300, kind), 17, 0, 400)
-            got = experiments._sampled_chunk(args)
-            assert got == reference_sampled_classes(*args)
-            assert straddling_rows(config, got[0]) > 0
+            pmf = grid_pmf(300, kind)
+            args = (config, pmf, 17, 0, 400)
+            assert experiments._sampled_chunk(args) == reference_rows(*args)
+            got, want = block_rows(17, 0, 400, 2, pmf), default_rng_rows(17, 0, 400, 2, pmf)
+            assert all(map(np.array_equal, got, want))
+            top = max(top, want[1].max())
+        assert top > 255
 
 
 @st.composite
