@@ -275,9 +275,11 @@ def _jump_depth(count: int) -> int:
 # the most whole codewords one hop reads from an 8-bit window: a column
 # more per hop costs more to expand than the squaring it saves
 _HOP_CODEWORDS = 4
-# the jump depth from which hops of several codewords pay (4,096 codewords):
-# below it their tables cost more to build than the squarings they save
-_HOP_DEPTH = 3
+# the payload bits from which hops of several codewords pay: below them
+# their tables and expansion cost more than the squarings they save, each
+# a pass over every bit position (measured crossovers: 6,000-12,000 bits
+# over seven codes, against 1,500-5,700 codewords)
+_HOP_BITS = 8192
 # a hop table's end where its window holds no further whole codeword
 _NO_END = 0xFF
 # whether codewords that end e bits into an 8-bit window, for e up to two
@@ -348,8 +350,8 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     from the symbol count (_jump_depth); at m = 0, for short messages, the
     walk visits every start.
 
-    From m = _HOP_DEPTH (4,096 codewords), where the hop tables cost less
-    to build than the squarings they save, a code at most 8 bits deep
+    From _HOP_BITS payload bits (8,192), where the hop tables cost less to
+    build than the squarings they save, a code at most 8 bits deep
     hops several whole codewords at a time: up to K = min(4, 8 // shortest
     length) of them, as many as its 8-bit window holds.  One table of the
     256 window values (_hop_tables) gives the bits, ends and symbols of the
@@ -397,11 +399,11 @@ def decode(payload: Bits, table: CodeTable, n: int) -> Sequence:
     # codewords reach past the payload
     count = min(n, total + 1)
     depth = _jump_depth(count)
-    # once the chase is long enough for their tables to pay, a code at most
+    # once the payload is long enough for their tables to pay, a code at most
     # 8 bits deep hops up to k whole codewords at a time, all read from one
     # 8-bit window, and log2 k fewer squarings jump about as many codewords
     k = 1
-    if kind == 0 and depth >= _HOP_DEPTH and used:
+    if kind == 0 and total >= _HOP_BITS and used:
         k = min(_HOP_CODEWORDS, 8 // used[0][0])
         depth = max(depth - k.bit_length() + 1, 0)
     # hops end in the payload, so the windows at positions 0..total are all

@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, groupby, repeat
 from operator import mul
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -196,9 +196,16 @@ class _Permutations(NamedTuple):
         start = list(self.counts(j) if j else self.first)
         return zip(_permutations(start), repeat(self.class_size))
 
-    def multisets(self, left: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        ranks = min(left, self.classes * self.class_size)
-        yield self.first, -(-ranks // self.class_size), ranks
+    def multisets(self, lo: int, hi: int, apart=None) -> Iterable[tuple[tuple[int, ...], int, int]]:
+        size = self.class_size
+        # comparisons, not max and min: this runs once per group read
+        if lo < 0:
+            lo = 0
+        if hi > self.classes * size:
+            hi = self.classes * size
+        if apart is not None and apart(self.first):
+            return _class_rows(self, lo, hi)
+        return ((self.first, (hi - 1) // size - lo // size + 1, hi - lo),)
 
 
 class _Tie(NamedTuple):
@@ -234,12 +241,22 @@ class _Tie(NamedTuple):
         for i in range(j, len(self.members)):  # by index: no copy of the rest
             yield self.members[i], self.offsets[i + 1] - self.offsets[i]
 
-    def multisets(self, left: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        for counts, size in self.walk():
-            yield counts, 1, min(size, left)
-            left -= size
-            if left <= 0:
-                return
+    def multisets(self, lo: int, hi: int, apart=None) -> Iterable[tuple[tuple[int, ...], int, int]]:
+        return _class_rows(self, max(lo, 0), hi)
+
+
+def _class_rows(group, lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Each class of a group that meets its ranks [lo, hi), lo >= 0, as a
+    row of its own: its counts vector, 1 and how many of its sequences lie
+    in the range (a class met in full gives its own size, as in spans)."""
+    j, offset = group.locate(lo)
+    left = hi - lo + offset  # ranks from class j's start to hi
+    for counts, size in group.walk(j):
+        yield counts, 1, min(size, left) - offset if offset else min(size, left)
+        left -= size
+        if left <= 0:
+            return
+        offset = 0
 
 
 class _Classes(collections.abc.Sequence):
@@ -270,8 +287,9 @@ class ClassOrdering:
 
     `spans(lo, hi)` walks the classes that meet a rank range, in order,
     each with its sequences inside the range (`spans(0, sequence_count)`
-    walks them all), and `multiset_spans(hi)` walks those below rank hi a
-    count multiset at a time; `class_span` and `locate` find one class by its
+    walks them all), and `multiset_spans(hi, lo)` walks them a count
+    multiset at a time, each multiset outside an exact tie one row, none
+    of its classes found; `class_span` and `locate` find one class by its
     counts vector or by a rank.  `compositions`, a lazy view of the counts
     vectors by class index, is kept for the benchmark's tracer, which
     counts the classes of each ordering it sees.  No per-class table is
@@ -303,42 +321,39 @@ class ClassOrdering:
 
     def spans(self, lo: RankIndex, hi: RankIndex) -> Iterator[tuple[tuple[int, ...], int]]:
         """Each class that meets the ranks [lo, hi), in order: its counts
-        vector and how many of its sequences lie in the range.  Nothing for
-        an empty range; RankOutOfRangeError, before anything is yielded,
-        unless 0 <= lo <= hi <= sequence_count."""
+        vector and how many of its sequences lie in the range
+        (``multiset_spans`` with every multiset's classes apart).  Nothing
+        for an empty range; RankOutOfRangeError, before anything is
+        yielded, unless 0 <= lo <= hi <= sequence_count."""
+        for counts, _, met in self.multiset_spans(hi, lo, lambda first: True):
+            yield counts, met
+
+    def multiset_spans(
+        self, hi: RankIndex, lo: RankIndex = 0, apart=None
+    ) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """The classes that meet the ranks [lo, hi), one count multiset at a
+        time, in order: the multiset ascending (the first of its classes),
+        how many of its classes meet the range and how many of the range's
+        ranks they hold, with none of its classes found.  Only the
+        multisets holding ranks lo and hi - 1 are cut.  A group of exactly
+        tied multisets gives each of its classes in turn as a row of its
+        own (the class, 1, its ranks in the range), and so does a multiset
+        for which ``apart(first)`` holds.  The group holding lo is found by
+        bisection and the groups are read one at a time from there.
+        Nothing for an empty range; RankOutOfRangeError, before anything is
+        yielded, unless 0 <= lo <= hi <= sequence_count."""
         if not 0 <= lo <= hi <= self.sequence_count:
             raise RankOutOfRangeError(
                 f"ranks [{lo}, {hi}) outside 0..{self.sequence_count}"
             )
         if lo == hi:
             return
-        g, j, offset = self._at(lo)
-        left = hi - lo + offset  # ranks from the first class's start to hi
-        groups = self._groups
-        while True:
-            for counts, size in groups[g].walk(j):
-                # a class met in full gives its own size, not a new int
-                yield counts, min(size, left) - offset if offset else min(size, left)
-                left -= size
-                if left <= 0:
-                    return
-                offset = 0
-            g, j = g + 1, 0
-
-    def multiset_spans(self, hi: RankIndex) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """The classes that meet the ranks [0, hi), one count multiset at a
-        time, in order: the first of them (the multiset ascending), how many
-        of them meet the range and how many of the range's ranks they hold.
-        Only the multiset holding rank hi - 1 is cut; a group of exactly
-        tied multisets gives each of its classes in turn, as its own first.
-        Nothing for hi == 0; RankOutOfRangeError, before anything is
-        yielded, unless 0 <= hi <= sequence_count."""
-        if not 0 <= hi <= self.sequence_count:
-            raise RankOutOfRangeError(f"ranks [0, {hi}) outside 0..{self.sequence_count}")
-        for group, start in zip(self._groups, self._starts):
+        starts, groups = self._starts, self._groups
+        for g in range(bisect_right(starts, lo) - 1, len(groups)):
+            start = starts[g]
             if start >= hi:
                 return
-            yield from group.multisets(hi - start)
+            yield from groups[g].multisets(lo - start, hi - start, apart)
 
     def _find(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """Group of a counts vector and its class's position in the group."""
@@ -366,21 +381,15 @@ class ClassOrdering:
         group = self._groups[g]
         return self._starts[g] + group.offset(j), group.size(j)
 
-    def _at(self, r: RankIndex) -> tuple[int, int, int]:
-        """Group of global rank r, its class's position in the group and
-        r's offset within the class."""
+    def locate(self, r: RankIndex) -> tuple[tuple[int, ...], int, int]:
+        """The class holding global rank r: its counts vector, its size and
+        r's offset within it."""
         starts = self._starts
         if not 0 <= r < starts[-1]:
             raise RankOutOfRangeError(f"rank {r} outside 0..{starts[-1] - 1}")
         g = bisect_right(starts, r) - 1
-        j, offset = self._groups[g].locate(r - starts[g])
-        return g, j, offset
-
-    def locate(self, r: RankIndex) -> tuple[tuple[int, ...], int, int]:
-        """The class holding global rank r: its counts vector, its size and
-        r's offset within it."""
-        g, j, offset = self._at(r)
         group = self._groups[g]
+        j, offset = group.locate(r - starts[g])
         return group.counts(j), group.size(j), offset
 
 

@@ -23,13 +23,15 @@ The tally reads those pairs a slice at a time and keeps no map of them.
 Both reports make their pairs by one rule (``_row_key``): a class is
 tallied in its count multiset's row, but for the multisets of more than
 4 used symbols whose Huffman ties can split them (``_ties_split``), whose
-classes are rows of their own.  An exhaustive run takes each multiset's
-classes as its census counts them (``ClassOrdering.multiset_spans``), and
-walks the split ones class by class (``_multiset_rows``).  A sampled run
-keys both sides by ``_row_key``: a sample's plain row is that of its
-counts vector, and its shaped row one of the rows that the transform
-sends its plain class to (``_shaped_rows``); the sample is ranked in its
-class only where there are several (``_sampled_chunk``).  Every report's
+classes are rows of their own.  Both read an ordering's ranks a
+multiset at a time, as the census counts them, and the split ones class
+by class (``_multiset_rows`` over ``ClassOrdering.multiset_spans``): an
+exhaustive run from rank 0, a sampled run from the first rank of each
+plain class it meets.  A sampled run keys both sides by ``_row_key``: a
+sample's plain row is that of its counts vector, and its shaped row one
+of the rows that the transform sends its plain class to
+(``_shaped_rows``); the sample is ranked in its class only where there
+are several (``_sampled_chunk``).  Every report's
 sub-alphabet census is ``type_class_census``'s.
 
 Every report (``CensusReport``, ``ExperimentReport``) is a ``_Report``,
@@ -485,12 +487,13 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
     """Plain and shaped tally rows (``_row_key``) of samples lo..hi-1,
     with their sample counts, from ``_symbol_block`` a block at a time.
 
-    A memo (plain counts vector -> ``_shaped_rows``, filled as classes are
-    first seen) gives every sample of a plain class its shaped row where
-    the class's ranks meet one row.  Where they meet several, each sample
-    is ranked in its class only as far as it takes to tell which row holds
-    the rank (``_rank_row``).  ``_ties_split`` is memoized for the chunk,
-    as the shaped rows are."""
+    A memo (plain counts vector -> its own row and ``_shaped_rows``,
+    filled as classes are first seen) gives every sample of a plain class
+    its plain row, and its shaped row where the class's ranks meet one
+    row.  Where they meet several, each sample is ranked in its class
+    only as far as it takes to tell which row holds the rank
+    (``_rank_row``).  ``_tells_apart`` is memoized for the chunk, as the
+    shaped rows are."""
     config, pmf, seed, lo, hi = args
     size, length = config.alphabet_size, config.length
     orderings = (
@@ -506,7 +509,7 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
     cdf /= cdf[-1]
     cuts = [np.uint64(math.ceil(c * 2**53) << 11) for c in cdf.tolist() if c < 1.0]
     plain, shaped = Counter(), Counter()
-    split = functools.cache(_ties_split)
+    apart = functools.cache(_tells_apart)
     memo = {}
     for start, end in _blocks(lo, hi, length):
         symbols, counts = _symbol_block(seed, start, end, length, cuts, size)
@@ -517,11 +520,14 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
         taken = 0  # samples of the classes before this one, in `order`
         for class_counts, n in zip(classes.tolist(), samples.tolist()):
             class_counts = tuple(class_counts)
-            plain[_row_key(class_counts, split)] += n
             entry = memo.get(class_counts)
             if entry is None:
-                entry = memo[class_counts] = _shaped_rows(class_counts, orderings, split)
-            rows, starts = entry
+                entry = memo[class_counts] = (
+                    _row_key(class_counts, apart),
+                    *_shaped_rows(class_counts, orderings, apart),
+                )
+            key, rows, starts = entry
+            plain[key] += n
             if len(rows) == 1:
                 shaped[rows[0]] += n
             else:
@@ -565,41 +571,43 @@ def _ties_split(first: tuple[int, ...]) -> bool:
     return False
 
 
-def _tells_apart(first: tuple[int, ...], split=_ties_split) -> bool:
+def _tells_apart(first: tuple[int, ...]) -> bool:
     """Whether the tally tells the classes of a count multiset (``first``,
     ascending) apart.  Its figures depend on the multiset alone, but for
     the longest codeword's bit length, which Huffman's tie-break can move.
     At most 4 used symbols (a fifth largest count ``first[-5]`` of 0) fix
     it (Huffman gives 1; 1,1; 1,2,2; 2,2,2,2 or 1,2,3,3 bits), and so does
     a multiset whose merges never choose among tied nodes of unequal
-    height (``split``, ``_ties_split`` or a memo of it)."""
-    return len(first) > 4 and first[-5] > 0 and split(first)
+    height (``_ties_split``)."""
+    return len(first) > 4 and first[-5] > 0 and _ties_split(first)
 
 
-def _row_key(counts, split=_ties_split) -> tuple[int, ...]:
+def _row_key(counts, apart=_tells_apart) -> tuple[int, ...]:
     """The tally row of the class with this counts vector: its multiset in
     ascending order, or the class itself where the tally tells the
-    multiset's classes apart (``_tells_apart``)."""
+    multiset's classes apart (``apart``, ``_tells_apart`` or a memo of
+    it)."""
     first = tuple(sorted(counts))
-    return tuple(counts) if _tells_apart(first, split) else first
+    return tuple(counts) if apart(first) else first
 
 
-def _shaped_rows(counts, orderings, split=_ties_split):
+def _shaped_rows(counts, orderings, apart=_tells_apart):
     """Where the transform sends the plain class with this counts vector,
     as tally rows.
 
     The transform keeps ranks, so the class's ranks [start, start + size)
     of the N order land on the same range of the N+K order.  Returns the
-    ``_row_key`` of each shaped class that range meets, in order, with
-    neighbouring classes that share a key merged into one row, and the
+    ``_row_key`` of each shaped row that range meets (``_multiset_rows``:
+    a multiset's classes at once, unless the tally tells them apart), in
+    order, with neighbouring rows that share a key merged into one, and the
     in-class ranks at which each row but the first begins, followed by the
     class size."""
     plain_ordering, shaped_ordering = orderings
     start, size = plain_ordering.class_span(counts)
     rows, starts = [], []
     rank = 0
-    for shaped_counts, met in shaped_ordering.spans(start, start + size):
-        key = _row_key(shaped_counts, split)
+    for shaped_counts, met in _multiset_rows(shaped_ordering, start + size, start, apart):
+        key = _row_key(shaped_counts, apart)
         if not rows or key != rows[-1]:
             rows.append(key)
             starts.append(rank)
@@ -607,18 +615,16 @@ def _shaped_rows(counts, orderings, split=_ties_split):
     return rows, starts[1:] + [size]
 
 
-def _multiset_rows(ordering, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The ranks [0, hi) of an ordering as (counts vector, message count)
+def _multiset_rows(
+    ordering, hi: int, lo: int = 0, apart=_tells_apart
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The ranks [lo, hi) of an ordering as (counts vector, message count)
     rows, one per count multiset (``multiset_spans``'s first class and
-    ranks), but for a multiset met in several classes that the tally tells
-    apart (``_tells_apart``), which is walked class by class."""
-    lo = 0
-    for first, met, ranks in ordering.multiset_spans(hi):
-        if met > 1 and _tells_apart(first):
-            yield from ordering.spans(lo, lo + ranks)
-        else:
-            yield first, ranks
-        lo += ranks
+    ranks), but for the classes of an exact tie and of a multiset that the
+    tally tells apart (``apart``, ``_tells_apart`` or a memo of it), each
+    a row of its own."""
+    for first, _, ranks in ordering.multiset_spans(hi, lo, apart):
+        yield first, ranks
 
 
 def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":

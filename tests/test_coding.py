@@ -658,12 +658,14 @@ class TestJumpDepthsAgainstReference:
         assert depths == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
 
     @pytest.mark.parametrize(
-        "length, hops", [(101, False), (256, False), (4095, False), (4096, True), (100_000, True)]
+        "length, hops",
+        [(101, False), (256, False), (4096, False), (5100, False), (5120, True), (100_000, True)],
     )
-    def test_several_codewords_a_hop_from_4096(self, monkeypatch, length, hops):
+    def test_several_codewords_a_hop_from_8192_bits(self, monkeypatch, length, hops):
         # a code at most 8 bits deep hops several codewords at a time, from
-        # its hop tables, only from jump depth 3 (4,096 codewords): codec's
-        # 101 symbols stay below, bulk's 100k above
+        # its hop tables, only from 8,192 payload bits: codec's 101 symbols
+        # stay below, bulk's 100k above; here 5,100 symbols take 8,176 bits
+        # and 5,120 take 8,192
         built = []
 
         def tables(*args):
@@ -675,7 +677,9 @@ class TestJumpDepthsAgainstReference:
         table = CodeTable.from_lengths(Alphabet(4), (1, 2, 3, 3))
         rng = random.Random(length)
         seq = Sequence(Alphabet(4), tuple(rng.choices(range(4), (6, 2, 1, 1), k=length)))
-        assert decode(encode(seq, table), table, length) == seq
+        payload = encode(seq, table)
+        assert (payload.bit_length >= 8192) == hops
+        assert decode(payload, table, length) == seq
         assert bool(built) == hops
 
     @pytest.mark.parametrize("length", _JUMP_STEPS)
@@ -702,7 +706,7 @@ class TestJumpDepthsAgainstReference:
         # decode's hop width and jump depth, as its docstring gives them
         depth = _jump_depth(length)
         k = 1
-        if max(lengths) <= 8 and depth >= 3:
+        if max(lengths) <= 8 and len(text) >= 8192:
             k = min(4, 8 // min(lengths[s] for s in codable))
             depth = max(depth - k.bit_length() + 1, 0)
         hops = _hop_starts(ends, k)

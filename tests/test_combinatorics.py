@@ -465,9 +465,66 @@ class TestMultisetSpans:
         assert len(walk) == len(untied) + len(tied) < len(classes)
         assert sum(met for _, met, _ in walk) == ordering.class_count
 
+    @pytest.mark.parametrize(
+        "n, size", [(8, 5), (10, 4), (12, 6), (22, 5)], ids=["N8-A5", "N10-A4", "N12-A6", "N22-A5"]
+    )
+    def test_ranges_from_a_lower_bound(self, n, size):
+        # multiset_spans(hi, lo, apart) against spans(lo, hi) grouped the
+        # same way: a run of one multiset's classes is one row, keyed by
+        # the multiset ascending, but a class of an exact tie, or of a
+        # multiset that `apart` flags (asked of multisets alone), is a row
+        # of its own; lo on both sides of rows' first ranks and at random
+        ordering = class_ordering(n, Alphabet(size))
+        total = ordering.sequence_count
+        ties = _tie_groups(n, size)
+        classes, sizes = zip(*ordering.spans(0, total))
+        starts = list(accumulate(sizes, initial=0))
+        tied = {
+            counts
+            for counts, start in zip(classes, starts)
+            if any(first <= start < end for first, end, _ in ties)
+        }
+        asked = set()
+
+        def flagged(first):
+            return first[-1] % 2 == 0
+
+        def apart(first):
+            asked.add(first)
+            return flagged(first)
+
+        def grouped(lo, hi, apart):
+            rows = []
+            for counts, ranks in ordering.spans(lo, hi):
+                first = tuple(sorted(counts))
+                alone = counts in tied or (apart is not None and apart(first))
+                if not alone and rows and rows[-1][0] == first:
+                    rows[-1][1:] = [rows[-1][1] + 1, rows[-1][2] + ranks]
+                else:
+                    rows.append([counts if alone else first, 1, ranks])
+            return [tuple(row) for row in rows]
+
+        rng = random.Random(100 * n + size)
+        firsts = rng.sample(starts, 12) + [0, total]
+        los = {lo + d for lo in firsts for d in (-1, 0, 1) if 0 <= lo + d <= total}
+        for lo in sorted(los):
+            for hi in {lo, min(lo + 1, total), rng.randrange(lo, total + 1), total}:
+                for check, want in ((None, None), (apart, flagged)):
+                    walk = list(ordering.multiset_spans(hi, lo, check))
+                    assert walk == grouped(lo, hi, want)
+                    assert sum(ranks for _, _, ranks in walk) == hi - lo
+        assert asked and all(first == tuple(sorted(first)) for first in asked)
+        assert not asked & {tuple(sorted(counts)) for counts in tied}
+
     @pytest.mark.parametrize("hi", [-1, 3**4 + 1])
     def test_out_of_range_raises_before_yielding(self, hi):
         walk = class_ordering(4, A3).multiset_spans(hi)
+        with pytest.raises(RankOutOfRangeError):
+            next(walk)
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 5), (6, 5), (3**4 + 1, 3**4 + 1)])
+    def test_lower_bound_out_of_range_raises_before_yielding(self, lo, hi):
+        walk = class_ordering(4, A3).multiset_spans(hi, lo)
         with pytest.raises(RankOutOfRangeError):
             next(walk)
 

@@ -535,12 +535,17 @@ class TestSampledClasses:
             start = end
         assert kinds == Counter({False: inside, True: straddling})
 
-    @pytest.mark.parametrize("n, size, k", [(6, 4, 1), (5, 3, 2), (9, 4, 1), (10, 6, 1)])
+    @pytest.mark.parametrize(
+        "n, size, k",
+        [(6, 4, 1), (5, 3, 2), (9, 4, 1), (10, 6, 1), (12, 5, 3), (10, 7, 2), (8, 8, 1), (9, 4, 2)],
+    )
     def test_memo_rows_merge_spans_by_row_key(self, n, size, k):
         # every plain class's memo entry against the shaped ordering's own
-        # walk of its ranks mapped through _row_key; (9,4,1) meets the
-        # exact tie of (1,1,2,6) and (3,0,3,4), whose classes interleave,
-        # and (10,6,1) meets multisets whose ties split them
+        # walk of its ranks mapped through _row_key; (9,4,1) meets the exact
+        # tie of (1,1,2,6) and (3,0,3,4), whose classes interleave, (9,4,2)
+        # and (12,5,3) take K > 1, and (10,6,1), (12,5,3), (10,7,2) and
+        # (8,8,1) meet multisets whose ties split them (the shaped subsets
+        # of (8,7,2) and (6,8,1) meet none)
         alphabet = Alphabet(size)
         orderings = (shared_ordering(n, alphabet), shared_ordering(n + k, alphabet))
         kinds = Counter()
@@ -558,6 +563,42 @@ class TestSampledClasses:
         assert kinds["several rows"] > 0
         if size > 4:
             assert kinds["flagged"] > 0
+
+    @pytest.mark.parametrize(
+        "n, size, k, walked",
+        [
+            (20, 4, 1, {("tie", False)}),
+            (10, 6, 1, {("tie", False), ("tie", True)}),
+            (10, 7, 2, {("tie", False), ("multiset", True)}),
+        ],
+    )
+    def test_memo_walks_classes_only_in_ties_and_flagged_multisets(
+        self, monkeypatch, n, size, k, walked
+    ):
+        # the memo of every plain class reads the shaped side a multiset at
+        # a time, and walks classes one by one only in exact ties and in
+        # multisets that _tells_apart flags: at |A| = 4 only in ties; at
+        # (10,6,1) flagged classes too, all of them inside ties; at (10,7,2)
+        # a flagged multiset's own classes.  Each walked class is recorded
+        # by its group's kind and whether its multiset is flagged
+        alphabet = Alphabet(size)
+        orderings = (shared_ordering(n, alphabet), shared_ordering(n + k, alphabet))
+        found = Counter()
+        for kind, group in (("tie", combinatorics._Tie), ("multiset", combinatorics._Permutations)):
+
+            def recording(group, j=0, kind=kind, walk=group.walk):
+                for row in walk(group, j):
+                    found[kind, experiments._tells_apart(tuple(sorted(row[0])))] += 1
+                    yield row
+
+            monkeypatch.setattr(group, "walk", recording)
+        if ("multiset", True) not in walked:
+            # no class of a multiset group is unranked either
+            monkeypatch.setattr(combinatorics, "_lex_unrank", _no_walk)
+        plain = list(compositions(n, size))
+        rows = [experiments._shaped_rows(counts, orderings)[0] for counts in plain]
+        assert set(found) == walked
+        assert sum(map(len, rows)) > len(plain)
 
     @pytest.mark.parametrize("n, size, k", [(6, 4, 1), (4, 3, 3), (5, 3, 2), (6, 5, 1)])
     def test_rank_row_matches_full_rank(self, n, size, k):
