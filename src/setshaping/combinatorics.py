@@ -355,10 +355,49 @@ class ClassOrdering:
                 return
             yield from groups[g].multisets(lo - start, hi - start, apart)
 
-    def _find(self, counts: tuple[int, ...]) -> tuple[int, int]:
-        """Group of a counts vector and its class's position in the group."""
+    def _tally_rows(self, lo: RankIndex, hi: RankIndex, apart, key) -> tuple[list, list[int]]:
+        """The ranks [lo, hi), 0 <= lo < hi <= sequence_count, as tally
+        rows in order: each row's key, and the rank, counted from lo, at
+        which each row after the first begins, then hi - lo.
+
+        ``multiset_spans(hi, lo, apart)`` with each row keyed by
+        ``key(counts)`` and neighbours that share a key merged, read in one
+        loop from one bisection.  A multiset outside an exact tie that
+        ``apart`` does not flag is one row, keyed by the multiset ascending
+        (its first class, which ``key`` must map to itself), its ranks
+        read off the groups' first ranks; only ties and flagged multisets
+        go through ``multisets`` and ``key``."""
+        starts, groups = self._starts, self._groups
+        keys, begins = [], []
+        g = bisect_right(starts, lo) - 1
+        start = starts[g]
+        while start < hi:
+            group = groups[g]
+            g += 1
+            if type(group) is _Permutations and not apart(group.first):
+                # a multiset is in one group only, so no neighbour shares
+                # its key
+                if keys:
+                    begins.append(start - lo)
+                keys.append(group.first)
+            else:
+                rank = start - lo if start > lo else 0
+                for counts, _, met in group.multisets(lo - start, hi - start, apart):
+                    row = key(counts)
+                    if not keys or row != keys[-1]:
+                        if keys:
+                            begins.append(rank)
+                        keys.append(row)
+                    rank += met
+            start = starts[g]
+        begins.append(hi - lo)
+        return keys, begins
+
+    def _find(self, counts: tuple[int, ...], first=None) -> tuple[int, int]:
+        """Group of a counts vector and its class's position in the group
+        (``first`` as ``class_span`` takes it)."""
         try:
-            g = self._group_of[tuple(sorted(counts))]
+            g = self._group_of[tuple(sorted(counts)) if first is None else first]
         except KeyError:
             raise ValueError(
                 f"counts {tuple(counts)} is not a class of ordering "
@@ -373,11 +412,12 @@ class ClassOrdering:
         g = bisect_right(self._firsts, i) - 1
         return self._groups[g].counts(i - self._firsts[g])
 
-    def class_span(self, counts: tuple[int, ...]) -> tuple[RankIndex, int]:
+    def class_span(self, counts: tuple[int, ...], first=None) -> tuple[RankIndex, int]:
         """Global rank of the first sequence with this counts vector, and
         the size of its class; ValueError unless the vector is one of the
-        ordering's classes."""
-        g, j = self._find(counts)
+        ordering's classes.  ``first``, if given, must be the counts
+        ascending: a caller that has sorted them saves sorting them again."""
+        g, j = self._find(counts, first)
         group = self._groups[g]
         return self._starts[g] + group.offset(j), group.size(j)
 

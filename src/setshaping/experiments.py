@@ -25,9 +25,10 @@ tallied in its count multiset's row, but for the multisets of more than
 4 used symbols whose Huffman ties can split them (``_ties_split``), whose
 classes are rows of their own.  Both read an ordering's ranks a
 multiset at a time, as the census counts them, and the split ones class
-by class (``_multiset_rows`` over ``ClassOrdering.multiset_spans``): an
-exhaustive run from rank 0, a sampled run from the first rank of each
-plain class it meets.  A sampled run keys both sides by ``_row_key``: a
+by class: an exhaustive run from rank 0 (``ClassOrdering.multiset_spans``),
+a sampled run from the first rank of each plain class it meets
+(``ClassOrdering._tally_rows``, the same walk in one loop, keyed and
+merged as it goes).  A sampled run keys both sides by ``_row_key``: a
 sample's plain row is that of its counts vector, and its shaped row one
 of the rows that the transform sends its plain class to
 (``_shaped_rows``); the sample is ranked in its class only where there
@@ -46,7 +47,7 @@ import os
 import sys
 from bisect import bisect_right, insort
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -285,7 +286,8 @@ _PCG_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 # 32-bit limbs of the multiplier's low word: the high word of its product
 # with the state's low word is built from them
 _PCG_MULT_LIMBS = (np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32))
-_SHIFT16, _SHIFT32 = np.uint32(16), np.uint64(32)
+_SHIFT16, _SHIFT32, _SHIFT58 = np.uint32(16), np.uint64(32), np.uint64(58)
+_WORD_BITS = np.uint64(64)
 _LOW32 = np.uint64(_MASK32)
 # a block's one-byte draws, a sample's generator state and counts taking
 # about _ROW_DRAWS bytes more: about 4 MiB, however big a worker's chunk
@@ -314,43 +316,58 @@ def _hash_constants(calls: int, init: int, mult: int):
     return pairs
 
 
-def _mul_high(a, limbs):
+def _mul_high(a, limbs, scratch):
     """High 64 bits of the 128-bit products a * b, with b given by its
-    32-bit limbs (low first)."""
+    32-bit limbs (low first), into the first of the four uint64 arrays of
+    a's length in ``scratch``.  Each partial sum stays below 2**64, so no
+    pass carries (mulhu, H. S. Warren, "Hacker's Delight", 8-2)."""
     b0, b1 = limbs
-    low, high = a & _LOW32, a >> _SHIFT32
-    cross0, cross1 = low * b1, high * b0
-    low *= b0
+    high, low, mid, part = scratch
+    np.bitwise_and(a, _LOW32, out=low)
+    np.right_shift(a, _SHIFT32, out=high)
+    np.multiply(low, b0, out=mid)
+    mid >>= _SHIFT32
+    np.multiply(high, b0, out=part)
+    mid += part  # the high limb's cross product, the low product's carry
+    low *= b1
+    np.bitwise_and(mid, _LOW32, out=part)
+    low += part  # the low limb's cross product and mid's low half
+    low >>= _SHIFT32
+    mid >>= _SHIFT32
     high *= b1
-    low >>= _SHIFT32
-    for cross in (cross0, cross1):  # high halves on, low halves to the carry
-        high += cross >> _SHIFT32
-        cross &= _LOW32
-        low += cross
-    low >>= _SHIFT32
+    high += mid
     high += low
     return high
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """a + b, mod 2**128, in place of a."""
+def _add128(a_hi, a_lo, b_hi, b_lo, carry=None):
+    """a + b, mod 2**128, in place of a; ``carry``, a bool array of a's
+    length to hold the low word's carry, or None for a new one."""
     a_lo += b_lo
     a_hi += b_hi
-    a_hi += a_lo < b_lo
+    a_hi += np.less(a_lo, b_lo, out=carry)
     return a_hi, a_lo
 
 
-def _pcg64_step(state, inc):
-    """state * multiplier + inc, mod 2**128, on (high, low) word arrays."""
+def _pcg64_step(state, inc, scratch, carry):
+    """state * multiplier + inc, mod 2**128, in place on (high, low) word
+    arrays; ``scratch`` and ``carry`` as ``_mul_high`` and ``_add128``
+    take them."""
     s_hi, s_lo = state
-    high = _mul_high(s_lo, _PCG_MULT_LIMBS)
-    high += s_hi * _PCG_MULT_LO + s_lo * _PCG_MULT_HI
-    return _add128(high, s_lo * _PCG_MULT_LO, *inc)
+    high = _mul_high(s_lo, _PCG_MULT_LIMBS, scratch)
+    s_hi *= _PCG_MULT_LO
+    s_hi += high
+    np.multiply(s_lo, _PCG_MULT_HI, out=high)
+    s_hi += high
+    s_lo *= _PCG_MULT_LO
+    _add128(s_hi, s_lo, *inc, carry)
 
 
 def _pcg64_seeded(seed: int, lo: int, hi: int):
-    """The PCG64 (state, inc) that ``np.random.default_rng([seed, i])``
-    starts from, for i in lo..hi-1, each as (high, low) uint64 arrays."""
+    """The PCG64 (state, inc) of ``np.random.default_rng([seed, i])``,
+    for i in lo..hi-1, each as (high, low) uint64 arrays; the state is
+    one step short of the one the generator starts from, a step that
+    ``_pcg64_outputs`` takes."""
     index = np.arange(lo, hi, dtype=np.uint64)
     # the seed's words, the same for every index, broadcast
     entropy = [np.full(1, w, dtype=np.uint32) for w in _uint32_words(seed)]
@@ -392,25 +409,36 @@ def _pcg64_seeded(seed: int, lo: int, hi: int):
         else:
             words.append(value)
     # PCG64 srandom_r: inc = seq << 1 | 1, then step, add the state, step
+    # (the last step is _pcg64_outputs's)
     inc = (
         (words[2] << np.uint64(1)) | (words[3] >> np.uint64(63)),
         (words[3] << np.uint64(1)) | np.uint64(1),
     )
     state = _add128(words[0], words[1], *inc)
     del words
-    return _pcg64_step(state, inc), inc
+    return state, inc
 
 
 def _pcg64_outputs(seed: int, lo: int, hi: int, length: int):
     """Each draw's raw outputs of ``default_rng([seed, i])``, i in lo..hi-1,
-    as a uint64 array; no index crosses 2**32."""
+    as one uint64 array that the next draw overwrites: a caller that keeps
+    a draw copies it.  No index crosses 2**32.  Every pass writes into
+    arrays made once, here or in ``_pcg64_seeded``."""
     state, inc = _pcg64_seeded(seed, lo, hi)
+    scratch = [np.empty(hi - lo, np.uint64) for _ in range(4)]
+    carry = np.empty(hi - lo, bool)
+    x = np.empty(hi - lo, np.uint64)
+    s_hi, s_lo = state
+    rot, left = scratch[:2]  # free between steps
+    _pcg64_step(state, inc, scratch, carry)  # srandom_r's last step
     for _ in range(length):
-        state = _pcg64_step(state, inc)
-        # XSL-RR: (high ^ low) rotated right by the state's top six bits
-        s_hi, s_lo = state
-        x, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)
-        left = x << ((np.uint64(64) - rot) & np.uint64(63))
+        _pcg64_step(state, inc, scratch, carry)
+        # XSL-RR: (high ^ low) rotated right by the state's top six bits;
+        # numpy shifts a word by 64 to 0, so a rotation by 0 keeps x
+        np.bitwise_xor(s_hi, s_lo, out=x)
+        np.right_shift(s_hi, _SHIFT58, out=rot)
+        np.subtract(_WORD_BITS, rot, out=left)
+        np.left_shift(x, left, out=left)
         x >>= rot
         x |= left
         yield x
@@ -423,9 +451,10 @@ def _symbol_block(seed: int, lo: int, hi: int, length: int, cuts: list, size: in
     symbols = np.zeros((hi - lo, length), np.min_scalar_type(len(cuts)), order="F")
     reached = np.zeros((size + 1, hi - lo), np.min_scalar_type(length))
     reached[0] = length
+    past = np.empty(hi - lo, bool)
     for column, x in zip(symbols.T, _pcg64_outputs(seed, lo, hi, length)):
         for j, cut in enumerate(cuts, 1):
-            past = x >= cut
+            np.greater_equal(x, cut, out=past)
             column += past
             reached[j] += past
     return symbols, reached[:-1] - reached[1:]
@@ -522,9 +551,10 @@ def _sampled_chunk(args) -> tuple[Counter, Counter]:
             class_counts = tuple(class_counts)
             entry = memo.get(class_counts)
             if entry is None:
+                first = tuple(sorted(class_counts))
                 entry = memo[class_counts] = (
-                    _row_key(class_counts, apart),
-                    *_shaped_rows(class_counts, orderings, apart),
+                    class_counts if apart(first) else first,  # its _row_key
+                    *_shaped_rows(class_counts, orderings, apart, first),
                 )
             key, rows, starts = entry
             plain[key] += n
@@ -591,40 +621,23 @@ def _row_key(counts, apart=_tells_apart) -> tuple[int, ...]:
     return tuple(counts) if apart(first) else first
 
 
-def _shaped_rows(counts, orderings, apart=_tells_apart):
+def _shaped_rows(counts, orderings, apart=_tells_apart, first=None):
     """Where the transform sends the plain class with this counts vector,
-    as tally rows.
+    as tally rows; ``first``, the counts ascending, where the caller has
+    sorted them.
 
     The transform keeps ranks, so the class's ranks [start, start + size)
     of the N order land on the same range of the N+K order.  Returns the
-    ``_row_key`` of each shaped row that range meets (``_multiset_rows``:
-    a multiset's classes at once, unless the tally tells them apart), in
-    order, with neighbouring rows that share a key merged into one, and the
-    in-class ranks at which each row but the first begins, followed by the
-    class size."""
+    ``_row_key`` of each shaped row that range meets
+    (``ClassOrdering._tally_rows``: a multiset's classes at once, unless
+    the tally tells them apart), in order, with neighbouring rows that
+    share a key merged into one, and the in-class ranks at which each row
+    but the first begins, followed by the class size."""
     plain_ordering, shaped_ordering = orderings
-    start, size = plain_ordering.class_span(counts)
-    rows, starts = [], []
-    rank = 0
-    for shaped_counts, met in _multiset_rows(shaped_ordering, start + size, start, apart):
-        key = _row_key(shaped_counts, apart)
-        if not rows or key != rows[-1]:
-            rows.append(key)
-            starts.append(rank)
-        rank += met
-    return rows, starts[1:] + [size]
-
-
-def _multiset_rows(
-    ordering, hi: int, lo: int = 0, apart=_tells_apart
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The ranks [lo, hi) of an ordering as (counts vector, message count)
-    rows, one per count multiset (``multiset_spans``'s first class and
-    ranks), but for the classes of an exact tie and of a multiset that the
-    tally tells apart (``apart``, ``_tells_apart`` or a memo of it), each
-    a row of its own."""
-    for first, _, ranks in ordering.multiset_spans(hi, lo, apart):
-        yield first, ranks
+    start, size = plain_ordering.class_span(counts, first)
+    return shaped_ordering._tally_rows(
+        start, start + size, apart, functools.partial(_row_key, apart=apart)
+    )
 
 
 def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
@@ -640,7 +653,12 @@ def run_exhaustive(config: ExperimentConfig) -> "ExperimentReport":
     """
     params = config.shaping
     orderings = [shared_ordering(n, params.alphabet) for n in (params.length, params.target_length)]
-    return _build_report(config, *(_multiset_rows(o, params.subset_size) for o in orderings), None)
+    hi = params.subset_size
+    sides = [
+        ((first, ranks) for first, _, ranks in o.multiset_spans(hi, 0, _tells_apart))
+        for o in orderings
+    ]
+    return _build_report(config, *sides, None)
 
 
 def run_sampled(config: ExperimentConfig, spec: SourceSpec) -> "ExperimentReport":

@@ -537,19 +537,32 @@ class TestSampledClasses:
 
     @pytest.mark.parametrize(
         "n, size, k",
-        [(6, 4, 1), (5, 3, 2), (9, 4, 1), (10, 6, 1), (12, 5, 3), (10, 7, 2), (8, 8, 1), (9, 4, 2)],
+        [
+            (6, 4, 1),
+            (5, 3, 2),
+            (9, 4, 1),
+            (10, 6, 1),
+            (12, 5, 3),
+            (10, 7, 2),
+            (8, 8, 1),
+            (9, 4, 2),
+            (20, 6, 1),
+            (100, 4, 1),
+        ],
     )
     def test_memo_rows_merge_spans_by_row_key(self, n, size, k):
-        # every plain class's memo entry against the shaped ordering's own
-        # walk of its ranks mapped through _row_key; (9,4,1) meets the exact
-        # tie of (1,1,2,6) and (3,0,3,4), whose classes interleave, (9,4,2)
-        # and (12,5,3) take K > 1, and (10,6,1), (12,5,3), (10,7,2) and
-        # (8,8,1) meet multisets whose ties split them (the shaped subsets
-        # of (8,7,2) and (6,8,1) meet none)
+        # every plain class's memo entry (every 25th of the 176,851 at
+        # (100,4,1)) against the shaped ordering's own walk of its ranks
+        # mapped through _row_key; (9,4,1) meets the exact tie of (1,1,2,6)
+        # and (3,0,3,4), whose classes interleave, in one class's rows,
+        # (9,4,2) and (12,5,3) take K > 1, and (10,6,1), (12,5,3), (10,7,2),
+        # (8,8,1) and (20,6,1) meet multisets whose ties split them (the
+        # shaped subsets of (8,7,2) and (6,8,1) meet none)
         alphabet = Alphabet(size)
         orderings = (shared_ordering(n, alphabet), shared_ordering(n + k, alphabet))
         kinds = Counter()
-        for counts in compositions(n, size):
+        tie = {(1, 1, 2, 6), (0, 3, 3, 4)}
+        for counts in islice(compositions(n, size), 0, None, 25 if n == 100 else 1):
             start, class_size = orderings[0].class_span(counts)
             want = merged_rows(orderings[1].spans(start, start + class_size))
             rows, starts = experiments._shaped_rows(counts, orderings)
@@ -560,9 +573,35 @@ class TestSampledClasses:
             for key in rows:
                 kinds["flagged" if key != tuple(sorted(key)) else "multiset"] += 1
             kinds["several rows"] += len(rows) > 1
+            kinds["both tied multisets"] += tie <= set(rows)
         assert kinds["several rows"] > 0
         if size > 4:
             assert kinds["flagged"] > 0
+        if (n, size, k) == (9, 4, 1):
+            assert kinds["both tied multisets"] > 0
+
+    @pytest.mark.parametrize("n, size, k, flagged", [(20, 4, 1, False), (10, 7, 2, True)])
+    def test_memo_reads_unflagged_multisets_without_multisets(
+        self, monkeypatch, n, size, k, flagged
+    ):
+        # the memo keys a multiset that _tells_apart does not flag by the
+        # group itself: _Permutations.multisets is called only for flagged
+        # ones, never at |A| = 4, and at (10,7,2) for some
+        alphabet = Alphabet(size)
+        orderings = (shared_ordering(n, alphabet), shared_ordering(n + k, alphabet))
+        called = []
+        multisets = combinatorics._Permutations.multisets
+
+        def flagged_only(group, lo, hi, apart=None):
+            if not experiments._tells_apart(group.first):
+                raise AssertionError(f"multisets called for unflagged {group.first}")
+            called.append(group.first)
+            return multisets(group, lo, hi, apart)
+
+        monkeypatch.setattr(combinatorics._Permutations, "multisets", flagged_only)
+        for counts in compositions(n, size):
+            experiments._shaped_rows(counts, orderings)
+        assert bool(called) == flagged
 
     @pytest.mark.parametrize(
         "n, size, k, walked",
@@ -884,7 +923,8 @@ def block_rows(seed, lo, hi, length, pmf):
     cuts = [np.uint64(math.ceil(u * 2**53) << 11) for u in cdf / cdf[-1] if u < 1.0]
     raw, symbols = [], []
     for start, end in blocks(lo, hi, length):
-        raw.append(np.array(list(experiments._pcg64_outputs(seed, start, end, length))).T)
+        draws = experiments._pcg64_outputs(seed, start, end, length)
+        raw.append(np.array([x.copy() for x in draws]).T)
         block, counts = experiments._symbol_block(seed, start, end, length, cuts, len(pmf))
         want = [np.bincount(row, minlength=len(pmf)).tolist() for row in block]
         assert counts.T.tolist() == want
@@ -916,6 +956,23 @@ class TestUniformStream:
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_matches_default_rng(self, seed, length):
         assert_rows_match(seed, 0, 30, length)
+
+    @pytest.mark.parametrize(
+        "seed, lo, hi", [(7, 5, 9), (7, 2**32 - 2, 2**32), (7, 2**32, 2**32 + 3), (2**40 + 9, 0, 4)]
+    )
+    def test_outputs_overwrite_one_array(self, seed, lo, hi):
+        # every draw is yielded in the one array the next draw overwrites;
+        # a copy of each is default_rng([seed, i])'s raw stream, for blocks
+        # on both sides of 2**32 and a two-word seed
+        length = 20
+        draws = list(experiments._pcg64_outputs(seed, lo, hi, length))
+        assert len(draws) == length and all(x is draws[0] for x in draws)
+        copies = np.array([x.copy() for x in experiments._pcg64_outputs(seed, lo, hi, length)])
+        want = [
+            np.random.default_rng([seed, i]).bit_generator.random_raw(length)
+            for i in range(lo, hi)
+        ]
+        assert np.array_equal(copies.T, np.array(want))
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_index_crossing_2_pow_32(self, seed):
@@ -1199,7 +1256,10 @@ class TestMultisetRows:
         hi = params.subset_size
         for length, side in zip((n, n + k), class_walks(params)):
             ordering = shared_ordering(length, params.alphabet)
-            rows = list(experiments._multiset_rows(ordering, hi))
+            rows = [
+                (first, ranks)
+                for first, _, ranks in ordering.multiset_spans(hi, 0, experiments._tells_apart)
+            ]
             assert len(rows) < len(side) and sum(ranks for _, ranks in rows) == hi
             # the rows past each multiset's first class are walked class by
             # class, and they are exactly those of the multisets met in
